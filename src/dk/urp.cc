@@ -92,15 +92,8 @@ DkConv::DkConv(DkProto* proto, int index) : proto_(proto) {
 }
 
 DkConv::~DkConv() {
-  TimerId t;
-  {
-    QLockGuard guard(lock_);
-    t = timer_;
-    timer_ = kNoTimer;
-  }
-  if (t != kNoTimer) {
-    TimerWheel::Default().Cancel(t);
-  }
+  QLockGuard guard(lock_);
+  CancelTimerLocked();
 }
 
 void DkConv::Recycle() {
@@ -283,10 +276,7 @@ void DkConv::CloseUser() {
     call = call_;
     end = end_;
     state_ = State::kClosed;
-    if (timer_ != kNoTimer) {
-      TimerWheel::Default().Cancel(timer_);
-      timer_ = kNoTimer;
-    }
+    CancelTimerLocked();
     slot_free_ = true;
   }
   if (call != nullptr) {
@@ -375,14 +365,25 @@ void DkConv::ArmTimerLocked() {
   if (dying_) {
     return;
   }
-  if (timer_ != kNoTimer) {
-    TimerWheel::Default().Cancel(timer_);
-  }
-  timer_ = TimerWheel::Default().Schedule(kUrpRto, [this] { TimerFire(); });
+  CancelTimerLocked();
+  timer_ = TimerWheel::Default().Schedule(kUrpRto,
+                                          [this, gen = timer_gen_] { TimerFire(gen); });
 }
 
-void DkConv::TimerFire() {
+void DkConv::CancelTimerLocked() {
+  // As IlConv::CancelTimerLocked: a firing already collected goes stale.
+  timer_gen_++;
+  if (timer_ != kNoTimer) {
+    TimerWheel::Default().Cancel(timer_);
+    timer_ = kNoTimer;
+  }
+}
+
+void DkConv::TimerFire(uint64_t gen) {
   QLockGuard guard(lock_);
+  if (gen != timer_gen_) {
+    return;  // stale: re-armed or cancelled after the wheel collected it
+  }
   timer_ = kNoTimer;
   if (state_ != State::kEstablished || send_una_ == send_seq_) {
     return;
@@ -418,9 +419,8 @@ void DkConv::CircuitInput(Bytes cell) {
         }
         send_una_ = (send_una_ + 1) & 7;
       }
-      if (send_una_ == send_seq_ && timer_ != kNoTimer) {
-        TimerWheel::Default().Cancel(timer_);
-        timer_ = kNoTimer;
+      if (send_una_ == send_seq_) {
+        CancelTimerLocked();
       }
       PumpLocked();
     } else if (type == kTypeData) {
@@ -455,10 +455,7 @@ void DkConv::CircuitHangup() {
     QLockGuard guard(lock_);
     state_ = State::kClosed;
     err_ = kErrHungup;
-    if (timer_ != kNoTimer) {
-      TimerWheel::Default().Cancel(timer_);
-      timer_ = kNoTimer;
-    }
+    CancelTimerLocked();
   }
   stream_->Hangup();
   window_.Wakeup();
@@ -506,10 +503,7 @@ void DkProto::Abort(const std::string& why) {
       c->call_.reset();  // pending incoming calls time out at the caller
       circuit.swap(c->circuit_);
       end = c->end_;
-      if (c->timer_ != kNoTimer) {
-        TimerWheel::Default().Cancel(c->timer_);
-        c->timer_ = kNoTimer;
-      }
+      c->CancelTimerLocked();
     }
     if (circuit != nullptr) {
       // The switch tears down a dead host's circuits: the peer observes a
@@ -529,16 +523,9 @@ DkProto::~DkProto() {
   {
     QLockGuard guard(lock_);
     for (auto& c : convs_) {
-      TimerId t;
-      {
-        QLockGuard cguard(c->lock_);
-        c->dying_ = true;
-        t = c->timer_;
-        c->timer_ = kNoTimer;
-      }
-      if (t != kNoTimer) {
-        TimerWheel::Default().Cancel(t);
-      }
+      QLockGuard cguard(c->lock_);
+      c->dying_ = true;
+      c->CancelTimerLocked();
     }
   }
   TimerWheel::Default().Drain();

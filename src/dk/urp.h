@@ -83,7 +83,8 @@ class DkConv : public NetConv {
   void PumpLocked() REQUIRES(lock_);  // send cells while window allows
   void EmitAckLocked() REQUIRES(lock_);
   void ArmTimerLocked() REQUIRES(lock_);
-  void TimerFire();
+  void CancelTimerLocked() REQUIRES(lock_);
+  void TimerFire(uint64_t gen);
   Status DoAccept();
   void Recycle();
 
@@ -111,6 +112,7 @@ class DkConv : public NetConv {
   // Cells [send_una_ ...], window + queued.
   std::deque<Cell> out_ GUARDED_BY(lock_);
   TimerId timer_ GUARDED_BY(lock_) = kNoTimer;
+  uint64_t timer_gen_ GUARDED_BY(lock_) = 0;  // see IlConv::timer_gen_
 
   // URP receiver.
   uint8_t recv_expect_ GUARDED_BY(lock_) = 0;

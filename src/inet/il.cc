@@ -135,15 +135,8 @@ IlConv::IlConv(IlProto* proto, int index) : proto_(proto) {
 }
 
 IlConv::~IlConv() {
-  TimerId t;
-  {
-    QLockGuard guard(lock_);
-    t = timer_;
-    timer_ = kNoTimer;
-  }
-  if (t != kNoTimer) {
-    TimerWheel::Default().Cancel(t);
-  }
+  QLockGuard guard(lock_);
+  CancelTimerLocked();
 }
 
 void IlConv::Recycle() {
@@ -335,10 +328,7 @@ void IlConv::HangupLocked() {
   // once lock_ is dropped.
   hangup_pending_ = true;
   err_ = err_.empty() ? std::string(kErrClosed) : err_;
-  if (timer_ != kNoTimer) {
-    TimerWheel::Default().Cancel(timer_);
-    timer_ = kNoTimer;
-  }
+  CancelTimerLocked();
 }
 
 void IlConv::CompleteHangup() {
@@ -438,14 +428,26 @@ void IlConv::ArmTimerLocked(std::chrono::microseconds delay) {
   if (dying_) {
     return;  // teardown in progress: a re-armed timer would fire on freed state
   }
-  if (timer_ != kNoTimer) {
-    TimerWheel::Default().Cancel(timer_);
-  }
-  timer_ = TimerWheel::Default().Schedule(delay, [this] { TimerFire(); });
+  CancelTimerLocked();
+  timer_ = TimerWheel::Default().Schedule(delay,
+                                          [this, gen = timer_gen_] { TimerFire(gen); });
 }
 
-void IlConv::TimerFire() {
+void IlConv::CancelTimerLocked() {
+  // A firing the wheel already collected cannot be cancelled; the new
+  // generation makes it stale, so it leaves timer_ (the live timer) alone.
+  timer_gen_++;
+  if (timer_ != kNoTimer) {
+    TimerWheel::Default().Cancel(timer_);
+    timer_ = kNoTimer;
+  }
+}
+
+void IlConv::TimerFire(uint64_t gen) {
   QLockGuard guard(lock_);
+  if (gen != timer_gen_) {
+    return;  // stale: re-armed or cancelled after the wheel collected it
+  }
   timer_ = kNoTimer;
   switch (state_) {
     case State::kSyncer:
@@ -746,16 +748,9 @@ IlProto::~IlProto() {
   {
     QLockGuard guard(lock_);
     for (auto& c : convs_) {
-      TimerId t;
-      {
-        QLockGuard cguard(c->lock_);
-        c->dying_ = true;  // a racing TimerFire must not re-arm
-        t = c->timer_;
-        c->timer_ = kNoTimer;
-      }
-      if (t != kNoTimer) {
-        TimerWheel::Default().Cancel(t);
-      }
+      QLockGuard cguard(c->lock_);
+      c->dying_ = true;  // a racing TimerFire must not re-arm
+      c->CancelTimerLocked();
     }
   }
   // No new packets or timer fires can reach a conversation now; wait out any
@@ -781,9 +776,8 @@ void IlProto::Abort(const std::string& why) {
         c->state_ = IlConv::State::kClosed;
         c->pending_.clear();  // listeners drop their queued calls too
         c->HangupLocked();
-      } else if (c->timer_ != kNoTimer) {
-        TimerWheel::Default().Cancel(c->timer_);
-        c->timer_ = kNoTimer;
+      } else {
+        c->CancelTimerLocked();
       }
       hangup = std::exchange(c->hangup_pending_, false);
     }

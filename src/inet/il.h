@@ -122,7 +122,8 @@ class IlConv : public NetConv {
   Status EmitLocked(IlType type, uint32_t id, uint32_t ack, const Bytes& payload)
       REQUIRES(lock_);
   void ArmTimerLocked(std::chrono::microseconds delay) REQUIRES(lock_);
-  void TimerFire();
+  void CancelTimerLocked() REQUIRES(lock_);
+  void TimerFire(uint64_t gen);
   std::chrono::microseconds RtoLocked() const REQUIRES(lock_);
   void RttSampleLocked(std::chrono::microseconds sample) REQUIRES(lock_);
   void HangupLocked() REQUIRES(lock_);
@@ -164,6 +165,8 @@ class IlConv : public NetConv {
   std::chrono::microseconds mdev_ GUARDED_BY(lock_){0};
   int backoff_ GUARDED_BY(lock_) = 0;
   TimerId timer_ GUARDED_BY(lock_) = kNoTimer;
+  // Bumped by every arm and cancel; a firing of an older generation is stale.
+  uint64_t timer_gen_ GUARDED_BY(lock_) = 0;
   TimerWheel::Clock::time_point last_rexmit_ GUARDED_BY(lock_){};
   uint32_t last_rexmit_id_ GUARDED_BY(lock_) = 0;
   int sync_tries_ GUARDED_BY(lock_) = 0;

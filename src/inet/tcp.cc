@@ -96,15 +96,8 @@ TcpConv::TcpConv(TcpProto* proto, int index) : proto_(proto) {
 }
 
 TcpConv::~TcpConv() {
-  TimerId t;
-  {
-    QLockGuard guard(lock_);
-    t = timer_;
-    timer_ = kNoTimer;
-  }
-  if (t != kNoTimer) {
-    TimerWheel::Default().Cancel(t);
-  }
+  QLockGuard guard(lock_);
+  CancelTimerLocked();
 }
 
 void TcpConv::Recycle() {
@@ -330,10 +323,7 @@ void TcpConv::ResetLocked(const std::string& why) {
   // user write path holds while acquiring lock_.  Callers drain the flag
   // once lock_ is dropped.
   hangup_pending_ = true;
-  if (timer_ != kNoTimer) {
-    TimerWheel::Default().Cancel(timer_);
-    timer_ = kNoTimer;
-  }
+  CancelTimerLocked();
 }
 
 void TcpConv::CompleteHangup() {
@@ -458,14 +448,25 @@ void TcpConv::ArmTimerLocked(std::chrono::microseconds delay) {
   if (dying_) {
     return;
   }
-  if (timer_ != kNoTimer) {
-    TimerWheel::Default().Cancel(timer_);
-  }
-  timer_ = TimerWheel::Default().Schedule(delay, [this] { TimerFire(); });
+  CancelTimerLocked();
+  timer_ = TimerWheel::Default().Schedule(delay,
+                                          [this, gen = timer_gen_] { TimerFire(gen); });
 }
 
-void TcpConv::TimerFire() {
+void TcpConv::CancelTimerLocked() {
+  // As IlConv::CancelTimerLocked: a firing already collected goes stale.
+  timer_gen_++;
+  if (timer_ != kNoTimer) {
+    TimerWheel::Default().Cancel(timer_);
+    timer_ = kNoTimer;
+  }
+}
+
+void TcpConv::TimerFire(uint64_t gen) {
   QLockGuard guard(lock_);
+  if (gen != timer_gen_) {
+    return;  // stale: re-armed or cancelled after the wheel collected it
+  }
   timer_ = kNoTimer;
   switch (state_) {
     case State::kSynSent:
@@ -554,10 +555,7 @@ void TcpConv::ProcessAckLocked(uint32_t ack, uint16_t wnd) {
           TimerWheel::Clock::now() - rtt_seg_sent_));
     }
     if (snd_una_ == snd_nxt_) {
-      if (timer_ != kNoTimer) {
-        TimerWheel::Default().Cancel(timer_);
-        timer_ = kNoTimer;
-      }
+      CancelTimerLocked();
     } else {
       ArmTimerLocked(RtoLocked());
     }
@@ -655,10 +653,7 @@ void TcpConv::Input(Ipv4Addr src, uint16_t sport, uint32_t seq, uint32_t ack,
           state_ = State::kEstablished;
           handshake_tries_ = 0;
           backoff_ = 0;
-          if (timer_ != kNoTimer) {
-            TimerWheel::Default().Cancel(timer_);
-            timer_ = kNoTimer;
-          }
+          CancelTimerLocked();
           EmitLocked(kAck, snd_nxt_, 0, 0);
           ready_.Wakeup();
         }
@@ -669,10 +664,7 @@ void TcpConv::Input(Ipv4Addr src, uint16_t sport, uint32_t seq, uint32_t ack,
           snd_wnd_ = wnd;
           state_ = State::kEstablished;
           backoff_ = 0;
-          if (timer_ != kNoTimer) {
-            TimerWheel::Default().Cancel(timer_);
-            timer_ = kNoTimer;
-          }
+          CancelTimerLocked();
           // Tell the listener a call is ready for Listen()/accept.
           if (TcpConv* listener = listener_backref_; listener != nullptr) {
             guard.Unlock();
@@ -727,10 +719,7 @@ void TcpConv::Input(Ipv4Addr src, uint16_t sport, uint32_t seq, uint32_t ack,
         } else if (state_ == State::kLastAck && fin_sent_ && all_sent_acked) {
           state_ = State::kClosed;
           slot_free_ = true;
-          if (timer_ != kNoTimer) {
-            TimerWheel::Default().Cancel(timer_);
-            timer_ = kNoTimer;
-          }
+          CancelTimerLocked();
         } else if (state_ == State::kEstablished && peer_closed) {
           state_ = State::kCloseWait;
           hangup_stream = true;  // EOF for readers; writes still allowed
@@ -786,9 +775,8 @@ void TcpProto::Abort(const std::string& why) {
         c->err_ = why;
         c->pending_.clear();  // listeners drop their queued calls too
         c->ResetLocked(why);  // sets kClosed + hangup_pending_, emits nothing
-      } else if (c->timer_ != kNoTimer) {
-        TimerWheel::Default().Cancel(c->timer_);
-        c->timer_ = kNoTimer;
+      } else {
+        c->CancelTimerLocked();
       }
       hangup = std::exchange(c->hangup_pending_, false);
     }
@@ -807,16 +795,9 @@ TcpProto::~TcpProto() {
   {
     QLockGuard guard(lock_);
     for (auto& c : convs_) {
-      TimerId t;
-      {
-        QLockGuard cguard(c->lock_);
-        c->dying_ = true;
-        t = c->timer_;
-        c->timer_ = kNoTimer;
-      }
-      if (t != kNoTimer) {
-        TimerWheel::Default().Cancel(t);
-      }
+      QLockGuard cguard(c->lock_);
+      c->dying_ = true;
+      c->CancelTimerLocked();
     }
   }
   TimerWheel::Default().Drain();

@@ -105,7 +105,8 @@ class TcpConv : public NetConv {
   void ResetLocked(const std::string& why) REQUIRES(lock_);
   void CompleteHangup();  // drains hangup_pending_: stream hangup, then free the slot
   void ArmTimerLocked(std::chrono::microseconds delay) REQUIRES(lock_);
-  void TimerFire();
+  void CancelTimerLocked() REQUIRES(lock_);
+  void TimerFire(uint64_t gen);
   std::chrono::microseconds RtoLocked() const REQUIRES(lock_);
   void RttSampleLocked(std::chrono::microseconds sample) REQUIRES(lock_);
   void MaybeSendFinLocked() REQUIRES(lock_);
@@ -153,6 +154,7 @@ class TcpConv : public NetConv {
   std::chrono::microseconds mdev_ GUARDED_BY(lock_){0};
   int backoff_ GUARDED_BY(lock_) = 0;
   TimerId timer_ GUARDED_BY(lock_) = kNoTimer;
+  uint64_t timer_gen_ GUARDED_BY(lock_) = 0;  // see IlConv::timer_gen_
   int handshake_tries_ GUARDED_BY(lock_) = 0;
 
   std::deque<int> pending_ GUARDED_BY(lock_);

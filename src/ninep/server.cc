@@ -6,8 +6,6 @@
 
 namespace plan9 {
 namespace {
-constexpr int kWorkers = 4;
-
 // Requests served, across every server in the process (ninep.srv.rpcs).
 obs::Counter& ServedCounter() {
   static obs::Counter* c =
@@ -59,7 +57,6 @@ NinepServer::NinepServer(Vfs* vfs, std::unique_ptr<MsgTransport> transport,
   for (int i = 0; i < kWorkers; i++) {
     workers_.emplace_back(StrFormat("%s.w%d", name.c_str(), i), [this] { Worker(); });
   }
-  reader_ = Kproc(name + ".reader", [this] { ReaderLoop(); });
 }
 
 NinepServer::~NinepServer() { Shutdown(); }
@@ -72,19 +69,32 @@ void NinepServer::Shutdown() {
     }
     stopping_ = true;
   }
-  transport_->Close();
-  work_ready_.Wakeup();
+  transport_->Close();  // unblocks the reader
+  role_.Wakeup();
   Wait();
 }
 
 void NinepServer::Wait() {
-  reader_.Join();
   for (auto& w : workers_) {
     w.Join();
   }
 }
 
-void NinepServer::ReaderLoop() {
+void NinepServer::Worker() {
+  while (auto req = Lead()) {
+    Dispatch(std::move(*req));
+  }
+}
+
+std::optional<Fcall> NinepServer::Lead() {
+  {
+    QLockGuard guard(lock_);
+    role_.Sleep(lock_, [&]() REQUIRES(lock_) { return stopping_ || !reading_; });
+    if (stopping_) {
+      return std::nullopt;
+    }
+    reading_ = true;
+  }
   for (;;) {
     auto raw = transport_->ReadMsg();
     if (!raw.ok() || raw->empty()) {
@@ -100,32 +110,22 @@ void NinepServer::ReaderLoop() {
     }
     {
       QLockGuard guard(lock_);
+      // Recorded before the next request is read, so a Tflush naming this
+      // tag always finds it.
       outstanding_.insert(req->tag);
-      work_.push_back(req.take());
+      reading_ = false;
     }
-    work_ready_.Wakeup();
+    // Any idle worker can read next; waking one keeps the others asleep.
+    role_.WakeOne();
+    return req.take();
   }
   {
     QLockGuard guard(lock_);
     stopping_ = true;
+    reading_ = false;
   }
-  work_ready_.Wakeup();
-}
-
-void NinepServer::Worker() {
-  for (;;) {
-    Fcall req;
-    {
-      QLockGuard guard(lock_);
-      work_ready_.Sleep(lock_, [&]() REQUIRES(lock_) { return stopping_ || !work_.empty(); });
-      if (work_.empty()) {
-        return;  // stopping
-      }
-      req = std::move(work_.front());
-      work_.pop_front();
-    }
-    Dispatch(std::move(req));
-  }
+  role_.Wakeup();  // every idle worker exits
+  return std::nullopt;
 }
 
 void NinepServer::Reply(const Fcall& reply) {

@@ -1,16 +1,18 @@
 // 9P server framework.
 //
 // External file servers "use an RPC form" of the protocol (§2.1).  A
-// NinepServer speaks 9P over one MsgTransport on behalf of a Vfs.  Requests
-// are dispatched to a worker pool — "Exportfs must be multithreaded since
-// the system calls open, read and write may block" (§6.1) — with replies
-// serialized onto the transport.
+// NinepServer speaks 9P over one MsgTransport on behalf of a Vfs.  It is
+// multithreaded — "Exportfs must be multithreaded since the system calls
+// open, read and write may block" (§6.1) — as a leader/follower pool: the
+// one worker holding the reader role reads a request, hands the role to one
+// idle worker, then runs the request itself.  Up to kWorkers requests may
+// block at once; replies are serialized onto the transport.
 #ifndef SRC_NINEP_SERVER_H_
 #define SRC_NINEP_SERVER_H_
 
-#include <deque>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -39,7 +41,7 @@ class Vnode {
 
   // Prepare for I/O.  `user` is the attach uname.  MAY_BLOCK: device vnodes
   // (devproto) block in Open on Listen/WaitReady — the reason the server
-  // dispatches to a worker pool.
+  // runs several workers.
   virtual Status Open(uint8_t mode, const std::string& user) MAY_BLOCK {
     return Status::Ok();
   }
@@ -78,6 +80,9 @@ Result<Bytes> PackDirEntries(const std::vector<Dir>& entries, uint64_t offset,
 
 class NinepServer {
  public:
+  // Worker kprocs per server: the most requests that may block at once.
+  static constexpr int kWorkers = 4;
+
   // Serves until EOF on the transport; call Shutdown() or destroy to stop.
   // `vfs` must outlive the server.  `host` labels this server's trace spans
   // with the node it runs on ("" in unit tests).
@@ -86,7 +91,8 @@ class NinepServer {
   ~NinepServer();
 
   void Shutdown();
-  // Block until the serve loop exits (EOF or Shutdown).
+  // Block until every worker exits (EOF or Shutdown, then the requests
+  // already running finish).
   void Wait() MAY_BLOCK;
 
  private:
@@ -97,8 +103,10 @@ class NinepServer {
     uint8_t open_mode = 0;
   };
 
-  void ReaderLoop();
   void Worker();
+  // Waits for the reader role, reads the next request, records its tag and
+  // hands the role on.  nullopt once the transport is at EOF or shut down.
+  std::optional<Fcall> Lead() MAY_BLOCK;
   void Dispatch(Fcall req) MAY_BLOCK;
   // Blocks: holds write_lock_ (sleepable) across a flow-controlled WriteMsg.
   void Reply(const Fcall& reply) MAY_BLOCK;
@@ -114,17 +122,17 @@ class NinepServer {
   // concurrent repliers queue behind the stalled frame write.
   QLock write_lock_{"9p.server.write", kSleepableClass};
 
-  QLock lock_{"9p.server"};  // fid table + work queue
+  QLock lock_{"9p.server"};  // fid table + reader role
   std::map<uint32_t, FidState> fids_ GUARDED_BY(lock_);
-  std::deque<Fcall> work_ GUARDED_BY(lock_);
-  Rendez work_ready_;
+  // A worker holds the reader role; idle workers sleep on role_ for it.
+  bool reading_ GUARDED_BY(lock_) = false;
+  Rendez role_;
   // Tags whose replies must be suppressed (Tflush).
   std::set<uint16_t> flushed_ GUARDED_BY(lock_);
   std::set<uint16_t> outstanding_ GUARDED_BY(lock_);
   bool stopping_ GUARDED_BY(lock_) = false;
 
-  std::vector<Kproc> workers_;
-  Kproc reader_;
+  std::vector<Kproc> workers_;  // last: joined before the state above dies
 };
 
 }  // namespace plan9

@@ -5,10 +5,10 @@
 // requirements (for example, TCP does not preserve delimiters) we provide
 // mechanisms to marshal messages before handing them to the system."
 //
-//   * StreamMsgTransport — over a delimiter-preserving Stream (pipes, IL,
-//     URP/Datakit, Cyclone): one delimited write per message, no framing.
 //   * FramedMsgTransport — over a byte stream (TCP): each message carries a
 //     4-byte little-endian length prefix (the marshal mechanism).
+//     Delimiter-preserving networks (IL, URP, Cyclone) need no framing:
+//     Proc::TransportForFd reads and writes whole messages on the data file.
 //   * PipeTransport — an in-process bidirectional queue pair, used to mount
 //     kernel-resident user-level servers without a network.
 #ifndef SRC_NINEP_TRANSPORT_H_
@@ -23,7 +23,6 @@
 #include "src/base/result.h"
 #include "src/base/thread_annotations.h"
 #include "src/stream/queue.h"
-#include "src/stream/stream.h"
 
 namespace plan9 {
 
@@ -37,24 +36,6 @@ class MsgTransport {
   // windows).  Callers may hold only sleepable locks (9p.server.write).
   virtual Status WriteMsg(Bytes msg) P9_HOT_PATH MAY_BLOCK = 0;
   virtual void Close() = 0;
-};
-
-// Over a Stream that preserves delimiters.  Does not own the stream.
-class StreamMsgTransport : public MsgTransport {
- public:
-  explicit StreamMsgTransport(Stream* stream) : stream_(stream) {}
-
-  Result<Bytes> ReadMsg() override P9_HOT_PATH MAY_BLOCK {
-    return stream_->ReadMessage();
-  }
-  Status WriteMsg(Bytes msg) override P9_HOT_PATH MAY_BLOCK {
-    // The caller's serialization buffer becomes the block payload.
-    return stream_->WriteBlock(AllocDataBlock(std::move(msg), /*delim=*/true));
-  }
-  void Close() override { stream_->Hangup(); }
-
- private:
-  Stream* stream_;
 };
 
 // Over a byte-oriented channel: reader/writer callbacks (e.g. the data file

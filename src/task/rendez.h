@@ -1,11 +1,11 @@
 // Rendez — Plan 9 sleep/wakeup.
 //
 // A kernel process sleeps on a Rendez until a condition holds; interrupt
-// handlers and other kprocs call Wakeup after changing the condition.  The
-// caller holds the QLock protecting the condition state, exactly as in the
-// Plan 9 kernel's sleep(r, cond, arg) idiom — and the thread-safety analysis
-// enforces it: Sleep REQUIRES the lock.  The lock is released while sleeping
-// and re-held on return.
+// handlers and other kprocs call WakeOne or Wakeup after changing the
+// condition.  The caller holds the QLock protecting the condition state,
+// exactly as in the Plan 9 kernel's sleep(r, cond, arg) idiom — and the
+// thread-safety analysis enforces it: Sleep REQUIRES the lock.  The lock is
+// released while sleeping and re-held on return.
 //
 // Sleep predicates run with the lock held, but Clang analyzes a lambda body
 // as its own function; annotate predicates that read guarded state:
@@ -90,9 +90,16 @@ class Rendez {
   }
 #endif
 
-  // Wake all sleepers to re-evaluate their condition.  Plan 9's wakeup wakes
-  // one process; we wake all because distinct conditions can share a Rendez
-  // here (harmless: spurious wakeups re-check the predicate).
+  // Wake one sleeper, as Plan 9's wakeup does.  Only for hand-offs that any
+  // single sleeper can take: every sleeper waits on the same condition, and
+  // one of them acting on it is all the change calls for (a worker taking
+  // the 9P reader role, the timer kproc seeing a new earliest deadline).
+  void WakeOne() { cv_.notify_one(); }
+
+  // Wake all sleepers to re-evaluate their condition: for shutdown, and for
+  // a Rendez whose sleepers wait on different conditions, where waking one
+  // could pick a sleeper whose condition is still false (harmless for the
+  // others: spurious wakeups re-check the predicate).
   void Wakeup() { cv_.notify_all(); }
 
  private:

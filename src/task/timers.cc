@@ -17,14 +17,20 @@ TimerWheel::~TimerWheel() {
 
 TimerId TimerWheel::Schedule(Clock::duration delay, std::function<void()> fn) {
   TimerId id;
+  bool earliest;
   {
     QLockGuard guard(lock_);
     id = next_id_++;
     Clock::time_point when = Clock::now() + delay;
-    queue_.emplace(when, std::make_pair(id, std::move(fn)));
+    auto it = queue_.emplace(when, std::make_pair(id, std::move(fn)));
     index_.emplace(id, when);
+    // The kproc sleeps until the head's deadline, or runs callbacks and then
+    // re-reads the queue: only a new head it is sleeping past needs a wake.
+    earliest = it == queue_.begin() && !executing_;
   }
-  wake_.Wakeup();
+  if (earliest) {
+    wake_.WakeOne();
+  }
   return id;
 }
 

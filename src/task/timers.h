@@ -34,7 +34,9 @@ class TimerWheel {
   TimerWheel& operator=(const TimerWheel&) = delete;
 
   // Run `fn` on the timer kproc after `delay`.  Callbacks must not block for
-  // long: they typically put a block on a queue or wake a Rendez.
+  // long: they typically put a block on a queue or wake a Rendez.  Wakes the
+  // kproc only when the new entry becomes the earliest deadline while it
+  // sleeps; a later one (most retransmit re-arms) waits its turn silently.
   TimerId Schedule(Clock::duration delay, std::function<void()> fn);
 
   // Best-effort cancel; returns true if the callback was removed before it
@@ -54,11 +56,6 @@ class TimerWheel {
   static TimerWheel& Default();
 
  private:
-  struct Entry {
-    Clock::time_point when;
-    std::function<void()> fn;
-  };
-
   void Loop();
 
   // Leaf lock of the hierarchy (DESIGN.md): conversations call

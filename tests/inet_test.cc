@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <memory>
 #include <thread>
+#include <vector>
 
 #include "src/inet/il.h"
 #include "src/inet/ip.h"
@@ -10,6 +12,7 @@
 #include "src/inet/udp.h"
 #include "src/sim/ether_segment.h"
 #include "src/sim/medium.h"
+#include "src/task/timers.h"
 
 namespace plan9 {
 namespace {
@@ -365,6 +368,80 @@ TEST_F(TcpTest, StatusFileShape) {
   auto status = static_cast<TcpConv*>(client_conv_)->StatusText();
   EXPECT_NE(status.find("Established"), std::string::npos);
   EXPECT_NE(status.find("tcp/"), std::string::npos);
+}
+
+// Teardown with traffic in flight, in a loop.  Each round boots a fresh
+// two-host world, opens a few conversations, has both ends of each write
+// without anyone reading, stalls the timer kproc once mid-stream, and then
+// destroys protocols and hosts while messages are unacknowledged and frames
+// and retransmit timers are pending.  The stall makes timer firings wait in
+// the kproc's batch behind ack deliveries that re-arm the same timers.
+// Such a stale firing used to erase the record of the timer just armed,
+// which then outlived its conversation: it fired on freed memory
+// (AddressSanitizer: heap-use-after-free in the timer callback) and stayed
+// pending in the wheel after the world was gone.
+template <typename Proto>
+void TearDownWithTrafficInFlight(uint64_t seed) {
+  constexpr int kConvs = 3;
+  constexpr int kMaxWrites = 4000;
+  constexpr auto kStall = std::chrono::milliseconds(80);  // past IL's and TCP's RTO floor
+  size_t baseline = TimerWheel::Default().Pending();
+  {
+    TwoHosts net{LinkParams{.latency = std::chrono::microseconds(1000), .seed = seed}};
+    Proto client_proto(&net.alice), server_proto(&net.bob);
+    NetConv* listener = server_proto.Clone().take();
+    ASSERT_TRUE(listener->Ctl("announce 9009").ok());
+    std::vector<NetConv*> ends;
+    for (int i = 0; i < kConvs; i++) {
+      NetConv* caller = client_proto.Clone().take();
+      ASSERT_TRUE(caller->Ctl("connect 135.104.9.6!9009").ok());
+      ASSERT_TRUE(caller->WaitReady().ok());
+      auto idx = listener->Listen();
+      ASSERT_TRUE(idx.ok());
+      NetConv* callee = server_proto.Conv(static_cast<size_t>(*idx));
+      ASSERT_NE(callee, nullptr);
+      ASSERT_TRUE(callee->WaitReady().ok());
+      ends.push_back(caller);
+      ends.push_back(callee);
+    }
+    std::atomic<bool> stop{false};
+    std::vector<std::thread> writers;
+    for (NetConv* end : ends) {
+      writers.emplace_back([end, &stop] {
+        for (int i = 0; i < kMaxWrites && !stop.load(); i++) {
+          if (!end->Write(reinterpret_cast<const uint8_t*>("in flight"), 9).ok()) {
+            return;
+          }
+        }
+      });
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    TimerWheel::Default().Schedule(std::chrono::microseconds(0),
+                                   [kStall] { std::this_thread::sleep_for(kStall); });
+    std::this_thread::sleep_for(kStall + std::chrono::milliseconds(20));
+    stop = true;
+    for (auto& w : writers) {
+      w.join();
+    }
+  }  // protocols, then hosts, destroyed here with the last writes in flight
+  // Every timer the world armed is gone once its frames in flight land.
+  auto deadline = TimerWheel::Clock::now() + std::chrono::seconds(2);
+  while (TimerWheel::Default().Pending() > baseline && TimerWheel::Clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_LE(TimerWheel::Default().Pending(), baseline) << "seed " << seed;
+}
+
+TEST(TeardownTest, IlWorldsDieWithTrafficInFlight) {
+  for (uint64_t seed = 1; seed <= 4; seed++) {
+    TearDownWithTrafficInFlight<IlProto>(seed);
+  }
+}
+
+TEST(TeardownTest, TcpWorldsDieWithTrafficInFlight) {
+  for (uint64_t seed = 1; seed <= 4; seed++) {
+    TearDownWithTrafficInFlight<TcpProto>(seed);
+  }
 }
 
 }  // namespace

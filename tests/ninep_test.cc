@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <functional>
+#include <map>
 #include <thread>
 
 #include "src/ninep/client.h"
@@ -7,6 +11,9 @@
 #include "src/ninep/ramfs.h"
 #include "src/ninep/server.h"
 #include "src/ninep/transport.h"
+#include "src/task/kproc.h"
+#include "src/task/qlock.h"
+#include "src/task/rendez.h"
 
 namespace plan9 {
 namespace {
@@ -242,6 +249,210 @@ TEST_F(ClientServerTest, ServerShutdownFailsPendingRpcs) {
   server_->Shutdown();
   uint32_t f = client_->AllocFid();
   EXPECT_FALSE(client_->CloneWalk(root, f, {"net"}).ok());
+}
+
+// Leader/follower semantics (server.h), driven by hand: requests are packed
+// with explicit tags, and every reply the server writes is kept by tag.
+
+// A file whose reads block until the test releases the latch.
+class LatchFile : public Vnode {
+ public:
+  Qid qid() override { return Qid{7, 0}; }
+  Result<Dir> Stat() override {
+    Dir d;
+    d.name = "slow";
+    d.qid = qid();
+    return d;
+  }
+  Result<std::shared_ptr<Vnode>> Walk(const std::string&) override {
+    return Error(kErrNotDir);
+  }
+  Result<Bytes> Read(uint64_t, uint32_t) override {
+    QLockGuard guard(lock_);
+    blocked_++;
+    changed_.Wakeup();
+    changed_.Sleep(lock_, [&]() REQUIRES(lock_) { return released_; });
+    return ToBytes("late");
+  }
+
+  // True once `n` reads are parked on the latch.
+  bool WaitBlocked(int n) {
+    QLockGuard guard(lock_);
+    return changed_.SleepFor(lock_, std::chrono::seconds(10),
+                             [&]() REQUIRES(lock_) { return blocked_ >= n; });
+  }
+  void Release() {
+    {
+      QLockGuard guard(lock_);
+      released_ = true;
+    }
+    changed_.Wakeup();
+  }
+
+ private:
+  QLock lock_;
+  Rendez changed_;
+  int blocked_ GUARDED_BY(lock_) = 0;
+  bool released_ GUARDED_BY(lock_) = false;
+};
+
+// Attaching with aname "slow" yields the latch file; anything else, a RamFs.
+class LatchFs : public Vfs {
+ public:
+  Result<std::shared_ptr<Vnode>> Attach(const std::string& uname,
+                                        const std::string& aname) override {
+    if (aname == "slow") {
+      return std::shared_ptr<Vnode>(slow);
+    }
+    return ram.Attach(uname, aname);
+  }
+
+  RamFs ram;
+  std::shared_ptr<LatchFile> slow = std::make_shared<LatchFile>();
+};
+
+struct Replies {
+  QLock lock;
+  Rendez arrived;
+  std::map<uint16_t, Fcall> by_tag GUARDED_BY(lock);
+
+  // The reply to `tag`, or an Rerror if none arrives within 10 s.
+  Fcall Wait(uint16_t tag) {
+    QLockGuard guard(lock);
+    if (!arrived.SleepFor(lock, std::chrono::seconds(10),
+                          [&]() REQUIRES(lock) { return by_tag.count(tag) != 0; })) {
+      return RerrorMsg(tag, "no reply");
+    }
+    return by_tag[tag];
+  }
+  bool Has(uint16_t tag) {
+    QLockGuard guard(lock);
+    return by_tag.count(tag) != 0;
+  }
+};
+
+// The server's end: requests come over a pipe, replies go to Replies.
+class RecordingTransport : public MsgTransport {
+ public:
+  RecordingTransport(std::unique_ptr<MsgTransport> requests, std::shared_ptr<Replies> replies)
+      : requests_(std::move(requests)), replies_(std::move(replies)) {}
+
+  Result<Bytes> ReadMsg() override { return requests_->ReadMsg(); }
+  Status WriteMsg(Bytes msg) override {
+    auto reply = Fcall::Unpack(msg);
+    if (!reply.ok()) {
+      return reply.error();
+    }
+    {
+      QLockGuard guard(replies_->lock);
+      replies_->by_tag[reply->tag] = reply.take();
+    }
+    replies_->arrived.Wakeup();
+    return Status::Ok();
+  }
+  void Close() override { requests_->Close(); }
+
+ private:
+  std::unique_ptr<MsgTransport> requests_;
+  std::shared_ptr<Replies> replies_;
+};
+
+class LeaderFollowerTest : public ::testing::Test {
+ protected:
+  static constexpr int kBlocked = NinepServer::kWorkers - 1;
+  static constexpr uint16_t kFirstRead = 100;
+
+  void SetUp() override {
+    ASSERT_TRUE(fs_.ram.WriteFile("fast", "quick").ok());
+    auto [server_end, client_end] = PipeTransport::Make();
+    requests_ = std::move(client_end);
+    server_ = std::make_unique<NinepServer>(
+        &fs_, std::make_unique<RecordingTransport>(std::move(server_end), replies_));
+  }
+  void TearDown() override {
+    fs_.slow->Release();
+    server_->Shutdown();
+  }
+
+  void Send(uint16_t tag, Fcall req) {
+    req.tag = tag;
+    auto packed = req.Pack();
+    ASSERT_TRUE(packed.ok());
+    ASSERT_TRUE(requests_->WriteMsg(std::move(*packed)).ok());
+  }
+  Fcall Call(uint16_t tag, Fcall req) {
+    Send(tag, std::move(req));
+    return replies_->Wait(tag);
+  }
+
+  // Parks kBlocked reads of the latch file (tags kFirstRead...), leaving
+  // one worker free.
+  void BlockReads() {
+    ASSERT_EQ(Call(1, TattachMsg(1, "philw", "slow")).type, FcallType::kRattach);
+    ASSERT_EQ(Call(2, TopenMsg(1, kORead)).type, FcallType::kRopen);
+    for (int i = 0; i < kBlocked; i++) {
+      Send(static_cast<uint16_t>(kFirstRead + i), TreadMsg(1, 0, 64));
+    }
+    ASSERT_TRUE(fs_.slow->WaitBlocked(kBlocked));
+  }
+
+  // `stop` (EOF or Shutdown) must not return while reads are blocked, and
+  // must have joined every worker once the latch opens.
+  void ExpectStopWaitsForLatch(const std::function<void()>& stop) {
+    BlockReads();
+    int live = Kproc::LiveCount();
+    std::atomic<bool> stopped{false};
+    std::thread stopper([&] {
+      stop();
+      stopped = true;
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    EXPECT_FALSE(stopped.load());
+    fs_.slow->Release();
+    stopper.join();
+    EXPECT_EQ(Kproc::LiveCount(), live - NinepServer::kWorkers);
+  }
+
+  LatchFs fs_;
+  std::shared_ptr<Replies> replies_ = std::make_shared<Replies>();
+  std::unique_ptr<MsgTransport> requests_;
+  std::unique_ptr<NinepServer> server_;
+};
+
+TEST_F(LeaderFollowerTest, BlockedReadsLeaveAWorkerForOtherFids) {
+  BlockReads();
+  // The one free worker serves walks, stats and reads on other fids.
+  EXPECT_EQ(Call(3, TattachMsg(2, "philw", "")).type, FcallType::kRattach);
+  EXPECT_EQ(Call(4, TclwalkMsg(2, 3, "fast")).type, FcallType::kRclwalk);
+  Fcall stat = Call(5, TstatMsg(3));
+  ASSERT_EQ(stat.type, FcallType::kRstat);
+  EXPECT_EQ(stat.stat.name, "fast");
+  EXPECT_EQ(Call(6, TopenMsg(3, kORead)).type, FcallType::kRopen);
+  EXPECT_EQ(ToString(Call(7, TreadMsg(3, 0, 64)).data), "quick");
+
+  // A flush of a blocked read is answered while the read still blocks...
+  EXPECT_EQ(Call(8, TflushMsg(kFirstRead)).type, FcallType::kRflush);
+  EXPECT_FALSE(replies_->Has(kFirstRead));
+  fs_.slow->Release();
+  for (int i = 1; i < kBlocked; i++) {
+    EXPECT_EQ(ToString(replies_->Wait(static_cast<uint16_t>(kFirstRead + i)).data), "late");
+  }
+  // ...and its late reply is never sent: at EOF every worker is joined, so
+  // every reply the server would write has been written.
+  requests_->Close();
+  server_->Wait();
+  EXPECT_FALSE(replies_->Has(kFirstRead));
+}
+
+TEST_F(LeaderFollowerTest, EofJoinsEveryWorkerOnceTheLatchOpens) {
+  ExpectStopWaitsForLatch([&] {
+    requests_->Close();
+    server_->Wait();
+  });
+}
+
+TEST_F(LeaderFollowerTest, ShutdownJoinsEveryWorkerOnceTheLatchOpens) {
+  ExpectStopWaitsForLatch([&] { server_->Shutdown(); });
 }
 
 TEST(FramedTransport, RoundTripsOverByteStream) {
