@@ -129,7 +129,7 @@ struct RunResult {
 RunResult Run(const std::string& proto, double loss, size_t messages, size_t msg_size,
               uint64_t seed) {
   LinkParams params = BaseEther(seed);
-  params.loss_rate = loss;
+  params.faults.loss_good = loss;  // uniform: the chain never leaves Good
   World w(params);
   auto sp = w.musca->NewProc();
   auto cp = w.helix->NewProc();

@@ -11,48 +11,14 @@ constexpr uint8_t kTagData = 0;
 constexpr uint8_t kTagCredit = 1;
 }  // namespace
 
-class CycloneConv::Module : public StreamModule {
- public:
-  explicit Module(CycloneConv* conv) : conv_(conv) {}
-  std::string_view name() const override { return "cyclone"; }
+CycloneConv::CycloneConv(CycloneProto* proto, int index)
+    : ConvCore(proto, index, "cyclone.conv", "cyclone"), proto_(proto) {}
 
-  void DownPut(BlockPtr b) override P9_CONSUMES(b) P9_HOT_PATH {
-    if (b->type != BlockType::kData) {
-      DropBlock(std::move(b));
-      return;
-    }
-    pending_.insert(pending_.end(), b->payload(), b->payload() + b->size());
-    bool delim = b->delim;
-    RecycleBlock(std::move(b));
-    if (!delim) {
-      return;
-    }
-    Bytes msg;
-    msg.swap(pending_);
-    Status s = conv_->SendMessage(msg);
-    if (!s.ok()) {
-      P9_LOG(kDebug) << "cyclone send: " << s.error().message();
-    }
-  }
-
- private:
-  CycloneConv* conv_;
-  Bytes pending_;
-};
-
-CycloneConv::CycloneConv(CycloneProto* proto, int index) : proto_(proto) {
-  index_ = index;
-  stream_ = std::make_unique<Stream>(std::make_unique<Module>(this));
-}
-
-void CycloneConv::Recycle() {
-  QLockGuard guard(lock_);
-  stream_ = std::make_unique<Stream>(std::make_unique<Module>(this));
+void CycloneConv::ResetLocked() {
   connected_ = false;
   link_ = -1;
   wire_ = nullptr;
   outstanding_ = 0;
-  in_use_ = true;
 }
 
 Status CycloneConv::Ctl(const std::string& msg) {
@@ -99,10 +65,6 @@ Status CycloneConv::WaitReady() {
   return Status::Ok();
 }
 
-Result<int> CycloneConv::Listen() {
-  return Error("cyclone: point-to-point, no listen");
-}
-
 std::string CycloneConv::Local() {
   QLockGuard guard(lock_);
   return StrFormat("cyclone!%d\n", link_);
@@ -116,14 +78,14 @@ std::string CycloneConv::StatusText() {
                    connected_ ? "Established" : "Closed", link_);
 }
 
-void CycloneConv::CloseUser() {
+void CycloneConv::Close() {
   int link;
   {
     QLockGuard guard(lock_);
     link = link_;
     connected_ = false;
-    in_use_ = false;
     link_ = -1;
+    HangupLocked("");
   }
   if (link >= 0) {
     QLockGuard pguard(proto_->lock_);
@@ -133,17 +95,24 @@ void CycloneConv::CloseUser() {
       proto_->links_[link].bound = nullptr;
     }
   }
+  // Wait out wire callbacks in flight: they hold `this`.
   TimerWheel::Default().Drain();
-  stream_->Hangup();
-  credit_.Wakeup();
 }
 
-Status CycloneConv::SendMessage(const Bytes& msg) {
+void CycloneConv::Abandon(const std::string& why) {
+  QLockGuard guard(lock_);
+  connected_ = false;
+  link_ = -1;
+  wire_ = nullptr;
+  HangupLocked(why);
+}
+
+Status CycloneConv::SendMessage(Bytes msg) {
   Wire* wire = nullptr;
   Wire::End end = Wire::kA;
   {
     QLockGuard guard(lock_);
-    credit_.Sleep(lock_, [&]() REQUIRES(lock_) { return !connected_ || outstanding_ < kMaxOutstanding; });
+    window_.Sleep(lock_, [&]() REQUIRES(lock_) { return !connected_ || outstanding_ < kMaxOutstanding; });
     if (!connected_) {
       return Error(kErrHungup);
     }
@@ -171,7 +140,7 @@ void CycloneConv::WireInput(Bytes frame) {
       QLockGuard guard(lock_);
       outstanding_ = n > outstanding_ ? 0 : outstanding_ - n;
     }
-    credit_.Wakeup();
+    window_.Wakeup();
     return;
   }
   // Data: deliver and return credit for the consumed bytes.  The wire
@@ -195,7 +164,6 @@ void CycloneConv::WireInput(Bytes frame) {
 }
 
 void CycloneProto::Unplug() {
-  std::vector<CycloneConv*> bound;
   {
     QLockGuard guard(lock_);
     if (unplugged_) {
@@ -205,59 +173,17 @@ void CycloneProto::Unplug() {
     for (auto& link : links_) {
       if (link.bound != nullptr) {
         link.wire->Detach(link.end);
-        bound.push_back(link.bound);
         link.bound = nullptr;
       }
     }
   }
-  for (CycloneConv* c : bound) {
-    {
-      QLockGuard guard(c->lock_);
-      c->connected_ = false;
-      c->link_ = -1;
-      c->wire_ = nullptr;
-    }
-    c->stream_->Hangup();
-    c->credit_.Wakeup();
-  }
-  TimerWheel::Default().Drain();
+  Abort("");
 }
 
 int CycloneProto::AddLink(Wire* wire, Wire::End end) {
   QLockGuard guard(lock_);
   links_.push_back(Link{wire, end, nullptr});
   return static_cast<int>(links_.size() - 1);
-}
-
-Result<NetConv*> CycloneProto::Clone() {
-  QLockGuard guard(lock_);
-  for (auto& c : convs_) {
-    bool reusable;
-    {
-      QLockGuard cguard(c->lock_);
-      reusable = !c->in_use_ && c->refs.load() == 0;
-    }
-    if (reusable) {
-      c->Recycle();
-      return static_cast<NetConv*>(c.get());
-    }
-  }
-  if (convs_.size() >= MaxConvs()) {
-    return Error(kErrNoConv);
-  }
-  convs_.push_back(std::make_unique<CycloneConv>(this, static_cast<int>(convs_.size())));
-  convs_.back()->Recycle();
-  return static_cast<NetConv*>(convs_.back().get());
-}
-
-NetConv* CycloneProto::Conv(size_t index) {
-  QLockGuard guard(lock_);
-  return index < convs_.size() ? convs_[index].get() : nullptr;
-}
-
-size_t CycloneProto::ConvCount() {
-  QLockGuard guard(lock_);
-  return convs_.size();
 }
 
 Result<std::string> CycloneProto::InfoText(NetConv* conv, const std::string& file) {

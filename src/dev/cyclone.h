@@ -18,43 +18,41 @@
 
 #include "src/base/thread_annotations.h"
 #include "src/dev/devproto.h"
-#include "src/inet/netproto.h"
+#include "src/inet/conv.h"
 #include "src/sim/wire.h"
 #include "src/task/qlock.h"
-#include "src/task/rendez.h"
 
 namespace plan9 {
 
 class CycloneProto;
 
-class CycloneConv : public NetConv {
+class CycloneConv : public ConvCore {
  public:
   CycloneConv(CycloneProto* proto, int index);
 
   Status Ctl(const std::string& msg) override;
   Status WaitReady() override;
-  Result<int> Listen() override;
+  Result<int> Listen() override { return Error("cyclone: point-to-point, no listen"); }
   std::string Local() override;
   std::string Remote() override;
   std::string StatusText() override;
-  void CloseUser() override;
+  // Sleeps for credit.
+  Status SendMessage(Bytes msg) override P9_HOT_PATH MAY_BLOCK;
 
  private:
   friend class CycloneProto;
-  class Module;
 
   static constexpr size_t kMaxOutstanding = 256 * 1024;
 
-  Status SendMessage(const Bytes& msg) P9_HOT_PATH MAY_BLOCK;  // credit sleep
+  // Conversation-core hooks (conv.h).
+  void ResetLocked() override REQUIRES(lock_);
+  void Close() override;
+  void Abandon(const std::string& why) override;
+
   void WireInput(Bytes frame) P9_HOT_PATH;
-  void Recycle();
 
   CycloneProto* proto_;
-  // Ordered after cyclone.proto (connect holds both).
-  QLock lock_{"cyclone.conv"};
-  Rendez credit_;
   bool connected_ GUARDED_BY(lock_) = false;
-  bool in_use_ GUARDED_BY(lock_) = false;
   int link_ GUARDED_BY(lock_) = -1;
   // Cached at connect: avoids the proto lock on the data path.
   Wire* wire_ GUARDED_BY(lock_) = nullptr;
@@ -62,18 +60,15 @@ class CycloneConv : public NetConv {
   size_t outstanding_ GUARDED_BY(lock_) = 0;
 };
 
-class CycloneProto : public NetProto, public ProtoFiles {
+class CycloneProto : public ConvTable<CycloneConv>, public ProtoFiles {
  public:
-  explicit CycloneProto() = default;
+  CycloneProto() : ConvTable("cyclone.proto") {}
 
   // Register one end of a fiber as link number `n` (sequential).  Returns
   // the link number.  Wire not owned.
   int AddLink(Wire* wire, Wire::End end);
 
   std::string name() override { return "cyclone"; }
-  Result<NetConv*> Clone() override;
-  NetConv* Conv(size_t index) override;
-  size_t ConvCount() override;
 
   // ProtoFiles: no listen (point-to-point), plus a stats file reporting the
   // bound fiber's media and fault counters in each direction.
@@ -97,9 +92,11 @@ class CycloneProto : public NetProto, public ProtoFiles {
     CycloneConv* bound = nullptr;  // at most one conversation per fiber
   };
 
-  QLock lock_{"cyclone.proto"};
+  std::unique_ptr<CycloneConv> NewConv(int index) override {
+    return std::make_unique<CycloneConv>(this, index);
+  }
+
   std::vector<Link> links_ GUARDED_BY(lock_);
-  std::vector<std::unique_ptr<CycloneConv>> convs_ GUARDED_BY(lock_);
   bool unplugged_ GUARDED_BY(lock_) = false;
 };
 

@@ -1,8 +1,10 @@
 #include "src/dev/ether.h"
 
+#include <algorithm>
+#include <utility>
+
 #include "src/base/strings.h"
 #include "src/task/hotcheck.h"
-#include "src/task/timers.h"
 
 namespace plan9 {
 
@@ -19,59 +21,29 @@ void EtherConvMetrics::Reset() {
   drops.Reset();
 }
 
-// Stream device module: writes become transmissions.  The user supplies
-// [6-byte destination][payload]; the driver prepends the source address and
-// the connection's packet type.
-class EtherConv::Module : public StreamModule {
- public:
-  explicit Module(EtherConv* conv) : conv_(conv) {}
-  std::string_view name() const override { return "ether"; }
+EtherConv::EtherConv(EtherProto* proto, int index)
+    : ConvCore(proto, index, "ether.conv", "ether"), proto_(proto) {}
 
-  void DownPut(BlockPtr b) override P9_CONSUMES(b) P9_HOT_PATH {
-    if (b->type != BlockType::kData) {
-      DropBlock(std::move(b));
-      return;
-    }
-    pending_.insert(pending_.end(), b->payload(), b->payload() + b->size());
-    bool delim = b->delim;
-    RecycleBlock(std::move(b));
-    if (!delim) {
-      return;
-    }
-    Bytes frame;
-    frame.swap(pending_);
-    if (frame.size() < 6) {
-      return;  // no destination address
-    }
-    auto type = conv_->type();
-    if (!type.has_value()) {
-      return;  // not connected to a packet type
-    }
-    MacAddr dst;
-    std::copy_n(frame.begin(), 6, dst.begin());
-    Bytes payload(frame.begin() + 6, frame.end());
-    conv_->metrics_.frames_out.Inc();
-    (void)conv_->proto_->Transmit(
-        dst, *type < 0 ? uint16_t{0} : static_cast<uint16_t>(*type), std::move(payload));
-  }
-
- private:
-  EtherConv* conv_;
-  Bytes pending_;
-};
-
-EtherConv::EtherConv(EtherProto* proto, int index) : proto_(proto) {
-  index_ = index;
-  stream_ = std::make_unique<Stream>(std::make_unique<Module>(this));
-}
-
-void EtherConv::Recycle() {
-  QLockGuard guard(lock_);
-  stream_ = std::make_unique<Stream>(std::make_unique<Module>(this));
+void EtherConv::ResetLocked() {
   type_.reset();
   promiscuous_ = false;
   metrics_.Reset();
-  in_use_ = true;
+}
+
+Status EtherConv::SendMessage(Bytes frame) {
+  if (frame.size() < 6) {
+    return Status::Ok();  // no destination address
+  }
+  auto type = this->type();
+  if (!type.has_value()) {
+    return Status::Ok();  // not connected to a packet type
+  }
+  MacAddr dst;
+  std::copy_n(frame.begin(), 6, dst.begin());
+  Bytes payload(frame.begin() + 6, frame.end());
+  metrics_.frames_out.Inc();
+  return proto_->Transmit(dst, *type < 0 ? uint16_t{0} : static_cast<uint16_t>(*type),
+                          std::move(payload));
 }
 
 Status EtherConv::Ctl(const std::string& msg) {
@@ -125,15 +97,14 @@ std::string EtherConv::StatusText() {
                    static_cast<unsigned long long>(metrics_.frames_out.value()));
 }
 
-void EtherConv::CloseUser() {
+void EtherConv::Close() {
   {
     QLockGuard guard(lock_);
     type_.reset();
     promiscuous_ = false;
-    in_use_ = false;
+    HangupLocked("");
   }
   proto_->UpdatePromiscuity();
-  stream_->Hangup();
 }
 
 std::optional<int32_t> EtherConv::type() const {
@@ -147,24 +118,26 @@ bool EtherConv::promiscuous() const {
 }
 
 void EtherConv::Deliver(Bytes frame) {
+  Stream* stream;
   {
     QLockGuard guard(lock_);
-    if (!in_use_) {
+    if (ClosedLocked()) {
       return;
     }
+    stream = stream_.get();
     // Bounded input queueing: NICs drop when software lags.
-    if (stream_->head_queue().byte_count() > 512 * 1024) {
+    if (stream->head_queue().byte_count() > 512 * 1024) {
       metrics_.drops.Inc();
       return;
     }
     metrics_.frames_in.Inc();
   }
   // Readers see the whole frame: dst, src, type, payload.
-  stream_->DeliverUp(AllocDataBlock(std::move(frame), /*delim=*/true));
+  stream->DeliverUp(AllocDataBlock(std::move(frame), /*delim=*/true));
 }
 
 EtherProto::EtherProto(EtherSegment* segment, MacAddr mac, std::string name)
-    : name_(std::move(name)), segment_(segment), mac_(mac) {
+    : ConvTable("ether.proto"), name_(std::move(name)), segment_(segment), mac_(mac) {
   station_ = segment_->Attach(mac_, [this](const EtherFrame& f) { Input(f); });
 }
 
@@ -173,62 +146,14 @@ EtherProto::~EtherProto() {
 }
 
 void EtherProto::Unplug() {
-  bool detach = false;
-  std::vector<EtherConv*> convs;
   {
     QLockGuard guard(lock_);
-    detach = !unplugged_;
-    unplugged_ = true;
-    for (auto& c : convs_) {
-      convs.push_back(c.get());
+    if (std::exchange(unplugged_, true)) {
+      return;
     }
-  }
-  if (!detach) {
-    return;
   }
   segment_->Detach(station_);
-  for (EtherConv* c : convs) {
-    bool in_use;
-    {
-      QLockGuard cguard(c->lock_);
-      in_use = c->in_use_;
-    }
-    if (in_use) {
-      c->stream_->Hangup();
-    }
-  }
-  TimerWheel::Default().Drain();
-}
-
-Result<NetConv*> EtherProto::Clone() {
-  QLockGuard guard(lock_);
-  for (auto& c : convs_) {
-    bool reusable;
-    {
-      QLockGuard cguard(c->lock_);
-      reusable = !c->in_use_ && c->refs.load() == 0;
-    }
-    if (reusable) {
-      c->Recycle();
-      return static_cast<NetConv*>(c.get());
-    }
-  }
-  if (convs_.size() >= MaxConvs()) {
-    return Error(kErrNoConv);
-  }
-  convs_.push_back(std::make_unique<EtherConv>(this, static_cast<int>(convs_.size())));
-  convs_.back()->Recycle();
-  return static_cast<NetConv*>(convs_.back().get());
-}
-
-NetConv* EtherProto::Conv(size_t index) {
-  QLockGuard guard(lock_);
-  return index < convs_.size() ? convs_[index].get() : nullptr;
-}
-
-size_t EtherProto::ConvCount() {
-  QLockGuard guard(lock_);
-  return convs_.size();
+  Abort("");
 }
 
 Result<std::string> EtherProto::InfoText(NetConv* conv, const std::string& file) {
@@ -273,7 +198,7 @@ void EtherProto::UpdatePromiscuity() {
   bool any = false;
   {
     QLockGuard guard(lock_);
-    for (auto& c : convs_) {
+    for (auto& c : slots_) {
       if (c->promiscuous()) {
         any = true;
         break;
@@ -291,7 +216,7 @@ void EtherProto::Input(const EtherFrame& frame) {
   std::vector<EtherConv*> matches;
   {
     QLockGuard guard(lock_);
-    for (auto& c : convs_) {
+    for (auto& c : slots_) {
       auto type = c->type();
       if (!type.has_value()) {
         continue;

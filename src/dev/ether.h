@@ -26,7 +26,7 @@
 
 #include "src/base/thread_annotations.h"
 #include "src/dev/devproto.h"
-#include "src/inet/netproto.h"
+#include "src/inet/conv.h"
 #include "src/obs/metrics.h"
 #include "src/sim/ether_segment.h"
 #include "src/task/qlock.h"
@@ -46,7 +46,7 @@ struct EtherConvMetrics {
   void Reset();  // this conversation only
 };
 
-class EtherConv : public NetConv {
+class EtherConv : public ConvCore {
  public:
   EtherConv(EtherProto* proto, int index);
 
@@ -56,28 +56,29 @@ class EtherConv : public NetConv {
   std::string Local() override;
   std::string Remote() override { return "\n"; }
   std::string StatusText() override;
-  void CloseUser() override;
+  // A write supplies [6-byte destination][payload]; the driver prepends the
+  // source address and the connection's packet type.
+  Status SendMessage(Bytes frame) override;
 
   std::optional<int32_t> type() const;
   bool promiscuous() const;
 
  private:
   friend class EtherProto;
-  class Module;
+
+  // Conversation-core hooks (conv.h).
+  void ResetLocked() override REQUIRES(lock_);
+  void Close() override;
 
   void Deliver(Bytes frame) P9_HOT_PATH;
-  void Recycle();
 
   EtherProto* proto_;
-  // Ordered after ether.proto (Clone/Input hold both).
-  mutable QLock lock_{"ether.conv"};
   std::optional<int32_t> type_ GUARDED_BY(lock_);  // -1 = all packets
   bool promiscuous_ GUARDED_BY(lock_) = false;
-  bool in_use_ GUARDED_BY(lock_) = false;
   EtherConvMetrics metrics_;  // atomic counters; no lock needed
 };
 
-class EtherProto : public NetProto, public ProtoFiles {
+class EtherProto : public ConvTable<EtherConv>, public ProtoFiles {
  public:
   // Attaches a station on `segment` with address `mac`.  `name` is the
   // directory name under /net (ether0).
@@ -86,9 +87,6 @@ class EtherProto : public NetProto, public ProtoFiles {
 
   // NetProto:
   std::string name() override { return name_; }
-  Result<NetConv*> Clone() override;
-  NetConv* Conv(size_t index) override;
-  size_t ConvCount() override;
 
   // ProtoFiles: Figure 1's per-connection files.
   std::vector<std::string> ConvFileNames() override {
@@ -117,12 +115,14 @@ class EtherProto : public NetProto, public ProtoFiles {
  private:
   friend class EtherConv;
 
+  std::unique_ptr<EtherConv> NewConv(int index) override {
+    return std::make_unique<EtherConv>(this, index);
+  }
+
   std::string name_;
   EtherSegment* segment_;
   MacAddr mac_;
   EtherSegment::StationId station_;
-  QLock lock_{"ether.proto"};
-  std::vector<std::unique_ptr<EtherConv>> convs_ GUARDED_BY(lock_);
   bool unplugged_ GUARDED_BY(lock_) = false;
 };
 

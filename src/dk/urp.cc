@@ -17,7 +17,6 @@ constexpr uint8_t kFlagBot = 1;  // beginning of message
 constexpr uint8_t kFlagEot = 2;  // end of message
 constexpr auto kUrpRto = std::chrono::microseconds(100'000);
 
-
 const char* StateName(DkConv::State s) {
   switch (s) {
     case DkConv::State::kIdle:
@@ -35,35 +34,6 @@ const char* StateName(DkConv::State s) {
 }
 
 }  // namespace
-
-class DkConv::Module : public StreamModule {
- public:
-  explicit Module(DkConv* conv) : conv_(conv) {}
-  std::string_view name() const override { return "urp"; }
-
-  void DownPut(BlockPtr b) override P9_CONSUMES(b) P9_HOT_PATH {
-    if (b->type != BlockType::kData) {
-      DropBlock(std::move(b));
-      return;
-    }
-    pending_.insert(pending_.end(), b->payload(), b->payload() + b->size());
-    bool delim = b->delim;
-    RecycleBlock(std::move(b));
-    if (!delim) {
-      return;
-    }
-    Bytes msg;
-    msg.swap(pending_);
-    Status s = conv_->SendMessage(msg);
-    if (!s.ok()) {
-      P9_LOG(kDebug) << "urp send: " << s.error().message();
-    }
-  }
-
- private:
-  DkConv* conv_;
-  Bytes pending_;
-};
 
 UrpMetrics::UrpMetrics() {
   auto& r = obs::MetricsRegistry::Default();
@@ -86,19 +56,10 @@ void UrpMetrics::Reset() {
   bytes_received.Reset();
 }
 
-DkConv::DkConv(DkProto* proto, int index) : proto_(proto) {
-  index_ = index;
-  stream_ = std::make_unique<Stream>(std::make_unique<Module>(this));
-}
+DkConv::DkConv(DkProto* proto, int index)
+    : ConvCore(proto, index, "dk.conv", "urp"), proto_(proto) {}
 
-DkConv::~DkConv() {
-  QLockGuard guard(lock_);
-  CancelTimerLocked();
-}
-
-void DkConv::Recycle() {
-  QLockGuard guard(lock_);
-  stream_ = std::make_unique<Stream>(std::make_unique<Module>(this));
+void DkConv::ResetLocked() {
   state_ = State::kIdle;
   remote_addr_.clear();
   announced_service_.clear();
@@ -107,8 +68,6 @@ void DkConv::Recycle() {
   send_seq_ = send_una_ = recv_expect_ = 0;
   out_.clear();
   partial_.clear();
-  pending_.clear();
-  err_.clear();
   metrics_.Reset();
 }
 
@@ -121,7 +80,7 @@ Status DkConv::Ctl(const std::string& msg) {
     {
       QLockGuard guard(lock_);
       if (state_ != State::kIdle) {
-        return Error("connection already in use");
+        return Error(kErrConvInUse);
       }
     }
     auto circuit = proto_->dk()->Dial(proto_->host_name(), words[1]);
@@ -137,7 +96,7 @@ Status DkConv::Ctl(const std::string& msg) {
   if (words[0] == "announce" && words.size() >= 2) {
     QLockGuard guard(lock_);
     if (state_ != State::kIdle) {
-      return Error("connection already in use");
+      return Error(kErrConvInUse);
     }
     announced_service_ = words[1];
     state_ = State::kAnnounced;
@@ -152,19 +111,14 @@ Status DkConv::Ctl(const std::string& msg) {
     std::shared_ptr<DkCall> call;
     {
       QLockGuard guard(lock_);
-      call = call_;
+      call.swap(call_);
       state_ = State::kClosed;
-      err_ = reason;
+      HangupLocked(reason);
     }
     if (call != nullptr) {
       call->Reject(reason);
     }
-    decided_.Wakeup();
-    stream_->Hangup();
-    {
-      QLockGuard guard(lock_);
-      slot_free_ = true;
-    }
+    Settle();
     return Status::Ok();
   }
   if (words[0] == "hangup") {
@@ -188,7 +142,7 @@ Status DkConv::DoAccept() {
     return Error("call vanished");
   }
   Status s = AttachCircuit(circuit, Wire::kB);
-  decided_.Wakeup();
+  ready_.Wakeup();
   return s;
 }
 
@@ -199,9 +153,10 @@ Status DkConv::AttachCircuit(std::shared_ptr<DkCircuit> circuit, DkCircuit::End 
     end_ = end;
     state_ = State::kEstablished;
   }
+  const DkCircuit* from = circuit.get();
   circuit->Attach(
-      end, [this](Bytes cell) { CircuitInput(std::move(cell)); },
-      [this] { CircuitHangup(); });
+      end, [this, from](Bytes cell) { CircuitInput(from, std::move(cell)); },
+      [this, from] { CircuitHangup(from); });
   return Status::Ok();
 }
 
@@ -216,7 +171,7 @@ Status DkConv::WaitReady() {
   }
   (void)DoAccept();
   QLockGuard guard(lock_);
-  bool done = decided_.SleepFor(lock_, std::chrono::seconds(5), [&]() REQUIRES(lock_) {
+  bool done = ready_.SleepFor(lock_, std::chrono::seconds(5), [&]() REQUIRES(lock_) {
     return state_ == State::kEstablished || state_ == State::kClosed;
   });
   if (state_ == State::kEstablished) {
@@ -224,20 +179,6 @@ Status DkConv::WaitReady() {
   }
   return Error(!done ? std::string(kErrTimedOut)
                      : (err_.empty() ? std::string(kErrConnRefused) : err_));
-}
-
-Result<int> DkConv::Listen() {
-  QLockGuard guard(lock_);
-  if (state_ != State::kAnnounced) {
-    return Error("not announced");
-  }
-  incoming_.Sleep(lock_, [&]() REQUIRES(lock_) { return !pending_.empty() || state_ == State::kClosed; });
-  if (state_ == State::kClosed) {
-    return Error(kErrHungup);
-  }
-  int conv = pending_.front();
-  pending_.pop_front();
-  return conv;
 }
 
 std::string DkConv::Local() {
@@ -264,20 +205,19 @@ std::string DkConv::StatusText() {
                    static_cast<unsigned long long>(metrics_.bytes_received.value()));
 }
 
-void DkConv::CloseUser() {
-  std::deque<int> orphans;
+void DkConv::Close() {
   std::shared_ptr<DkCircuit> circuit;
   std::shared_ptr<DkCall> call;
   DkCircuit::End end = Wire::kA;
   {
+    // Take the circuit and call: the last reference to a circuit waits out
+    // the timer kproc, which must not happen under a lock.
     QLockGuard guard(lock_);
-    orphans.swap(pending_);
-    circuit = circuit_;
-    call = call_;
+    circuit.swap(circuit_);
+    call.swap(call_);
     end = end_;
     state_ = State::kClosed;
-    CancelTimerLocked();
-    slot_free_ = true;
+    HangupLocked("");
   }
   if (call != nullptr) {
     call->Reject("hangup");
@@ -285,18 +225,27 @@ void DkConv::CloseUser() {
   if (circuit != nullptr) {
     circuit->Close(end);
   }
-  stream_->Hangup();
-  incoming_.Wakeup();
-  window_.Wakeup();
-  decided_.Wakeup();
-  for (int idx : orphans) {
-    if (NetConv* c = proto_->Conv(static_cast<size_t>(idx)); c != nullptr) {
-      c->CloseUser();
-    }
+}
+
+void DkConv::Abandon(const std::string& why) {
+  std::shared_ptr<DkCircuit> circuit;
+  DkCircuit::End end = Wire::kA;
+  {
+    QLockGuard guard(lock_);
+    HangupLocked(state_ == State::kIdle ? std::string_view() : why);
+    state_ = State::kClosed;
+    call_.reset();  // pending incoming calls time out at the caller
+    circuit.swap(circuit_);
+    end = end_;
+  }
+  if (circuit != nullptr) {
+    // The switch tears down a dead host's circuits: the peer observes a
+    // hangup arriving over the circuit, never our memory state.
+    circuit->Close(end);
   }
 }
 
-Status DkConv::SendMessage(const Bytes& msg) {
+Status DkConv::SendMessage(Bytes msg) {
   QLockGuard guard(lock_);
   // Cut the message into cells, marking message boundaries (Datakit/URP
   // preserves delimiters).
@@ -351,8 +300,8 @@ void DkConv::PumpLocked() {
     metrics_.cells_sent.Inc();
     (void)circuit_->Send(end_, cell.raw);
   }
-  if (send_una_ != send_seq_ && timer_ == kNoTimer) {
-    ArmTimerLocked();
+  if (send_una_ != send_seq_ && !TimerArmedLocked()) {
+    ArmTimerLocked(kUrpRto);
   }
 }
 
@@ -361,30 +310,7 @@ void DkConv::EmitAckLocked() {
   (void)circuit_->Send(end_, std::move(ack));
 }
 
-void DkConv::ArmTimerLocked() {
-  if (dying_) {
-    return;
-  }
-  CancelTimerLocked();
-  timer_ = TimerWheel::Default().Schedule(kUrpRto,
-                                          [this, gen = timer_gen_] { TimerFire(gen); });
-}
-
-void DkConv::CancelTimerLocked() {
-  // As IlConv::CancelTimerLocked: a firing already collected goes stale.
-  timer_gen_++;
-  if (timer_ != kNoTimer) {
-    TimerWheel::Default().Cancel(timer_);
-    timer_ = kNoTimer;
-  }
-}
-
-void DkConv::TimerFire(uint64_t gen) {
-  QLockGuard guard(lock_);
-  if (gen != timer_gen_) {
-    return;  // stale: re-armed or cancelled after the wheel collected it
-  }
-  timer_ = kNoTimer;
+void DkConv::TimerLocked() {
   if (state_ != State::kEstablished || send_una_ == send_seq_) {
     return;
   }
@@ -396,15 +322,18 @@ void DkConv::TimerFire(uint64_t gen) {
     metrics_.retransmits.Inc();
     (void)circuit_->Send(end_, cell.raw);
   }
-  ArmTimerLocked();
+  ArmTimerLocked(kUrpRto);
 }
 
-void DkConv::CircuitInput(Bytes cell) {
+void DkConv::CircuitInput(const DkCircuit* from, Bytes cell) {
   P9_HOT_ROOT("urp.input");
   std::vector<BlockPtr> deliveries;
+  Stream* stream;
   {
     QLockGuard guard(lock_);
-    if (cell.size() < kCellHeader || state_ != State::kEstablished) {
+    stream = stream_.get();
+    if (cell.size() < kCellHeader || state_ != State::kEstablished ||
+        circuit_.get() != from) {
       return;
     }
     uint8_t type = cell[0];
@@ -445,25 +374,25 @@ void DkConv::CircuitInput(Bytes cell) {
     }
   }
   for (auto& b : deliveries) {
-    stream_->DeliverUp(std::move(b));
+    stream->DeliverUp(std::move(b));
   }
   window_.Wakeup();
 }
 
-void DkConv::CircuitHangup() {
+void DkConv::CircuitHangup(const DkCircuit* from) {
   {
     QLockGuard guard(lock_);
+    if (circuit_.get() != from) {
+      return;
+    }
     state_ = State::kClosed;
-    err_ = kErrHungup;
-    CancelTimerLocked();
+    HangupLocked(kErrHungup);
   }
-  stream_->Hangup();
-  window_.Wakeup();
-  decided_.Wakeup();
+  Settle();
 }
 
 DkProto::DkProto(DatakitSwitch* dk_switch, std::string host_name)
-    : switch_(dk_switch), host_name_(std::move(host_name)) {
+    : ConvTable("dk.proto"), switch_(dk_switch), host_name_(std::move(host_name)) {
   (void)switch_->AttachHost(host_name_,
                             [this](std::shared_ptr<DkCall> call) { IncomingCall(call); });
 }
@@ -480,98 +409,9 @@ void DkProto::Unplug() {
   }
 }
 
-void DkProto::Abort(const std::string& why) {
-  Unplug();
-  std::vector<DkConv*> convs;
-  {
-    QLockGuard guard(lock_);
-    for (auto& c : convs_) {
-      convs.push_back(c.get());
-    }
-  }
-  for (DkConv* c : convs) {
-    std::shared_ptr<DkCircuit> circuit;
-    DkCircuit::End end = Wire::kA;
-    {
-      QLockGuard guard(c->lock_);
-      c->dying_ = true;
-      if (c->state_ != DkConv::State::kClosed && c->state_ != DkConv::State::kIdle) {
-        c->err_ = why;
-      }
-      c->state_ = DkConv::State::kClosed;
-      c->pending_.clear();
-      c->call_.reset();  // pending incoming calls time out at the caller
-      circuit.swap(c->circuit_);
-      end = c->end_;
-      c->CancelTimerLocked();
-    }
-    if (circuit != nullptr) {
-      // The switch tears down a dead host's circuits: the peer observes a
-      // hangup arriving over the circuit, never our memory state.
-      circuit->Close(end);
-    }
-    c->stream_->Hangup();
-    c->window_.Wakeup();
-    c->incoming_.Wakeup();
-    c->decided_.Wakeup();
-  }
-  TimerWheel::Default().Drain();
-}
-
 DkProto::~DkProto() {
   Unplug();
-  {
-    QLockGuard guard(lock_);
-    for (auto& c : convs_) {
-      QLockGuard cguard(c->lock_);
-      c->dying_ = true;
-      c->CancelTimerLocked();
-    }
-  }
-  TimerWheel::Default().Drain();
-}
-
-Result<NetConv*> DkProto::Clone() {
-  auto conv = AllocConv();
-  if (!conv.ok()) {
-    return conv.error();
-  }
-  return static_cast<NetConv*>(*conv);
-}
-
-Result<DkConv*> DkProto::AllocConv() {
-  QLockGuard guard(lock_);
-  for (auto& c : convs_) {
-    bool reusable;
-    {
-      QLockGuard cguard(c->lock_);
-      reusable = c->slot_free_ && c->state_ == DkConv::State::kIdle && c->refs.load() == 0;
-    }
-    if (reusable) {
-      c->Recycle();
-      QLockGuard cguard(c->lock_);
-      c->slot_free_ = false;
-      return c.get();
-    }
-  }
-  if (convs_.size() >= MaxConvs()) {
-    return Error(kErrNoConv);
-  }
-  convs_.push_back(std::make_unique<DkConv>(this, static_cast<int>(convs_.size())));
-  DkConv* c = convs_.back().get();
-  QLockGuard cguard(c->lock_);
-  c->slot_free_ = false;
-  return c;
-}
-
-NetConv* DkProto::Conv(size_t index) {
-  QLockGuard guard(lock_);
-  return index < convs_.size() ? convs_[index].get() : nullptr;
-}
-
-size_t DkProto::ConvCount() {
-  QLockGuard guard(lock_);
-  return convs_.size();
+  Quiesce();
 }
 
 void DkProto::IncomingCall(std::shared_ptr<DkCall> call) {
@@ -581,19 +421,21 @@ void DkProto::IncomingCall(std::shared_ptr<DkCall> call) {
   DkConv* listener = nullptr;
   {
     QLockGuard guard(lock_);
-    for (auto& c : convs_) {
+    for (auto& slot : slots_) {
+      DkConv* c = slot.get();
       QLockGuard cguard(c->lock_);
       if (c->state_ == DkConv::State::kAnnounced &&
           c->announced_service_ == call->service()) {
-        listener = c.get();
+        listener = c;
         break;
       }
     }
     if (listener == nullptr) {
-      for (auto& c : convs_) {
+      for (auto& slot : slots_) {
+        DkConv* c = slot.get();
         QLockGuard cguard(c->lock_);
         if (c->state_ == DkConv::State::kAnnounced && c->announced_service_ == "*") {
-          listener = c.get();
+          listener = c;
           break;
         }
       }
@@ -603,7 +445,7 @@ void DkProto::IncomingCall(std::shared_ptr<DkCall> call) {
     call->Reject("no listener");
     return;
   }
-  auto spawned = AllocConv();
+  auto spawned = Alloc();
   if (!spawned.ok()) {
     call->Reject("no free conversations");
     return;
@@ -615,11 +457,7 @@ void DkProto::IncomingCall(std::shared_ptr<DkCall> call) {
     nc->call_ = call;
     nc->remote_addr_ = call->from() + "!" + call->service();
   }
-  {
-    QLockGuard guard(listener->lock_);
-    listener->pending_.push_back(nc->index());
-  }
-  listener->incoming_.Wakeup();
+  listener->QueueCall(nc);
 }
 
 }  // namespace plan9

@@ -20,12 +20,10 @@
 #include <vector>
 
 #include "src/base/thread_annotations.h"
-#include "src/inet/netproto.h"
+#include "src/inet/conv.h"
 #include "src/obs/metrics.h"
 #include "src/sim/datakit.h"
 #include "src/task/qlock.h"
-#include "src/task/rendez.h"
-#include "src/task/timers.h"
 
 namespace plan9 {
 
@@ -46,7 +44,7 @@ struct UrpMetrics {
 
 class DkProto;
 
-class DkConv : public NetConv {
+class DkConv : public ConvCore {
  public:
   enum class State { kIdle, kAnnounced, kIncoming, kEstablished, kClosed };
 
@@ -55,50 +53,45 @@ class DkConv : public NetConv {
   static constexpr uint8_t kWindow = 4;
 
   DkConv(DkProto* proto, int index);
-  ~DkConv() override;
 
   Status Ctl(const std::string& msg) override;
   Status WaitReady() override;
-  Result<int> Listen() override;
   std::string Local() override;
   std::string Remote() override;
   std::string StatusText() override;
-  void CloseUser() override;
+  // URP window sleep.
+  Status SendMessage(Bytes msg) override P9_HOT_PATH MAY_BLOCK;
 
   const UrpMetrics& metrics() const { return metrics_; }
 
  private:
   friend class DkProto;
-  class Module;
   struct Cell {
     uint8_t seq;
     Bytes raw;  // full cell incl. header
     bool sent = false;
   };
 
+  // Conversation-core hooks (conv.h).
+  void ResetLocked() override REQUIRES(lock_);
+  bool AnnouncedLocked() const override REQUIRES(lock_) {
+    return state_ == State::kAnnounced;
+  }
+  void Close() override;
+  void Abandon(const std::string& why) override;
+  void TimerLocked() override REQUIRES(lock_);
+
   Status AttachCircuit(std::shared_ptr<DkCircuit> circuit, DkCircuit::End end);
-  Status SendMessage(const Bytes& msg) P9_HOT_PATH MAY_BLOCK;  // URP window sleep
-  void CircuitInput(Bytes cell) P9_HOT_PATH;
-  void CircuitHangup();
+  // Circuit callbacks; input from a circuit this conversation has since left
+  // (the slot was closed and reused) is ignored.
+  void CircuitInput(const DkCircuit* from, Bytes cell) P9_HOT_PATH;
+  void CircuitHangup(const DkCircuit* from);
   void PumpLocked() REQUIRES(lock_);  // send cells while window allows
   void EmitAckLocked() REQUIRES(lock_);
-  void ArmTimerLocked() REQUIRES(lock_);
-  void CancelTimerLocked() REQUIRES(lock_);
-  void TimerFire(uint64_t gen);
   Status DoAccept();
-  void Recycle();
 
   DkProto* proto_;
-  // Ordered after dk.proto (AllocConv/IncomingCall hold both).
-  QLock lock_{"dk.conv"};
-  Rendez window_;    // sender window space
-  Rendez incoming_;  // pending calls
-  Rendez decided_;   // incoming call accepted/rejected
-
   State state_ GUARDED_BY(lock_) = State::kIdle;
-  bool slot_free_ GUARDED_BY(lock_) = true;
-  // Proto teardown: never re-arm the timer.
-  bool dying_ GUARDED_BY(lock_) = false;
   std::string remote_addr_ GUARDED_BY(lock_);
   std::string announced_service_ GUARDED_BY(lock_);
 
@@ -111,28 +104,21 @@ class DkConv : public NetConv {
   uint8_t send_una_ GUARDED_BY(lock_) = 0;  // oldest unacknowledged
   // Cells [send_una_ ...], window + queued.
   std::deque<Cell> out_ GUARDED_BY(lock_);
-  TimerId timer_ GUARDED_BY(lock_) = kNoTimer;
-  uint64_t timer_gen_ GUARDED_BY(lock_) = 0;  // see IlConv::timer_gen_
 
   // URP receiver.
   uint8_t recv_expect_ GUARDED_BY(lock_) = 0;
   Bytes partial_ GUARDED_BY(lock_);  // message being reassembled (BOT..EOT)
 
-  std::deque<int> pending_ GUARDED_BY(lock_);
-  std::string err_ GUARDED_BY(lock_);
   UrpMetrics metrics_;  // atomic counters; no lock needed
 };
 
-class DkProto : public NetProto {
+class DkProto : public ConvTable<DkConv> {
  public:
   // `host_name` is this machine's Datakit address ("nj/astro/helix").
   DkProto(DatakitSwitch* dk_switch, std::string host_name);
   ~DkProto() override;
 
   std::string name() override { return "dk"; }
-  Result<NetConv*> Clone() override;
-  NetConv* Conv(size_t index) override;
-  size_t ConvCount() override;
 
   DatakitSwitch* dk() { return switch_; }
   const std::string& host_name() const { return host_name_; }
@@ -141,21 +127,21 @@ class DkProto : public NetProto {
   // switch so the name is free for the restarted kernel to re-attach — a
   // graveyarded proto must never DetachHost again, or it would rip out its
   // successor's registration (the "address in use" stale-registry bug).
+  // Abort (ConvTable) then closes every circuit abruptly: the switch drops a
+  // dead host's circuits, so peers see a hangup through the wire, not a
+  // polite close.
   void Unplug();
-  // Abort closes every circuit abruptly (the switch drops a dead host's
-  // circuits; peers see a hangup through the wire, not a polite close).
-  void Abort(const std::string& why) MAY_BLOCK;
 
  private:
   friend class DkConv;
 
+  std::unique_ptr<DkConv> NewConv(int index) override {
+    return std::make_unique<DkConv>(this, index);
+  }
   void IncomingCall(std::shared_ptr<DkCall> call);
-  Result<DkConv*> AllocConv();
 
   DatakitSwitch* switch_;
   std::string host_name_;
-  QLock lock_{"dk.proto"};
-  std::vector<std::unique_ptr<DkConv>> convs_ GUARDED_BY(lock_);
   bool unplugged_ GUARDED_BY(lock_) = false;
 };
 

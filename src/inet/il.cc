@@ -22,10 +22,14 @@ obs::Histogram& IlRttHistogram() {
 constexpr size_t kIlHeaderSize = 18;
 
 // Timing bounds.  Plan 9 used coarse ticks; we work in microseconds with the
-// same adaptive structure (srtt + 4*mdev, exponential backoff on repeat).
-constexpr auto kMinRto = std::chrono::microseconds(20'000);
-constexpr auto kMaxRto = std::chrono::microseconds(2'000'000);
-constexpr auto kInitialRtt = std::chrono::microseconds(100'000);
+// same adaptive structure.  The backoff doubling is capped: a query is one
+// tiny control message, so IL keeps probing rather than going silent for
+// seconds the way a blind retransmitter must.
+constexpr RttEstimator::Bounds kRttBounds{.min = std::chrono::microseconds(20'000),
+                                          .max = std::chrono::microseconds(2'000'000),
+                                          .initial = std::chrono::microseconds(100'000),
+                                          .max_doublings = 5};
+constexpr auto kMinRto = kRttBounds.min;
 constexpr int kMaxSyncTries = 8;
 constexpr int kMaxCloseTries = 4;
 constexpr int kMaxBackoff = 16;  // give up after this many consecutive timeouts
@@ -37,17 +41,20 @@ constexpr int kDeadmanQueries = 10;
 // idle conversations); unanswered probes count toward the deadman.
 constexpr auto kKeepaliveTime = std::chrono::microseconds(2'000'000);
 
-void Put16(uint8_t* p, uint16_t v) {
-  p[0] = static_cast<uint8_t>(v >> 8);
-  p[1] = static_cast<uint8_t>(v);
-}
-uint16_t Get16(const uint8_t* p) { return static_cast<uint16_t>(p[0] << 8 | p[1]); }
-void Put32(uint8_t* p, uint32_t v) {
-  Put16(p, static_cast<uint16_t>(v >> 16));
-  Put16(p + 2, static_cast<uint16_t>(v));
-}
-uint32_t Get32(const uint8_t* p) {
-  return static_cast<uint32_t>(Get16(p)) << 16 | Get16(p + 2);
+// Fills in the header at the front of `pkt`, whose payload is already in
+// place, and checksums the whole packet.
+void SealPacket(Bytes& pkt, IlType type, uint16_t sport, uint16_t dport, uint32_t id,
+                uint32_t ack) {
+  uint8_t* h = pkt.data();
+  Put16(h, 0);  // sum, filled below
+  Put16(h + 2, static_cast<uint16_t>(pkt.size()));
+  h[4] = static_cast<uint8_t>(type);
+  h[5] = 0;  // spec
+  Put16(h + 6, sport);
+  Put16(h + 8, dport);
+  Put32(h + 10, id);
+  Put32(h + 14, ack);
+  Put16(h, InetChecksum(pkt.data(), pkt.size()));
 }
 
 const char* StateName(IlConv::State s) {
@@ -99,97 +106,34 @@ void IlConvMetrics::Reset() {
   deadman_closes.Reset();
 }
 
-// Stream device module: delimited messages from the user become IL messages.
-class IlConv::Module : public StreamModule {
- public:
-  explicit Module(IlConv* conv) : conv_(conv) {}
-  std::string_view name() const override { return "il"; }
+IlConv::IlConv(IlProto* proto, int index)
+    : IpConv(proto, proto->ip(), index, "il.conv", "il"), proto_(proto), rtt_(kRttBounds) {}
 
-  void DownPut(BlockPtr b) override P9_CONSUMES(b) P9_HOT_PATH {
-    if (b->type != BlockType::kData) {
-      DropBlock(std::move(b));
-      return;
-    }
-    pending_.insert(pending_.end(), b->payload(), b->payload() + b->size());
-    bool delim = b->delim;
-    RecycleBlock(std::move(b));  // payload captured; pool the node
-    if (!delim) {
-      return;
-    }
-    Bytes msg;
-    msg.swap(pending_);
-    Status s = conv_->SendMessage(std::move(msg));
-    if (!s.ok()) {
-      P9_LOG(kDebug) << "il send: " << s.error().message();
-    }
-  }
-
- private:
-  IlConv* conv_;
-  Bytes pending_;
-};
-
-IlConv::IlConv(IlProto* proto, int index) : proto_(proto) {
-  index_ = index;
-  stream_ = std::make_unique<Stream>(std::make_unique<Module>(this));
-}
-
-IlConv::~IlConv() {
-  QLockGuard guard(lock_);
-  CancelTimerLocked();
-}
-
-void IlConv::Recycle() {
-  QLockGuard guard(lock_);
-  stream_ = std::make_unique<Stream>(std::make_unique<Module>(this));
+void IlConv::ResetLocked() {
   state_ = State::kClosed;
   laddr_ = raddr_ = Ipv4Addr{};
   lport_ = rport_ = 0;
   start_ = next_ = rstart_ = recvd_ = 0;
   unacked_.clear();
   out_of_order_.clear();
-  srtt_ = mdev_ = std::chrono::microseconds(0);
-  backoff_ = 0;
+  rtt_.Reset();
   sync_tries_ = 0;
   close_tries_ = 0;
   unanswered_queries_ = 0;
-  pending_.clear();
-  err_.clear();
   metrics_.Reset();
 }
 
-Status IlConv::Ctl(const std::string& msg) {
-  auto words = Tokenize(msg);
-  if (words.empty()) {
-    return Error(kErrBadCtl);
+Status IlConv::AnnounceLocked(uint16_t port) {
+  if (state_ != State::kClosed || ClosedLocked()) {
+    return Error(kErrConvInUse);
   }
-  if (words[0] == "connect" && words.size() >= 2) {
-    P9_ASSIGN_OR_RETURN(HostPort hp, ParseConnectAddr(words[1]));
-    return StartConnect(hp);
-  }
-  if (words[0] == "announce" && words.size() >= 2) {
-    P9_ASSIGN_OR_RETURN(uint16_t port, ParseAnnounceAddr(words[1]));
-    QLockGuard guard(lock_);
-    if (state_ != State::kClosed) {
-      return Error("connection already in use");
-    }
-    lport_ = port;
-    state_ = State::kListening;
-    return Status::Ok();
-  }
-  if (words[0] == "hangup" || words[0] == "reject") {
-    // "networks such as IP ignore the third argument" — reject == hangup.
-    CloseUser();
-    return Status::Ok();
-  }
-  if (words[0] == "accept") {
-    return Status::Ok();  // IP-family calls are already accepted at listen
-  }
-  return Error(kErrBadCtl);
+  lport_ = port;
+  state_ = State::kListening;
+  return Status::Ok();
 }
 
-Status IlConv::StartConnect(const HostPort& dest) {
-  P9_ASSIGN_OR_RETURN(Ipv4Addr laddr, proto_->ip()->SourceFor(dest.addr));
+Status IlConv::Connect(const HostPort& dest) {
+  P9_ASSIGN_OR_RETURN(Ipv4Addr laddr, ip_->SourceFor(dest.addr));
   uint16_t ephemeral;
   uint32_t isn;
   {
@@ -197,25 +141,22 @@ Status IlConv::StartConnect(const HostPort& dest) {
     ephemeral = proto_->ports_.Next();
     isn = static_cast<uint32_t>(proto_->isn_rng_.Next());
   }
-  Status emit = Status::Ok();
-  {
-    QLockGuard guard(lock_);
-    if (state_ != State::kClosed) {
-      return Error("connection already in use");
-    }
-    laddr_ = laddr;
-    raddr_ = dest.addr;
-    lport_ = ephemeral;
-    rport_ = dest.port;
-    // "Connection setup uses a two way handshake to generate initial
-    // sequence numbers at each end of the connection."
-    start_ = isn;
-    next_ = start_ + 1;
-    state_ = State::kSyncer;
-    sync_tries_ = 0;
-    emit = EmitLocked(IlType::kSync, start_, 0, {});
-    ArmTimerLocked(RtoLocked());
+  QLockGuard guard(lock_);
+  if (state_ != State::kClosed || ClosedLocked()) {
+    return Error(kErrConvInUse);
   }
+  laddr_ = laddr;
+  raddr_ = dest.addr;
+  lport_ = ephemeral;
+  rport_ = dest.port;
+  // "Connection setup uses a two way handshake to generate initial
+  // sequence numbers at each end of the connection."
+  start_ = isn;
+  next_ = start_ + 1;
+  state_ = State::kSyncer;
+  sync_tries_ = 0;
+  Status emit = EmitLocked(IlType::kSync, start_, 0, {});
+  ArmTimerLocked(rtt_.Rto());
   return emit;
 }
 
@@ -236,108 +177,50 @@ Status IlConv::WaitReady() {
   return Error(err_.empty() ? std::string(kErrConnRefused) : err_);
 }
 
-Result<int> IlConv::Listen() {
-  QLockGuard guard(lock_);
-  if (state_ != State::kListening) {
-    return Error("not announced");
-  }
-  incoming_.Sleep(lock_, [&]() REQUIRES(lock_) { return !pending_.empty() || state_ == State::kClosed; });
-  if (state_ == State::kClosed) {
-    return Error(kErrHungup);
-  }
-  int conv = pending_.front();
-  pending_.pop_front();
-  return conv;
-}
-
-std::string IlConv::Local() {
-  QLockGuard guard(lock_);
-  Ipv4Addr shown = laddr_.IsUnspecified() ? proto_->ip()->PrimaryAddr() : laddr_;
-  return StrFormat("%s %u\n", IpToString(shown).c_str(), lport_);
-}
-
-std::string IlConv::Remote() {
-  QLockGuard guard(lock_);
-  return StrFormat("%s %u\n", IpToString(raddr_).c_str(), rport_);
-}
-
 std::string IlConv::StatusText() {
   QLockGuard guard(lock_);
   // The paper's one-line conversation summary: state, local/remote address,
   // bytes each way (plus IL's adaptive-timeout state for good measure).
-  Ipv4Addr shown = laddr_.IsUnspecified() ? proto_->ip()->PrimaryAddr() : laddr_;
   return StrFormat("il/%d %d %s %s!%u %s!%u tx %llu rx %llu rtt %lld us unacked %zu%s\n",
                    index_, refs.load(), StateName(state_),
-                   IpToString(shown).c_str(), lport_, IpToString(raddr_).c_str(),
+                   IpToString(ShownLocalLocked()).c_str(), lport_, IpToString(raddr_).c_str(),
                    rport_,
                    static_cast<unsigned long long>(metrics_.bytes_sent.value()),
                    static_cast<unsigned long long>(metrics_.bytes_received.value()),
-                   static_cast<long long>(srtt_.count()), unacked_.size(),
+                   static_cast<long long>(rtt_.srtt().count()), unacked_.size(),
                    TraceNote().c_str());
 }
 
 std::chrono::microseconds IlConv::Srtt() {
   QLockGuard guard(lock_);
-  return srtt_;
+  return rtt_.srtt();
 }
 
-void IlConv::CloseUser() {
-  std::deque<int> orphans;
-  bool hangup = false;
-  {
-    QLockGuard guard(lock_);
-    switch (state_) {
-      case State::kEstablished:
-        state_ = State::kClosing;
-        close_tries_ = 0;
-        (void)EmitLocked(IlType::kClose, next_, recvd_, {});
-        ArmTimerLocked(RtoLocked());
-        break;
-      case State::kListening:
-        orphans.swap(pending_);
-        state_ = State::kClosed;
-        HangupLocked();
-        break;
-      case State::kSyncer:
-      case State::kSyncee:
-        state_ = State::kClosed;
-        HangupLocked();
-        break;
-      case State::kClosing:
-      case State::kClosed:
-        break;
-    }
-    hangup = std::exchange(hangup_pending_, false);
-  }
-  if (hangup) {
-    CompleteHangup();
-  }
-  ready_.Wakeup();
-  window_.Wakeup();
-  incoming_.Wakeup();
-  for (int idx : orphans) {
-    if (NetConv* c = proto_->Conv(static_cast<size_t>(idx)); c != nullptr) {
-      c->CloseUser();
-    }
-  }
-}
-
-void IlConv::HangupLocked() {
-  // Not stream_->Hangup() here: that takes the stream chain lock, which the
-  // user write path holds while acquiring lock_.  Callers drain the flag
-  // once lock_ is dropped.
-  hangup_pending_ = true;
-  err_ = err_.empty() ? std::string(kErrClosed) : err_;
-  CancelTimerLocked();
-}
-
-void IlConv::CompleteHangup() {
-  stream_->Hangup();
-  // Publish the slot only now: AllocConv may Recycle() a free slot, which
-  // replaces stream_ — that must not happen while the old stream is still
-  // delivering the hangup.
+void IlConv::Close() {
   QLockGuard guard(lock_);
-  slot_free_ = true;
+  switch (state_) {
+    case State::kEstablished:
+      state_ = State::kClosing;
+      close_tries_ = 0;
+      (void)EmitLocked(IlType::kClose, next_, recvd_, {});
+      ArmTimerLocked(rtt_.Rto());
+      break;
+    case State::kClosing:
+      break;
+    default:  // announced, mid-handshake, or never connected
+      CloseLocked(kErrClosed);
+      break;
+  }
+}
+
+void IlConv::Abandon(const std::string& why) {
+  QLockGuard guard(lock_);
+  CloseLocked(why);
+}
+
+void IlConv::CloseLocked(std::string_view why) {
+  state_ = State::kClosed;
+  HangupLocked(why);
 }
 
 Status IlConv::SendMessage(Bytes payload) {
@@ -363,39 +246,18 @@ Status IlConv::SendMessage(Bytes payload) {
   if (unacked_.size() == 1) {
     // First outstanding message: the pending timer (if any) is ticking at
     // the keep-alive cadence — rearm at the retransmit timeout.
-    ArmTimerLocked(RtoLocked());
+    ArmTimerLocked(rtt_.Rto());
   }
   return s;
 }
 
 Status IlConv::EmitLocked(IlType type, uint32_t id, uint32_t ack, const Bytes& payload) {
   Bytes pkt(kIlHeaderSize + payload.size());
-  uint8_t* h = pkt.data();
-  Put16(h, 0);  // sum, filled below
-  Put16(h + 2, static_cast<uint16_t>(pkt.size()));
-  h[4] = static_cast<uint8_t>(type);
-  h[5] = 0;  // spec
-  Put16(h + 6, lport_);
-  Put16(h + 8, rport_);
-  Put32(h + 10, id);
-  Put32(h + 14, ack);
   if (!payload.empty()) {
-    std::memcpy(h + kIlHeaderSize, payload.data(), payload.size());
+    std::memcpy(pkt.data() + kIlHeaderSize, payload.data(), payload.size());
   }
-  Put16(h, InetChecksum(pkt.data(), pkt.size()));
-  return proto_->ip()->Send(kIpProtoIl, laddr_, raddr_, pkt);
-}
-
-std::chrono::microseconds IlConv::RtoLocked() const {
-  auto base = srtt_.count() == 0 ? kInitialRtt : srtt_ + 4 * mdev_;
-  // Exponential backoff while timeouts repeat, but clamped: a query is one
-  // tiny control message, so IL keeps probing rather than going silent for
-  // seconds the way a blind retransmitter must.
-  int exponent = std::min(backoff_, 5);
-  for (int i = 0; i < exponent && base < kMaxRto; i++) {
-    base *= 2;
-  }
-  return std::clamp(base, kMinRto, kMaxRto);
+  SealPacket(pkt, type, lport_, rport_, id, ack);
+  return ip_->Send(kIpProtoIl, laddr_, raddr_, pkt);
 }
 
 void IlConv::RttSampleLocked(std::chrono::microseconds sample) {
@@ -413,54 +275,20 @@ void IlConv::RttSampleLocked(std::chrono::microseconds sample) {
                        trace_parent(),
                        static_cast<uint64_t>(sample.count()));
   }
-  // Van Jacobson smoothing, as adaptive as the paper demands.
-  if (srtt_.count() == 0) {
-    srtt_ = sample;
-    mdev_ = sample / 2;
-    return;
-  }
-  auto err = sample - srtt_;
-  srtt_ += err / 8;
-  mdev_ += (std::chrono::microseconds(std::abs(err.count())) - mdev_) / 4;
+  rtt_.Sample(sample);
 }
 
-void IlConv::ArmTimerLocked(std::chrono::microseconds delay) {
-  if (dying_) {
-    return;  // teardown in progress: a re-armed timer would fire on freed state
-  }
-  CancelTimerLocked();
-  timer_ = TimerWheel::Default().Schedule(delay,
-                                          [this, gen = timer_gen_] { TimerFire(gen); });
-}
-
-void IlConv::CancelTimerLocked() {
-  // A firing the wheel already collected cannot be cancelled; the new
-  // generation makes it stale, so it leaves timer_ (the live timer) alone.
-  timer_gen_++;
-  if (timer_ != kNoTimer) {
-    TimerWheel::Default().Cancel(timer_);
-    timer_ = kNoTimer;
-  }
-}
-
-void IlConv::TimerFire(uint64_t gen) {
-  QLockGuard guard(lock_);
-  if (gen != timer_gen_) {
-    return;  // stale: re-armed or cancelled after the wheel collected it
-  }
-  timer_ = kNoTimer;
+void IlConv::TimerLocked() {
   switch (state_) {
     case State::kSyncer:
     case State::kSyncee:
       if (++sync_tries_ > kMaxSyncTries) {
-        state_ = State::kClosed;
-        err_ = kErrTimedOut;
-        HangupLocked();
+        CloseLocked(kErrTimedOut);
         break;
       }
       (void)EmitLocked(IlType::kSync, start_, state_ == State::kSyncee ? recvd_ : 0, {});
-      backoff_++;
-      ArmTimerLocked(RtoLocked());
+      rtt_.Backoff();
+      ArmTimerLocked(rtt_.Rto());
       break;
     case State::kEstablished:
       if (unanswered_queries_ >= kDeadmanQueries) {
@@ -469,9 +297,7 @@ void IlConv::TimerFire(uint64_t gen) {
         // (crash, partition) — the chaos invariants assert on this.
         obs::MetricsRegistry::Default().CounterNamed("recovery.il.deadman-reaped").Inc();
         P9_TRACE(obs::TraceKind::kIl, StrFormat("il/%d", index_), "deadman close");
-        state_ = State::kClosed;
-        err_ = kErrTimedOut;
-        HangupLocked();
+        CloseLocked(kErrTimedOut);
         break;
       }
       if (unacked_.empty()) {
@@ -488,10 +314,8 @@ void IlConv::TimerFire(uint64_t gen) {
         ArmTimerLocked(kKeepaliveTime);
         break;
       }
-      if (++backoff_ > kMaxBackoff) {
-        state_ = State::kClosed;
-        err_ = kErrTimedOut;
-        HangupLocked();
+      if (rtt_.Backoff() > kMaxBackoff) {
+        CloseLocked(kErrTimedOut);
         break;
       }
       // "In contrast to other protocols, IL does not do blind retransmission.
@@ -501,28 +325,20 @@ void IlConv::TimerFire(uint64_t gen) {
       P9_TRACE(obs::TraceKind::kIl, StrFormat("il/%d", index_),
                StrFormat("query recvd=%u unacked=%zu", recvd_, unacked_.size()));
       (void)EmitLocked(IlType::kQuery, next_ - 1, recvd_, {});
-      ArmTimerLocked(RtoLocked());
+      ArmTimerLocked(rtt_.Rto());
       break;
     case State::kClosing:
       if (++close_tries_ > kMaxCloseTries) {
-        state_ = State::kClosed;
-        HangupLocked();
+        CloseLocked(kErrClosed);
         break;
       }
       (void)EmitLocked(IlType::kClose, next_, recvd_, {});
-      ArmTimerLocked(RtoLocked());
+      ArmTimerLocked(rtt_.Rto());
       break;
     case State::kListening:
     case State::kClosed:
       break;
   }
-  bool hangup = std::exchange(hangup_pending_, false);
-  guard.Unlock();
-  if (hangup) {
-    CompleteHangup();
-  }
-  ready_.Wakeup();
-  window_.Wakeup();
 }
 
 void IlConv::HandleAckLocked(uint32_t ack) {
@@ -545,12 +361,12 @@ void IlConv::HandleAckLocked(uint32_t ack) {
     advanced = true;
   }
   if (advanced) {
-    backoff_ = 0;
+    rtt_.ResetBackoff();
     if (unacked_.empty()) {
       // All data acknowledged: drop to the keep-alive cadence.
       ArmTimerLocked(kKeepaliveTime);
     } else {
-      ArmTimerLocked(RtoLocked());
+      ArmTimerLocked(rtt_.Rto());
     }
   }
 }
@@ -587,13 +403,14 @@ void IlConv::DeliverDataLocked(uint32_t id, Bytes payload, bool is_query,
   }
 }
 
-void IlConv::Input(Ipv4Addr src, IlType type, uint16_t sport, uint32_t id, uint32_t ack,
-                   Bytes payload) {
+void IlConv::Input(IlType type, uint32_t id, uint32_t ack, Bytes payload) {
   std::vector<BlockPtr> deliveries;
   bool wake_ready = false;
   bool hangup = false;
+  Stream* stream;
   {
     QLockGuard guard(lock_);
+    stream = stream_.get();
     switch (state_) {
       case State::kSyncer:
         if (type == IlType::kSync && ack == start_) {
@@ -601,7 +418,7 @@ void IlConv::Input(Ipv4Addr src, IlType type, uint16_t sport, uint32_t id, uint3
           rstart_ = id;
           recvd_ = id;
           state_ = State::kEstablished;
-          backoff_ = 0;
+          rtt_.ResetBackoff();
           sync_tries_ = 0;
           (void)EmitLocked(IlType::kAck, next_ - 1, recvd_, {});
           wake_ready = true;
@@ -612,7 +429,7 @@ void IlConv::Input(Ipv4Addr src, IlType type, uint16_t sport, uint32_t id, uint3
              type == IlType::kDataQuery) &&
             ack == start_) {
           state_ = State::kEstablished;
-          backoff_ = 0;
+          rtt_.ResetBackoff();
           sync_tries_ = 0;
           wake_ready = true;
           if (type == IlType::kData || type == IlType::kDataQuery) {
@@ -626,7 +443,7 @@ void IlConv::Input(Ipv4Addr src, IlType type, uint16_t sport, uint32_t id, uint3
           // proves the handshake completed.  Without this transition the
           // conversation stalls until the sync retry timer happens to fire.
           state_ = State::kEstablished;
-          backoff_ = 0;
+          rtt_.ResetBackoff();
           sync_tries_ = 0;
           metrics_.states_sent.Inc();
           (void)EmitLocked(IlType::kState, next_ - 1, recvd_, {});
@@ -685,7 +502,7 @@ void IlConv::Input(Ipv4Addr src, IlType type, uint16_t sport, uint32_t id, uint3
               // Rate-limit repairs: several State reports can name the same
               // hole; one Dataquery per half-RTT is enough.
               auto now = TimerWheel::Clock::now();
-              auto min_gap = srtt_.count() > 0 ? srtt_ / 2 : kMinRto;
+              auto min_gap = rtt_.srtt().count() > 0 ? rtt_.srtt() / 2 : kMinRto;
               if (now - last_rexmit_ >= min_gap ||
                   unacked_.front().id != last_rexmit_id_) {
                 auto& msg = unacked_.front();
@@ -697,22 +514,19 @@ void IlConv::Input(Ipv4Addr src, IlType type, uint16_t sport, uint32_t id, uint3
                 last_rexmit_id_ = msg.id;
                 (void)EmitLocked(IlType::kDataQuery, msg.id, recvd_, msg.payload);
               }
-              ArmTimerLocked(RtoLocked());
+              ArmTimerLocked(rtt_.Rto());
             }
             break;
           }
           case IlType::kClose:
             (void)EmitLocked(IlType::kClose, next_, recvd_, {});
-            state_ = State::kClosed;
-            err_ = kErrClosed;
-            HangupLocked();
+            CloseLocked(kErrClosed);
             break;
         }
         break;
       case State::kClosing:
         if (type == IlType::kClose) {
-          state_ = State::kClosed;
-          HangupLocked();
+          CloseLocked(kErrClosed);
         } else if (type == IlType::kQuery) {
           (void)EmitLocked(IlType::kState, next_ - 1, recvd_, {});
         }
@@ -724,13 +538,13 @@ void IlConv::Input(Ipv4Addr src, IlType type, uint16_t sport, uint32_t id, uint3
         }
         break;
     }
-    hangup = std::exchange(hangup_pending_, false);
+    hangup = TakeHangupLocked();
   }
   for (auto& b : deliveries) {
-    stream_->DeliverUp(std::move(b));
+    stream->DeliverUp(std::move(b));
   }
   if (hangup) {
-    CompleteHangup();
+    DeliverHangup();
   }
   if (wake_ready) {
     ready_.Wakeup();
@@ -738,102 +552,14 @@ void IlConv::Input(Ipv4Addr src, IlType type, uint16_t sport, uint32_t id, uint3
   window_.Wakeup();
 }
 
-IlProto::IlProto(IpStack* ip) : ip_(ip) {
+IlProto::IlProto(IpStack* ip) : ConvTable("il.proto"), ip_(ip) {
   ip_->RegisterProtocol(kIpProtoIl,
                         [this](IpPacket&& pkt) { Input(std::move(pkt)); });
 }
 
 IlProto::~IlProto() {
   ip_->UnregisterProtocol(kIpProtoIl);
-  {
-    QLockGuard guard(lock_);
-    for (auto& c : convs_) {
-      QLockGuard cguard(c->lock_);
-      c->dying_ = true;  // a racing TimerFire must not re-arm
-      c->CancelTimerLocked();
-    }
-  }
-  // No new packets or timer fires can reach a conversation now; wait out any
-  // callback already executing.
-  TimerWheel::Default().Drain();
-}
-
-void IlProto::Abort(const std::string& why) {
-  std::vector<IlConv*> convs;
-  {
-    QLockGuard guard(lock_);
-    for (auto& c : convs_) {
-      convs.push_back(c.get());
-    }
-  }
-  for (IlConv* c : convs) {
-    bool hangup = false;
-    {
-      QLockGuard guard(c->lock_);
-      c->dying_ = true;  // a racing TimerFire must not re-arm
-      if (c->state_ != IlConv::State::kClosed) {
-        c->err_ = why;
-        c->state_ = IlConv::State::kClosed;
-        c->pending_.clear();  // listeners drop their queued calls too
-        c->HangupLocked();
-      } else {
-        c->CancelTimerLocked();
-      }
-      hangup = std::exchange(c->hangup_pending_, false);
-    }
-    if (hangup) {
-      c->CompleteHangup();
-    }
-    c->ready_.Wakeup();
-    c->window_.Wakeup();
-    c->incoming_.Wakeup();
-  }
-  // Wait out timer callbacks already executing; after Drain no conversation
-  // can emit or re-arm.
-  TimerWheel::Default().Drain();
-}
-
-Result<NetConv*> IlProto::Clone() {
-  auto conv = AllocConv();
-  if (!conv.ok()) {
-    return conv.error();
-  }
-  return static_cast<NetConv*>(*conv);
-}
-
-Result<IlConv*> IlProto::AllocConv() {
-  QLockGuard guard(lock_);
-  for (auto& c : convs_) {
-    bool reusable;
-    {
-      QLockGuard cguard(c->lock_);
-      reusable = c->slot_free_ && c->state_ == IlConv::State::kClosed && c->refs.load() == 0;
-    }
-    if (reusable) {
-      c->Recycle();
-      QLockGuard cguard(c->lock_);
-      c->slot_free_ = false;
-      return c.get();
-    }
-  }
-  if (convs_.size() >= MaxConvs()) {
-    return Error(kErrNoConv);
-  }
-  convs_.push_back(std::make_unique<IlConv>(this, static_cast<int>(convs_.size())));
-  IlConv* c = convs_.back().get();
-  QLockGuard cguard(c->lock_);
-  c->slot_free_ = false;
-  return c;
-}
-
-NetConv* IlProto::Conv(size_t index) {
-  QLockGuard guard(lock_);
-  return index < convs_.size() ? convs_[index].get() : nullptr;
-}
-
-size_t IlProto::ConvCount() {
-  QLockGuard guard(lock_);
-  return convs_.size();
+  Quiesce();
 }
 
 Result<std::string> IlProto::InfoText(NetConv* conv, const std::string& file) {
@@ -861,11 +587,11 @@ Result<std::string> IlProto::InfoText(NetConv* conv, const std::string& file) {
   return ProtoFiles::InfoText(conv, file);
 }
 
-IlConv* IlProto::SpawnFromSync(Ipv4Addr dst, Ipv4Addr src, uint16_t dport, uint16_t sport,
-                               uint32_t peer_id, IlConv* listener) {
-  auto spawned = AllocConv();
+void IlProto::SpawnFromSync(Ipv4Addr dst, Ipv4Addr src, uint16_t dport, uint16_t sport,
+                            uint32_t peer_id, IlConv* listener) {
+  auto spawned = Alloc();
   if (!spawned.ok()) {
-    return nullptr;
+    return;
   }
   IlConv* nc = *spawned;
   uint32_t isn;
@@ -886,14 +612,9 @@ IlConv* IlProto::SpawnFromSync(Ipv4Addr dst, Ipv4Addr src, uint16_t dport, uint1
     nc->next_ = isn + 1;
     // Answer the sync: our initial id, acking theirs.
     (void)nc->EmitLocked(IlType::kSync, nc->start_, nc->recvd_, {});
-    nc->ArmTimerLocked(nc->RtoLocked());
+    nc->ArmTimerLocked(nc->rtt_.Rto());
   }
-  {
-    QLockGuard guard(listener->lock_);
-    listener->pending_.push_back(nc->index());
-  }
-  listener->incoming_.Wakeup();
-  return nc;
+  listener->QueueCall(nc);
 }
 
 void IlProto::Input(IpPacket&& pkt) {
@@ -926,27 +647,29 @@ void IlProto::Input(IpPacket&& pkt) {
   IlConv* listener = nullptr;
   {
     QLockGuard guard(lock_);
-    for (auto& c : convs_) {
+    for (auto& slot : slots_) {
+      IlConv* c = slot.get();
       QLockGuard cguard(c->lock_);
       if (c->state_ != IlConv::State::kClosed &&
           c->state_ != IlConv::State::kListening && c->lport_ == dport &&
           c->rport_ == sport && c->raddr_ == pkt.src) {
-        conv = c.get();
+        conv = c;
         break;
       }
     }
     if (conv == nullptr && type == IlType::kSync) {
-      for (auto& c : convs_) {
+      for (auto& slot : slots_) {
+        IlConv* c = slot.get();
         QLockGuard cguard(c->lock_);
         if (c->state_ == IlConv::State::kListening && c->lport_ == dport) {
-          listener = c.get();
+          listener = c;
           break;
         }
       }
     }
   }
   if (conv != nullptr) {
-    conv->Input(pkt.src, type, sport, id, ack, std::move(payload));
+    conv->Input(type, id, ack, std::move(payload));
     return;
   }
   if (listener != nullptr) {
@@ -967,16 +690,7 @@ void IlProto::Input(IpPacket&& pkt) {
 void IlProto::SendReset(Ipv4Addr laddr, Ipv4Addr raddr, uint16_t lport, uint16_t rport,
                         uint32_t id, uint32_t ack) {
   Bytes pkt(kIlHeaderSize);
-  uint8_t* h = pkt.data();
-  Put16(h, 0);  // sum, filled below
-  Put16(h + 2, static_cast<uint16_t>(pkt.size()));
-  h[4] = static_cast<uint8_t>(IlType::kClose);
-  h[5] = 0;  // spec
-  Put16(h + 6, lport);
-  Put16(h + 8, rport);
-  Put32(h + 10, id);
-  Put32(h + 14, ack);
-  Put16(h, InetChecksum(pkt.data(), pkt.size()));
+  SealPacket(pkt, IlType::kClose, lport, rport, id, ack);
   (void)ip_->Send(kIpProtoIl, laddr, raddr, pkt);
 }
 

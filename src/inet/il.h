@@ -30,11 +30,10 @@
 #include "src/base/thread_annotations.h"
 #include "src/dev/devproto.h"
 #include "src/inet/ip.h"
-#include "src/inet/netproto.h"
+#include "src/inet/ipconv.h"
 #include "src/inet/portutil.h"
 #include "src/obs/metrics.h"
 #include "src/task/qlock.h"
-#include "src/task/rendez.h"
 #include "src/task/timers.h"
 
 namespace plan9 {
@@ -72,7 +71,7 @@ struct IlConvMetrics {
 
 class IlProto;
 
-class IlConv : public NetConv {
+class IlConv : public IpConv {
  public:
   enum class State {
     kClosed,
@@ -88,22 +87,17 @@ class IlConv : public NetConv {
   static constexpr uint32_t kWindow = 20;
 
   IlConv(IlProto* proto, int index);
-  ~IlConv() override;
 
-  Status Ctl(const std::string& msg) override;
   Status WaitReady() override;
-  Result<int> Listen() override;
-  std::string Local() override;
-  std::string Remote() override;
   std::string StatusText() override;
-  void CloseUser() override;
+  // The user data path; sleeps for window space.
+  Status SendMessage(Bytes payload) override P9_HOT_PATH MAY_BLOCK;
 
   const IlConvMetrics& metrics() const { return metrics_; }
   std::chrono::microseconds Srtt();
 
  private:
   friend class IlProto;
-  class Module;
   struct Unacked {
     uint32_t id;
     Bytes payload;
@@ -111,43 +105,28 @@ class IlConv : public NetConv {
     bool retransmitted = false;
   };
 
-  // Locked() methods require lock_ held, enforced by the analysis.
-  Status StartConnect(const HostPort& dest);
-  Status SendMessage(Bytes payload) P9_HOT_PATH MAY_BLOCK;  // user data path; window sleep
-  void Input(Ipv4Addr src, IlType type, uint16_t sport, uint32_t id, uint32_t ack,
-             Bytes payload) P9_HOT_PATH;
+  // Conversation-core hooks (conv.h, ipconv.h).
+  void ResetLocked() override REQUIRES(lock_);
+  bool AnnouncedLocked() const override REQUIRES(lock_) {
+    return state_ == State::kListening;
+  }
+  void Close() override;
+  void Abandon(const std::string& why) override;
+  void TimerLocked() override REQUIRES(lock_);
+  Status Connect(const HostPort& dest) override;
+  Status AnnounceLocked(uint16_t port) override REQUIRES(lock_);
+
+  void Input(IlType type, uint32_t id, uint32_t ack, Bytes payload) P9_HOT_PATH;
   void HandleAckLocked(uint32_t ack) REQUIRES(lock_);
   void DeliverDataLocked(uint32_t id, Bytes payload, bool is_query,
                          std::vector<BlockPtr>* deliveries) P9_HOT_PATH REQUIRES(lock_);
   Status EmitLocked(IlType type, uint32_t id, uint32_t ack, const Bytes& payload)
       REQUIRES(lock_);
-  void ArmTimerLocked(std::chrono::microseconds delay) REQUIRES(lock_);
-  void CancelTimerLocked() REQUIRES(lock_);
-  void TimerFire(uint64_t gen);
-  std::chrono::microseconds RtoLocked() const REQUIRES(lock_);
   void RttSampleLocked(std::chrono::microseconds sample) REQUIRES(lock_);
-  void HangupLocked() REQUIRES(lock_);
-  void CompleteHangup();  // drains hangup_pending_: stream hangup, then free the slot
-  void Recycle();
+  void CloseLocked(std::string_view why) REQUIRES(lock_);
 
   IlProto* proto_;
-  // Conversation lock: ordered after il.proto (demux holds both), before
-  // stream.queue (delivery) and timer (ArmTimerLocked).
-  QLock lock_{"il.conv"};
-  Rendez ready_;     // connect handshake completion
-  Rendez window_;    // sender window space
-  Rendez incoming_;  // pending calls on a listening conv
-
   State state_ GUARDED_BY(lock_) = State::kClosed;
-  bool slot_free_ GUARDED_BY(lock_) = true;  // available for Clone()
-  bool dying_ GUARDED_BY(lock_) = false;     // proto teardown: never re-arm the timer
-  // Set by HangupLocked; drained by callers *after* dropping lock_, because
-  // Stream::Hangup takes the stream chain lock, which the write path holds
-  // while taking lock_ (the opposite order).
-  bool hangup_pending_ GUARDED_BY(lock_) = false;
-
-  Ipv4Addr laddr_ GUARDED_BY(lock_), raddr_ GUARDED_BY(lock_);
-  uint16_t lport_ GUARDED_BY(lock_) = 0, rport_ GUARDED_BY(lock_) = 0;
 
   // Send side.
   uint32_t start_ GUARDED_BY(lock_) = 0;  // initial sequence chosen at handshake
@@ -161,12 +140,7 @@ class IlConv : public NetConv {
 
   // Adaptive timing (§3: "a round-trip timer is used to calculate
   // acknowledge and retransmission times in terms of the network speed").
-  std::chrono::microseconds srtt_ GUARDED_BY(lock_){0};
-  std::chrono::microseconds mdev_ GUARDED_BY(lock_){0};
-  int backoff_ GUARDED_BY(lock_) = 0;
-  TimerId timer_ GUARDED_BY(lock_) = kNoTimer;
-  // Bumped by every arm and cancel; a firing of an older generation is stale.
-  uint64_t timer_gen_ GUARDED_BY(lock_) = 0;
+  RttEstimator rtt_ GUARDED_BY(lock_);
   TimerWheel::Clock::time_point last_rexmit_ GUARDED_BY(lock_){};
   uint32_t last_rexmit_id_ GUARDED_BY(lock_) = 0;
   int sync_tries_ GUARDED_BY(lock_) = 0;
@@ -176,20 +150,15 @@ class IlConv : public NetConv {
   // (faster than waiting out the full backoff ladder on a dead link).
   int unanswered_queries_ GUARDED_BY(lock_) = 0;
 
-  std::deque<int> pending_ GUARDED_BY(lock_);  // incoming calls (listening conv)
-  std::string err_ GUARDED_BY(lock_);          // why the conversation died
   IlConvMetrics metrics_;  // atomic counters; no lock needed
 };
 
-class IlProto : public NetProto, public ProtoFiles {
+class IlProto : public ConvTable<IlConv>, public ProtoFiles {
  public:
   explicit IlProto(IpStack* ip);
   ~IlProto() override;
 
   std::string name() override { return "il"; }
-  Result<NetConv*> Clone() override;
-  NetConv* Conv(size_t index) override;
-  size_t ConvCount() override;
 
   // ProtoFiles: the standard six plus a stats file with the per-conversation
   // counters (retransmits, queries, deadman kills) tests assert on.
@@ -200,25 +169,19 @@ class IlProto : public NetProto, public ProtoFiles {
 
   IpStack* ip() { return ip_; }
 
-  // Crash semantics (node lifecycle): abandon every conversation abruptly —
-  // queues hung up, listeners dropped, blocked users woken with `why` — and
-  // emit nothing on the wire, so the peer learns of the death only through
-  // its own deadman/keepalive machinery.  Call after IpStack::Unplug().
-  void Abort(const std::string& why) MAY_BLOCK;
-
  private:
   friend class IlConv;
 
+  std::unique_ptr<IlConv> NewConv(int index) override {
+    return std::make_unique<IlConv>(this, index);
+  }
   void Input(IpPacket&& pkt) P9_HOT_PATH;
-  Result<IlConv*> AllocConv();
-  IlConv* SpawnFromSync(Ipv4Addr dst, Ipv4Addr src, uint16_t dport, uint16_t sport,
-                        uint32_t peer_id, IlConv* listener);
+  void SpawnFromSync(Ipv4Addr dst, Ipv4Addr src, uint16_t dport, uint16_t sport,
+                     uint32_t peer_id, IlConv* listener);
   void SendReset(Ipv4Addr laddr, Ipv4Addr raddr, uint16_t lport, uint16_t rport,
                  uint32_t id, uint32_t ack);
 
   IpStack* ip_;
-  QLock lock_{"il.proto"};
-  std::vector<std::unique_ptr<IlConv>> convs_ GUARDED_BY(lock_);
   PortAlloc ports_ GUARDED_BY(lock_);
   Rng isn_rng_ GUARDED_BY(lock_){0xc0ffee};
 };

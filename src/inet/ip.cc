@@ -13,20 +13,6 @@ constexpr size_t kIpHeaderSize = 20;
 constexpr uint8_t kDefaultTtl = 64;
 constexpr auto kReassemblyTimeout = std::chrono::seconds(5);
 
-// Big-endian field helpers (IP wire format is network byte order).
-void Put16(uint8_t* p, uint16_t v) {
-  p[0] = static_cast<uint8_t>(v >> 8);
-  p[1] = static_cast<uint8_t>(v);
-}
-uint16_t Get16(const uint8_t* p) { return static_cast<uint16_t>(p[0] << 8 | p[1]); }
-void Put32(uint8_t* p, uint32_t v) {
-  Put16(p, static_cast<uint16_t>(v >> 16));
-  Put16(p + 2, static_cast<uint16_t>(v));
-}
-uint32_t Get32(const uint8_t* p) {
-  return static_cast<uint32_t>(Get16(p)) << 16 | Get16(p + 2);
-}
-
 }  // namespace
 
 uint16_t InetChecksum(const uint8_t* data, size_t len, uint32_t seed) {

@@ -44,6 +44,21 @@ struct IpPacket {
 // RFC 1071 ones-complement checksum, used by IP/TCP/UDP/IL headers.
 uint16_t InetChecksum(const uint8_t* data, size_t len, uint32_t seed = 0);
 
+// Big-endian field helpers: IP and every transport header above it are in
+// network byte order.
+inline void Put16(uint8_t* p, uint16_t v) {
+  p[0] = static_cast<uint8_t>(v >> 8);
+  p[1] = static_cast<uint8_t>(v);
+}
+inline uint16_t Get16(const uint8_t* p) { return static_cast<uint16_t>(p[0] << 8 | p[1]); }
+inline void Put32(uint8_t* p, uint32_t v) {
+  Put16(p, static_cast<uint16_t>(v >> 16));
+  Put16(p + 2, static_cast<uint16_t>(v));
+}
+inline uint32_t Get32(const uint8_t* p) {
+  return static_cast<uint32_t>(Get16(p)) << 16 | Get16(p + 2);
+}
+
 // Per-stack counters, registry-backed (net.ip.* aggregates in /net/stats).
 struct IpMetrics {
   IpMetrics();

@@ -141,7 +141,8 @@ class NetProto {
   const std::string& host() const { return host_; }
   void set_host(std::string host) { host_ = std::move(host); }
 
-  virtual size_t MaxConvs() { return 256; }
+  // Conversation slots per protocol (directory entries 0..255).
+  static constexpr size_t kMaxConvs = 256;
 
   // The clone file: reserve an unused conversation.
   virtual Result<NetConv*> Clone() = 0;

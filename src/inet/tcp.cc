@@ -20,25 +20,13 @@ constexpr uint16_t kRst = 0x04;
 constexpr uint16_t kPsh = 0x08;
 constexpr uint16_t kAck = 0x10;
 
-constexpr auto kMinRto = std::chrono::microseconds(50'000);
-constexpr auto kMaxRto = std::chrono::microseconds(4'000'000);
-constexpr auto kInitialRtt = std::chrono::microseconds(150'000);
+constexpr int kMaxBackoff = 16;
+constexpr RttEstimator::Bounds kRttBounds{.min = std::chrono::microseconds(50'000),
+                                          .max = std::chrono::microseconds(4'000'000),
+                                          .initial = std::chrono::microseconds(150'000),
+                                          .max_doublings = kMaxBackoff};
 constexpr auto kTimeWait = std::chrono::microseconds(250'000);
 constexpr int kMaxHandshakeTries = 8;
-constexpr int kMaxBackoff = 16;
-
-void Put16(uint8_t* p, uint16_t v) {
-  p[0] = static_cast<uint8_t>(v >> 8);
-  p[1] = static_cast<uint8_t>(v);
-}
-uint16_t Get16(const uint8_t* p) { return static_cast<uint16_t>(p[0] << 8 | p[1]); }
-void Put32(uint8_t* p, uint32_t v) {
-  Put16(p, static_cast<uint16_t>(v >> 16));
-  Put16(p + 2, static_cast<uint16_t>(v));
-}
-uint32_t Get32(const uint8_t* p) {
-  return static_cast<uint32_t>(Get16(p)) << 16 | Get16(p + 2);
-}
 
 // Signed sequence comparison.
 bool SeqLt(uint32_t a, uint32_t b) { return static_cast<int32_t>(a - b) < 0; }
@@ -90,19 +78,12 @@ class TcpConv::Module : public StreamModule {
   TcpConv* conv_;
 };
 
-TcpConv::TcpConv(TcpProto* proto, int index) : proto_(proto) {
-  index_ = index;
-  stream_ = std::make_unique<Stream>(std::make_unique<Module>(this));
-}
+TcpConv::TcpConv(TcpProto* proto, int index)
+    : IpConv(proto, proto->ip(), index, "tcp.conv", "tcp"), proto_(proto), rtt_(kRttBounds) {}
 
-TcpConv::~TcpConv() {
-  QLockGuard guard(lock_);
-  CancelTimerLocked();
-}
+std::unique_ptr<StreamModule> TcpConv::NewModule() { return std::make_unique<Module>(this); }
 
-void TcpConv::Recycle() {
-  QLockGuard guard(lock_);
-  stream_ = std::make_unique<Stream>(std::make_unique<Module>(this));
+void TcpConv::ResetLocked() {
   state_ = State::kClosed;
   laddr_ = raddr_ = Ipv4Addr{};
   lport_ = rport_ = 0;
@@ -113,12 +94,9 @@ void TcpConv::Recycle() {
   rtt_timing_ = false;
   irs_ = rcv_nxt_ = 0;
   out_of_order_.clear();
-  srtt_ = mdev_ = std::chrono::microseconds(0);
-  backoff_ = 0;
+  rtt_.Reset();
   handshake_tries_ = 0;
-  pending_.clear();
   listener_backref_ = nullptr;
-  err_.clear();
   metrics_.Reset();
 }
 
@@ -150,37 +128,17 @@ const char* TcpConv::StateNameLocked() const {
   return "?";
 }
 
-Status TcpConv::Ctl(const std::string& msg) {
-  auto words = Tokenize(msg);
-  if (words.empty()) {
-    return Error(kErrBadCtl);
+Status TcpConv::AnnounceLocked(uint16_t port) {
+  if (state_ != State::kClosed || ClosedLocked()) {
+    return Error(kErrConvInUse);
   }
-  if (words[0] == "connect" && words.size() >= 2) {
-    P9_ASSIGN_OR_RETURN(HostPort hp, ParseConnectAddr(words[1]));
-    return StartConnect(hp);
-  }
-  if (words[0] == "announce" && words.size() >= 2) {
-    P9_ASSIGN_OR_RETURN(uint16_t port, ParseAnnounceAddr(words[1]));
-    QLockGuard guard(lock_);
-    if (state_ != State::kClosed) {
-      return Error("connection already in use");
-    }
-    lport_ = port;
-    state_ = State::kListen;
-    return Status::Ok();
-  }
-  if (words[0] == "hangup" || words[0] == "reject") {
-    CloseUser();
-    return Status::Ok();
-  }
-  if (words[0] == "accept") {
-    return Status::Ok();
-  }
-  return Error(kErrBadCtl);
+  lport_ = port;
+  state_ = State::kListen;
+  return Status::Ok();
 }
 
-Status TcpConv::StartConnect(const HostPort& dest) {
-  P9_ASSIGN_OR_RETURN(Ipv4Addr laddr, proto_->ip()->SourceFor(dest.addr));
+Status TcpConv::Connect(const HostPort& dest) {
+  P9_ASSIGN_OR_RETURN(Ipv4Addr laddr, ip_->SourceFor(dest.addr));
   uint16_t ephemeral;
   uint32_t isn;
   {
@@ -189,8 +147,8 @@ Status TcpConv::StartConnect(const HostPort& dest) {
     isn = static_cast<uint32_t>(proto_->isn_rng_.Next());
   }
   QLockGuard guard(lock_);
-  if (state_ != State::kClosed) {
-    return Error("connection already in use");
+  if (state_ != State::kClosed || ClosedLocked()) {
+    return Error(kErrConvInUse);
   }
   laddr_ = laddr;
   raddr_ = dest.addr;
@@ -202,7 +160,7 @@ Status TcpConv::StartConnect(const HostPort& dest) {
   state_ = State::kSynSent;
   handshake_tries_ = 0;
   EmitLocked(kSyn, iss_, 0, 0);
-  ArmTimerLocked(RtoLocked());
+  ArmTimerLocked(rtt_.Rto());
   return Status::Ok();
 }
 
@@ -224,40 +182,14 @@ Status TcpConv::WaitReady() {
   return Error(err_.empty() ? std::string(kErrConnRefused) : err_);
 }
 
-Result<int> TcpConv::Listen() {
-  QLockGuard guard(lock_);
-  if (state_ != State::kListen) {
-    return Error("not announced");
-  }
-  incoming_.Sleep(lock_, [&]() REQUIRES(lock_) { return !pending_.empty() || state_ == State::kClosed; });
-  if (state_ == State::kClosed) {
-    return Error(kErrHungup);
-  }
-  int conv = pending_.front();
-  pending_.pop_front();
-  return conv;
-}
-
-std::string TcpConv::Local() {
-  QLockGuard guard(lock_);
-  Ipv4Addr shown = laddr_.IsUnspecified() ? proto_->ip()->PrimaryAddr() : laddr_;
-  return StrFormat("%s %u\n", IpToString(shown).c_str(), lport_);
-}
-
-std::string TcpConv::Remote() {
-  QLockGuard guard(lock_);
-  return StrFormat("%s %u\n", IpToString(raddr_).c_str(), rport_);
-}
-
 std::string TcpConv::StatusText() {
   QLockGuard guard(lock_);
   // The paper's one-line `cat status` shape, extended with the addresses and
   // byte counts every protocol now reports uniformly.
   const char* mode = lport_ != 0 && rport_ == 0 ? "announce" : "connect";
-  Ipv4Addr shown = laddr_.IsUnspecified() ? proto_->ip()->PrimaryAddr() : laddr_;
   return StrFormat("tcp/%d %d %s %s %s!%u %s!%u tx %llu rx %llu%s\n", index_,
                    refs.load(), StateNameLocked(), mode,
-                   IpToString(shown).c_str(), lport_, IpToString(raddr_).c_str(),
+                   IpToString(ShownLocalLocked()).c_str(), lport_, IpToString(raddr_).c_str(),
                    rport_,
                    static_cast<unsigned long long>(metrics_.bytes_sent.value()),
                    static_cast<unsigned long long>(metrics_.bytes_received.value()),
@@ -266,80 +198,49 @@ std::string TcpConv::StatusText() {
 
 std::chrono::microseconds TcpConv::Srtt() {
   QLockGuard guard(lock_);
-  return srtt_;
+  return rtt_.srtt();
 }
 
-void TcpConv::CloseUser() {
-  std::deque<int> orphans;
-  bool hangup = false;
-  {
-    QLockGuard guard(lock_);
-    switch (state_) {
-      case State::kEstablished:
-        state_ = State::kFinWait1;
-        fin_pending_ = true;
-        MaybeSendFinLocked();
-        break;
-      case State::kCloseWait:
-        state_ = State::kLastAck;
-        fin_pending_ = true;
-        MaybeSendFinLocked();
-        break;
-      case State::kListen:
-        orphans.swap(pending_);
-        state_ = State::kClosed;
-        ResetLocked("");
-        break;
-      case State::kSynSent:
-      case State::kSynRcvd:
-        state_ = State::kClosed;
-        ResetLocked("");
-        break;
-      default:
-        break;
-    }
-    hangup = std::exchange(hangup_pending_, false);
-  }
-  if (hangup) {
-    CompleteHangup();
-  }
-  ready_.Wakeup();
-  sendbuf_space_.Wakeup();
-  incoming_.Wakeup();
-  for (int idx : orphans) {
-    if (NetConv* c = proto_->Conv(static_cast<size_t>(idx)); c != nullptr) {
-      c->CloseUser();
-    }
+void TcpConv::Close() {
+  QLockGuard guard(lock_);
+  switch (state_) {
+    case State::kEstablished:
+      state_ = State::kFinWait1;
+      fin_pending_ = true;
+      MaybeSendFinLocked();
+      break;
+    case State::kCloseWait:
+      state_ = State::kLastAck;
+      fin_pending_ = true;
+      MaybeSendFinLocked();
+      break;
+    case State::kClosed:
+    case State::kListen:
+    case State::kSynSent:
+    case State::kSynRcvd:
+      CloseLocked("");
+      break;
+    default:
+      break;
   }
 }
 
-void TcpConv::ResetLocked(const std::string& why) {
-  if (!why.empty() && err_.empty()) {
-    err_ = why;
-  }
+void TcpConv::Abandon(const std::string& why) {
+  QLockGuard guard(lock_);
+  CloseLocked(why);  // no FIN, no RST: the peer sees only silence
+}
+
+void TcpConv::CloseLocked(std::string_view why) {
   state_ = State::kClosed;
   send_buf_.clear();
-  // Not stream_->Hangup() here: that takes the stream chain lock, which the
-  // user write path holds while acquiring lock_.  Callers drain the flag
-  // once lock_ is dropped.
-  hangup_pending_ = true;
-  CancelTimerLocked();
-}
-
-void TcpConv::CompleteHangup() {
-  stream_->Hangup();
-  // Publish the slot only now: AllocConv may Recycle() a free slot, which
-  // replaces stream_ — that must not happen while the old stream is still
-  // delivering the hangup.
-  QLockGuard guard(lock_);
-  slot_free_ = true;
+  HangupLocked(why);
 }
 
 Status TcpConv::QueueBytes(const uint8_t* data, size_t n) {
   size_t queued = 0;
   while (queued < n) {
     QLockGuard guard(lock_);
-    sendbuf_space_.Sleep(lock_, [&]() REQUIRES(lock_) {
+    window_.Sleep(lock_, [&]() REQUIRES(lock_) {
       return send_buf_.size() < kSendBufMax ||
              (state_ != State::kEstablished && state_ != State::kCloseWait);
     });
@@ -381,8 +282,8 @@ void TcpConv::TrySendLocked() {
     metrics_.bytes_sent.Inc(can_send);
   }
   MaybeSendFinLocked();
-  if (snd_nxt_ != snd_una_ && timer_ == kNoTimer) {
-    ArmTimerLocked(RtoLocked());
+  if (snd_nxt_ != snd_una_ && !TimerArmedLocked()) {
+    ArmTimerLocked(rtt_.Rto());
   }
 }
 
@@ -397,8 +298,8 @@ void TcpConv::MaybeSendFinLocked() {
   EmitLocked(kFin | kAck, snd_nxt_, 0, 0);
   snd_nxt_ += 1;  // FIN consumes a sequence number
   fin_sent_ = true;
-  if (timer_ == kNoTimer) {
-    ArmTimerLocked(RtoLocked());
+  if (!TimerArmedLocked()) {
+    ArmTimerLocked(rtt_.Rto());
   }
 }
 
@@ -419,65 +320,27 @@ void TcpConv::EmitLocked(uint16_t flags, uint32_t seq, size_t payload_off,
   }
   Put16(h + 16, InetChecksum(pkt.data(), pkt.size()));
   metrics_.segs_sent.Inc();
-  (void)proto_->ip()->Send(kIpProtoTcp, laddr_, raddr_, pkt);
-}
-
-std::chrono::microseconds TcpConv::RtoLocked() const {
-  auto base = srtt_.count() == 0 ? kInitialRtt : srtt_ + 4 * mdev_;
-  for (int i = 0; i < backoff_ && base < kMaxRto; i++) {
-    base *= 2;
-  }
-  return std::clamp(base, kMinRto, kMaxRto);
+  (void)ip_->Send(kIpProtoTcp, laddr_, raddr_, pkt);
 }
 
 void TcpConv::RttSampleLocked(std::chrono::microseconds sample) {
   static obs::Histogram& hist =
       obs::MetricsRegistry::Default().HistogramNamed("net.tcp.rtt");
   hist.Record(static_cast<uint64_t>(sample.count()));
-  if (srtt_.count() == 0) {
-    srtt_ = sample;
-    mdev_ = sample / 2;
-    return;
-  }
-  auto err = sample - srtt_;
-  srtt_ += err / 8;
-  mdev_ += (std::chrono::microseconds(std::abs(err.count())) - mdev_) / 4;
+  rtt_.Sample(sample);
 }
 
-void TcpConv::ArmTimerLocked(std::chrono::microseconds delay) {
-  if (dying_) {
-    return;
-  }
-  CancelTimerLocked();
-  timer_ = TimerWheel::Default().Schedule(delay,
-                                          [this, gen = timer_gen_] { TimerFire(gen); });
-}
-
-void TcpConv::CancelTimerLocked() {
-  // As IlConv::CancelTimerLocked: a firing already collected goes stale.
-  timer_gen_++;
-  if (timer_ != kNoTimer) {
-    TimerWheel::Default().Cancel(timer_);
-    timer_ = kNoTimer;
-  }
-}
-
-void TcpConv::TimerFire(uint64_t gen) {
-  QLockGuard guard(lock_);
-  if (gen != timer_gen_) {
-    return;  // stale: re-armed or cancelled after the wheel collected it
-  }
-  timer_ = kNoTimer;
+void TcpConv::TimerLocked() {
   switch (state_) {
     case State::kSynSent:
     case State::kSynRcvd:
       if (++handshake_tries_ > kMaxHandshakeTries) {
-        ResetLocked(kErrTimedOut);
+        CloseLocked(kErrTimedOut);
         break;
       }
-      backoff_++;
+      rtt_.Backoff();
       EmitLocked(state_ == State::kSynSent ? kSyn : (kSyn | kAck), iss_, 0, 0);
-      ArmTimerLocked(RtoLocked());
+      ArmTimerLocked(rtt_.Rto());
       break;
     case State::kEstablished:
     case State::kCloseWait:
@@ -487,27 +350,19 @@ void TcpConv::TimerFire(uint64_t gen) {
       if (snd_nxt_ == snd_una_ && !fin_sent_) {
         break;
       }
-      if (++backoff_ > kMaxBackoff) {
-        ResetLocked(kErrTimedOut);
+      if (rtt_.Backoff() > kMaxBackoff) {
+        CloseLocked(kErrTimedOut);
         break;
       }
       RetransmitLocked();
-      ArmTimerLocked(RtoLocked());
+      ArmTimerLocked(rtt_.Rto());
       break;
     case State::kTimeWait:
-      state_ = State::kClosed;
-      slot_free_ = true;
+      CloseLocked("");
       break;
     default:
       break;
   }
-  bool hangup = std::exchange(hangup_pending_, false);
-  guard.Unlock();
-  if (hangup) {
-    CompleteHangup();
-  }
-  ready_.Wakeup();
-  sendbuf_space_.Wakeup();
 }
 
 void TcpConv::RetransmitLocked() {
@@ -548,7 +403,7 @@ void TcpConv::ProcessAckLocked(uint32_t ack, uint16_t wnd) {
     send_buf_.erase(send_buf_.begin(),
                     send_buf_.begin() + static_cast<long>(data_acked));
     snd_una_ = ack;
-    backoff_ = 0;
+    rtt_.ResetBackoff();
     if (rtt_timing_ && SeqLeq(rtt_seg_seq_, ack)) {
       rtt_timing_ = false;
       RttSampleLocked(std::chrono::duration_cast<std::chrono::microseconds>(
@@ -557,7 +412,7 @@ void TcpConv::ProcessAckLocked(uint32_t ack, uint16_t wnd) {
     if (snd_una_ == snd_nxt_) {
       CancelTimerLocked();
     } else {
-      ArmTimerLocked(RtoLocked());
+      ArmTimerLocked(rtt_.Rto());
     }
     TrySendLocked();
   }
@@ -622,25 +477,27 @@ void TcpConv::EnterTimeWaitLocked() {
   ArmTimerLocked(std::chrono::duration_cast<std::chrono::microseconds>(kTimeWait));
 }
 
-void TcpConv::Input(Ipv4Addr src, uint16_t sport, uint32_t seq, uint32_t ack,
-                    uint16_t flags, uint16_t wnd, Bytes payload) {
+void TcpConv::Input(uint32_t seq, uint32_t ack, uint16_t flags, uint16_t wnd,
+                    Bytes payload) {
   std::vector<BlockPtr> deliveries;
   bool hangup_stream = false;
   bool hangup_reset = false;
+  Stream* stream;
   {
     QLockGuard guard(lock_);
+    stream = stream_.get();
     metrics_.segs_received.Inc();
     if (flags & kRst) {
       if (state_ != State::kClosed && state_ != State::kListen) {
-        ResetLocked(state_ == State::kSynSent ? kErrConnRefused : "connection reset");
+        CloseLocked(state_ == State::kSynSent ? kErrConnRefused : "connection reset");
       }
-      bool hangup = std::exchange(hangup_pending_, false);
+      bool hangup = TakeHangupLocked();
       guard.Unlock();
       if (hangup) {
-        CompleteHangup();
+        DeliverHangup();
       }
       ready_.Wakeup();
-      sendbuf_space_.Wakeup();
+      window_.Wakeup();
       return;
     }
     switch (state_) {
@@ -652,7 +509,7 @@ void TcpConv::Input(Ipv4Addr src, uint16_t sport, uint32_t seq, uint32_t ack,
           snd_wnd_ = wnd;
           state_ = State::kEstablished;
           handshake_tries_ = 0;
-          backoff_ = 0;
+          rtt_.ResetBackoff();
           CancelTimerLocked();
           EmitLocked(kAck, snd_nxt_, 0, 0);
           ready_.Wakeup();
@@ -663,17 +520,16 @@ void TcpConv::Input(Ipv4Addr src, uint16_t sport, uint32_t seq, uint32_t ack,
           snd_una_ = ack;
           snd_wnd_ = wnd;
           state_ = State::kEstablished;
-          backoff_ = 0;
+          rtt_.ResetBackoff();
           CancelTimerLocked();
           // Tell the listener a call is ready for Listen()/accept.
           if (TcpConv* listener = listener_backref_; listener != nullptr) {
             guard.Unlock();
-            {
-              QLockGuard lguard(listener->lock_);
-              listener->pending_.push_back(index_);
-            }
-            listener->incoming_.Wakeup();
+            listener->QueueCall(this);
             guard.Lock();
+            if (state_ != State::kEstablished) {
+              break;  // the announcement went away and took this call with it
+            }
           }
           ready_.Wakeup();
           // The handshake ACK may carry data; fall through is emulated by
@@ -717,9 +573,7 @@ void TcpConv::Input(Ipv4Addr src, uint16_t sport, uint32_t seq, uint32_t ack,
         } else if (state_ == State::kClosing && fin_sent_ && all_sent_acked) {
           EnterTimeWaitLocked();
         } else if (state_ == State::kLastAck && fin_sent_ && all_sent_acked) {
-          state_ = State::kClosed;
-          slot_free_ = true;
-          CancelTimerLocked();
+          CloseLocked("");
         } else if (state_ == State::kEstablished && peer_closed) {
           state_ = State::kCloseWait;
           hangup_stream = true;  // EOF for readers; writes still allowed
@@ -738,113 +592,29 @@ void TcpConv::Input(Ipv4Addr src, uint16_t sport, uint32_t seq, uint32_t ack,
       case State::kClosed:
         break;
     }
-    hangup_reset = std::exchange(hangup_pending_, false);
+    hangup_reset = TakeHangupLocked();
   }
   for (auto& b : deliveries) {
-    stream_->DeliverUp(std::move(b));
+    stream->DeliverUp(std::move(b));
   }
   if (hangup_reset) {
-    CompleteHangup();
+    DeliverHangup();
   } else if (hangup_stream) {
     // Peer sent FIN: readers see EOF once queued data drains.
-    stream_->Hangup();
+    stream->Hangup();
   }
   ready_.Wakeup();
-  sendbuf_space_.Wakeup();
+  window_.Wakeup();
 }
 
-TcpProto::TcpProto(IpStack* ip) : ip_(ip) {
+TcpProto::TcpProto(IpStack* ip) : ConvTable("tcp.proto"), ip_(ip) {
   ip_->RegisterProtocol(kIpProtoTcp,
                         [this](IpPacket&& pkt) { Input(std::move(pkt)); });
 }
 
-void TcpProto::Abort(const std::string& why) {
-  std::vector<TcpConv*> convs;
-  {
-    QLockGuard guard(lock_);
-    for (auto& c : convs_) {
-      convs.push_back(c.get());
-    }
-  }
-  for (TcpConv* c : convs) {
-    bool hangup = false;
-    {
-      QLockGuard guard(c->lock_);
-      c->dying_ = true;  // a racing TimerFire must not re-arm
-      if (c->state_ != TcpConv::State::kClosed) {
-        c->err_ = why;
-        c->pending_.clear();  // listeners drop their queued calls too
-        c->ResetLocked(why);  // sets kClosed + hangup_pending_, emits nothing
-      } else {
-        c->CancelTimerLocked();
-      }
-      hangup = std::exchange(c->hangup_pending_, false);
-    }
-    if (hangup) {
-      c->CompleteHangup();
-    }
-    c->ready_.Wakeup();
-    c->sendbuf_space_.Wakeup();
-    c->incoming_.Wakeup();
-  }
-  TimerWheel::Default().Drain();
-}
-
 TcpProto::~TcpProto() {
   ip_->UnregisterProtocol(kIpProtoTcp);
-  {
-    QLockGuard guard(lock_);
-    for (auto& c : convs_) {
-      QLockGuard cguard(c->lock_);
-      c->dying_ = true;
-      c->CancelTimerLocked();
-    }
-  }
-  TimerWheel::Default().Drain();
-}
-
-Result<NetConv*> TcpProto::Clone() {
-  auto conv = AllocConv();
-  if (!conv.ok()) {
-    return conv.error();
-  }
-  return static_cast<NetConv*>(*conv);
-}
-
-Result<TcpConv*> TcpProto::AllocConv() {
-  QLockGuard guard(lock_);
-  for (auto& c : convs_) {
-    bool reusable;
-    {
-      QLockGuard cguard(c->lock_);
-      reusable =
-          c->slot_free_ && c->state_ == TcpConv::State::kClosed && c->refs.load() == 0;
-    }
-    if (reusable) {
-      c->Recycle();
-      QLockGuard cguard(c->lock_);
-      c->slot_free_ = false;
-      return c.get();
-    }
-  }
-  if (convs_.size() >= MaxConvs()) {
-    return Error(kErrNoConv);
-  }
-  convs_.push_back(std::make_unique<TcpConv>(this, static_cast<int>(convs_.size())));
-  TcpConv* c = convs_.back().get();
-  QLockGuard cguard(c->lock_);
-  c->slot_free_ = false;
-  return c;
-}
-
-NetConv* TcpProto::Conv(size_t index) {
-  QLockGuard guard(lock_);
-  return index < convs_.size() ? convs_[index].get() : nullptr;
-}
-
-size_t TcpProto::ConvCount() {
-  QLockGuard guard(lock_);
-  return convs_.size();
+  Quiesce();
 }
 
 Result<std::string> TcpProto::InfoText(NetConv* conv, const std::string& file) {
@@ -868,11 +638,11 @@ Result<std::string> TcpProto::InfoText(NetConv* conv, const std::string& file) {
   return ProtoFiles::InfoText(conv, file);
 }
 
-TcpConv* TcpProto::SpawnFromSyn(Ipv4Addr dst, Ipv4Addr src, uint16_t dport, uint16_t sport,
-                                uint32_t peer_seq, TcpConv* listener) {
-  auto spawned = AllocConv();
+void TcpProto::SpawnFromSyn(Ipv4Addr dst, Ipv4Addr src, uint16_t dport, uint16_t sport,
+                            uint32_t peer_seq, TcpConv* listener) {
+  auto spawned = Alloc();
   if (!spawned.ok()) {
-    return nullptr;
+    return;
   }
   TcpConv* nc = *spawned;
   uint32_t isn;
@@ -894,9 +664,8 @@ TcpConv* TcpProto::SpawnFromSyn(Ipv4Addr dst, Ipv4Addr src, uint16_t dport, uint
     nc->snd_nxt_ = isn + 1;
     nc->listener_backref_ = listener;
     nc->EmitLocked(kSyn | kAck, isn, 0, 0);
-    nc->ArmTimerLocked(nc->RtoLocked());
+    nc->ArmTimerLocked(nc->rtt_.Rto());
   }
-  return nc;
 }
 
 void TcpProto::SendRst(Ipv4Addr src, Ipv4Addr dst, uint16_t sport, uint16_t dport,
@@ -944,26 +713,28 @@ void TcpProto::Input(IpPacket&& pkt) {
   TcpConv* listener = nullptr;
   {
     QLockGuard guard(lock_);
-    for (auto& c : convs_) {
+    for (auto& slot : slots_) {
+      TcpConv* c = slot.get();
       QLockGuard cguard(c->lock_);
       if (c->state_ != TcpConv::State::kClosed && c->state_ != TcpConv::State::kListen &&
           c->lport_ == dport && c->rport_ == sport && c->raddr_ == pkt.src) {
-        conv = c.get();
+        conv = c;
         break;
       }
     }
     if (conv == nullptr && (flags & kSyn) && !(flags & kAck)) {
-      for (auto& c : convs_) {
+      for (auto& slot : slots_) {
+        TcpConv* c = slot.get();
         QLockGuard cguard(c->lock_);
         if (c->state_ == TcpConv::State::kListen && c->lport_ == dport) {
-          listener = c.get();
+          listener = c;
           break;
         }
       }
     }
   }
   if (conv != nullptr) {
-    conv->Input(pkt.src, sport, seq, ack, flags, wnd, std::move(payload));
+    conv->Input(seq, ack, flags, wnd, std::move(payload));
     return;
   }
   if (listener != nullptr) {

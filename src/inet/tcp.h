@@ -24,11 +24,10 @@
 #include "src/base/thread_annotations.h"
 #include "src/dev/devproto.h"
 #include "src/inet/ip.h"
-#include "src/inet/netproto.h"
+#include "src/inet/ipconv.h"
 #include "src/inet/portutil.h"
 #include "src/obs/metrics.h"
 #include "src/task/qlock.h"
-#include "src/task/rendez.h"
 #include "src/task/timers.h"
 
 namespace plan9 {
@@ -51,7 +50,7 @@ struct TcpConvMetrics {
 
 class TcpProto;
 
-class TcpConv : public NetConv {
+class TcpConv : public IpConv {
  public:
   enum class State {
     kClosed,
@@ -72,15 +71,13 @@ class TcpConv : public NetConv {
   static constexpr size_t kSendBufMax = 64 * 1024;   // user write backpressure
 
   TcpConv(TcpProto* proto, int index);
-  ~TcpConv() override;
 
-  Status Ctl(const std::string& msg) override;
   Status WaitReady() override;
-  Result<int> Listen() override;
-  std::string Local() override;
-  std::string Remote() override;
   std::string StatusText() override;
-  void CloseUser() override;
+  // A message is just bytes to TCP.
+  Status SendMessage(Bytes msg) override MAY_BLOCK {
+    return QueueBytes(msg.data(), msg.size());
+  }
 
   const TcpConvMetrics& metrics() const { return metrics_; }
   std::chrono::microseconds Srtt();
@@ -89,10 +86,19 @@ class TcpConv : public NetConv {
   friend class TcpProto;
   class Module;
 
-  Status StartConnect(const HostPort& dest);
+  // Conversation-core hooks (conv.h, ipconv.h).
+  void ResetLocked() override REQUIRES(lock_);
+  bool AnnouncedLocked() const override REQUIRES(lock_) { return state_ == State::kListen; }
+  void Close() override;
+  void Abandon(const std::string& why) override;
+  void TimerLocked() override REQUIRES(lock_);
+  std::unique_ptr<StreamModule> NewModule() override;
+  Status Connect(const HostPort& dest) override;
+  Status AnnounceLocked(uint16_t port) override REQUIRES(lock_);
+
   Status QueueBytes(const uint8_t* data, size_t n) P9_HOT_PATH MAY_BLOCK;  // user data path; sndbuf sleep
-  void Input(Ipv4Addr src, uint16_t sport, uint32_t seq, uint32_t ack, uint16_t flags,
-             uint16_t wnd, Bytes payload) P9_HOT_PATH;
+  void Input(uint32_t seq, uint32_t ack, uint16_t flags, uint16_t wnd,
+             Bytes payload) P9_HOT_PATH;
   void TrySendLocked() REQUIRES(lock_);
   void EmitLocked(uint16_t flags, uint32_t seq, size_t payload_off, size_t payload_len)
       REQUIRES(lock_);
@@ -102,35 +108,14 @@ class TcpConv : public NetConv {
                          std::vector<BlockPtr>* deliveries, bool* peer_closed)
       REQUIRES(lock_);
   void EnterTimeWaitLocked() REQUIRES(lock_);
-  void ResetLocked(const std::string& why) REQUIRES(lock_);
-  void CompleteHangup();  // drains hangup_pending_: stream hangup, then free the slot
-  void ArmTimerLocked(std::chrono::microseconds delay) REQUIRES(lock_);
-  void CancelTimerLocked() REQUIRES(lock_);
-  void TimerFire(uint64_t gen);
-  std::chrono::microseconds RtoLocked() const REQUIRES(lock_);
+  // Closed for good: the send buffer dropped and the hangup pending.
+  void CloseLocked(std::string_view why) REQUIRES(lock_);
   void RttSampleLocked(std::chrono::microseconds sample) REQUIRES(lock_);
   void MaybeSendFinLocked() REQUIRES(lock_);
-  void Recycle();
   const char* StateNameLocked() const REQUIRES(lock_);
 
   TcpProto* proto_;
-  // Conversation lock: ordered after tcp.proto (demux holds both), before
-  // stream.queue (delivery) and timer (ArmTimerLocked).
-  QLock lock_{"tcp.conv"};
-  Rendez ready_;
-  Rendez sendbuf_space_;
-  Rendez incoming_;
-
   State state_ GUARDED_BY(lock_) = State::kClosed;
-  bool slot_free_ GUARDED_BY(lock_) = true;
-  bool dying_ GUARDED_BY(lock_) = false;  // proto teardown: never re-arm the timer
-  // Set by ResetLocked; drained by callers *after* dropping lock_, because
-  // Stream::Hangup takes the stream chain lock, which the write path holds
-  // while taking lock_ (the opposite order).
-  bool hangup_pending_ GUARDED_BY(lock_) = false;
-
-  Ipv4Addr laddr_ GUARDED_BY(lock_), raddr_ GUARDED_BY(lock_);
-  uint16_t lport_ GUARDED_BY(lock_) = 0, rport_ GUARDED_BY(lock_) = 0;
 
   // Send sequence space.  send_buf_ holds bytes [snd_una, snd_una+size).
   uint32_t iss_ GUARDED_BY(lock_) = 0;
@@ -150,28 +135,19 @@ class TcpConv : public NetConv {
   std::map<uint32_t, Bytes> out_of_order_ GUARDED_BY(lock_);
   bool fin_received_ GUARDED_BY(lock_) = false;
 
-  std::chrono::microseconds srtt_ GUARDED_BY(lock_){0};
-  std::chrono::microseconds mdev_ GUARDED_BY(lock_){0};
-  int backoff_ GUARDED_BY(lock_) = 0;
-  TimerId timer_ GUARDED_BY(lock_) = kNoTimer;
-  uint64_t timer_gen_ GUARDED_BY(lock_) = 0;  // see IlConv::timer_gen_
+  RttEstimator rtt_ GUARDED_BY(lock_);
   int handshake_tries_ GUARDED_BY(lock_) = 0;
 
-  std::deque<int> pending_ GUARDED_BY(lock_);
   TcpConv* listener_backref_ GUARDED_BY(lock_) = nullptr;  // spawning conv (accept)
-  std::string err_ GUARDED_BY(lock_);
   TcpConvMetrics metrics_;  // atomic counters; no lock needed
 };
 
-class TcpProto : public NetProto, public ProtoFiles {
+class TcpProto : public ConvTable<TcpConv>, public ProtoFiles {
  public:
   explicit TcpProto(IpStack* ip);
   ~TcpProto() override;
 
   std::string name() override { return "tcp"; }
-  Result<NetConv*> Clone() override;
-  NetConv* Conv(size_t index) override;
-  size_t ConvCount() override;
 
   // ProtoFiles: the standard six plus a stats file with per-conversation
   // retransmit and duplicate-segment counters.
@@ -182,23 +158,18 @@ class TcpProto : public NetProto, public ProtoFiles {
 
   IpStack* ip() { return ip_; }
 
-  // Crash semantics (node lifecycle): abandon every conversation abruptly —
-  // no FIN, no RST — so the peer sees only silence on the wire.  Call after
-  // IpStack::Unplug().
-  void Abort(const std::string& why) MAY_BLOCK;
-
  private:
   friend class TcpConv;
 
+  std::unique_ptr<TcpConv> NewConv(int index) override {
+    return std::make_unique<TcpConv>(this, index);
+  }
   void Input(IpPacket&& pkt) P9_HOT_PATH;
-  Result<TcpConv*> AllocConv();
-  TcpConv* SpawnFromSyn(Ipv4Addr dst, Ipv4Addr src, uint16_t dport, uint16_t sport,
-                        uint32_t peer_seq, TcpConv* listener);
+  void SpawnFromSyn(Ipv4Addr dst, Ipv4Addr src, uint16_t dport, uint16_t sport,
+                    uint32_t peer_seq, TcpConv* listener);
   void SendRst(Ipv4Addr src, Ipv4Addr dst, uint16_t sport, uint16_t dport, uint32_t ack);
 
   IpStack* ip_;
-  QLock lock_{"tcp.proto"};
-  std::vector<std::unique_ptr<TcpConv>> convs_ GUARDED_BY(lock_);
   PortAlloc ports_ GUARDED_BY(lock_);
   Rng isn_rng_ GUARDED_BY(lock_){0xfeedface};
 };

@@ -5,18 +5,11 @@
 #include "src/base/logging.h"
 #include "src/base/strings.h"
 #include "src/task/hotcheck.h"
-#include "src/task/timers.h"
 
 namespace plan9 {
 namespace {
 
 constexpr size_t kUdpHeaderSize = 8;
-
-void Put16(uint8_t* p, uint16_t v) {
-  p[0] = static_cast<uint8_t>(v >> 8);
-  p[1] = static_cast<uint8_t>(v);
-}
-uint16_t Get16(const uint8_t* p) { return static_cast<uint16_t>(p[0] << 8 | p[1]); }
 
 }  // namespace
 
@@ -35,105 +28,58 @@ void UdpConvMetrics::Reset() {
   bytes_received.Reset();
 }
 
-// The stream device module: user writes become datagrams.  Data blocks are
-// coalesced until the delimiter so one write == one datagram regardless of
-// internal splitting.
-class UdpConv::Module : public StreamModule {
- public:
-  explicit Module(UdpConv* conv) : conv_(conv) {}
-  std::string_view name() const override { return "udp"; }
+// User writes become datagrams through the core's MessageModule: one write,
+// one datagram, however the stream split it.
+UdpConv::UdpConv(UdpProto* proto, int index)
+    : IpConv(proto, proto->ip(), index, "udp.conv", "udp"), proto_(proto) {}
 
-  void DownPut(BlockPtr b) override P9_CONSUMES(b) P9_HOT_PATH {
-    if (b->type != BlockType::kData) {
-      DropBlock(std::move(b));  // module-specific control: none for udp
-      return;
-    }
-    pending_.insert(pending_.end(), b->payload(), b->payload() + b->size());
-    bool delim = b->delim;
-    RecycleBlock(std::move(b));
-    if (!delim) {
-      return;
-    }
-    Bytes datagram;
-    datagram.swap(pending_);
-    Status s = conv_->Output(datagram);
-    if (!s.ok()) {
-      P9_LOG(kDebug) << "udp output: " << s.error().message();
-    }
-  }
-
- private:
-  UdpConv* conv_;
-  Bytes pending_;
-};
-
-UdpConv::UdpConv(UdpProto* proto, int index) : proto_(proto) {
-  index_ = index;
-  stream_ = std::make_unique<Stream>(std::make_unique<Module>(this));
-}
-
-void UdpConv::Recycle() {
-  QLockGuard guard(lock_);
-  stream_ = std::make_unique<Stream>(std::make_unique<Module>(this));
+void UdpConv::ResetLocked() {
+  state_ = State::kIdle;
   laddr_ = raddr_ = Ipv4Addr{};
   lport_ = rport_ = 0;
-  pending_.clear();
   metrics_.Reset();
 }
 
-Status UdpConv::Ctl(const std::string& msg) {
-  auto words = Tokenize(msg);
-  if (words.empty()) {
-    return Error(kErrBadCtl);
+Status UdpConv::Connect(const HostPort& dest) {
+  P9_ASSIGN_OR_RETURN(Ipv4Addr laddr, ip_->SourceFor(dest.addr));
+  uint16_t ephemeral;
+  {
+    // proto lock before conv lock, always.
+    QLockGuard pguard(proto_->lock_);
+    ephemeral = proto_->ports_.Next();
   }
-  if (words[0] == "connect" && words.size() >= 2) {
-    P9_ASSIGN_OR_RETURN(HostPort hp, ParseConnectAddr(words[1]));
-    P9_ASSIGN_OR_RETURN(Ipv4Addr laddr, proto_->ip()->SourceFor(hp.addr));
-    uint16_t ephemeral;
-    {
-      // proto lock before conv lock, always.
-      QLockGuard pguard(proto_->lock_);
-      ephemeral = proto_->ports_.Next();
-    }
-    QLockGuard guard(lock_);
-    if (state_ != State::kIdle) {
-      return Error("connection already in use");
-    }
-    laddr_ = laddr;
-    raddr_ = hp.addr;
-    rport_ = hp.port;
-    if (lport_ == 0) {
-      lport_ = ephemeral;
-    }
-    state_ = State::kConnected;
-    return Status::Ok();
+  QLockGuard guard(lock_);
+  if (state_ != State::kIdle || ClosedLocked()) {
+    return Error(kErrConvInUse);
   }
-  if (words[0] == "announce" && words.size() >= 2) {
-    P9_ASSIGN_OR_RETURN(uint16_t port, ParseAnnounceAddr(words[1]));
-    QLockGuard guard(lock_);
-    if (state_ != State::kIdle) {
-      return Error("connection already in use");
-    }
-    lport_ = port;
-    laddr_ = Ipv4Addr{};  // any local address
-    state_ = State::kAnnounced;
-    return Status::Ok();
+  laddr_ = laddr;
+  raddr_ = dest.addr;
+  rport_ = dest.port;
+  if (lport_ == 0) {
+    lport_ = ephemeral;
   }
+  state_ = State::kConnected;
+  return Status::Ok();
+}
+
+Status UdpConv::AnnounceLocked(uint16_t port) {
+  if (state_ != State::kIdle || ClosedLocked()) {
+    return Error(kErrConvInUse);
+  }
+  lport_ = port;
+  laddr_ = Ipv4Addr{};  // any local address
+  state_ = State::kAnnounced;
+  return Status::Ok();
+}
+
+Status UdpConv::CtlVerb(const std::vector<std::string>& words) {
   if (words[0] == "bind" && words.size() >= 2) {
-    // "bind <port>": fix the local port before connect.
     auto port = ParseU64(words[1]);
     if (!port || *port > 65535) {
       return Error(kErrBadArg);
     }
     QLockGuard guard(lock_);
     lport_ = static_cast<uint16_t>(*port);
-    return Status::Ok();
-  }
-  if (words[0] == "hangup" || words[0] == "reject") {
-    CloseUser();
-    return Status::Ok();
-  }
-  if (words[0] == "accept") {
     return Status::Ok();
   }
   return Error(kErrBadCtl);
@@ -145,31 +91,6 @@ Status UdpConv::WaitReady() {
     return Error(kErrHungup);
   }
   return Status::Ok();  // UDP has no handshake
-}
-
-Result<int> UdpConv::Listen() {
-  QLockGuard guard(lock_);
-  if (state_ != State::kAnnounced) {
-    return Error("not announced");
-  }
-  incoming_.Sleep(lock_, [&]() REQUIRES(lock_) { return !pending_.empty() || state_ == State::kClosed; });
-  if (state_ == State::kClosed) {
-    return Error(kErrHungup);
-  }
-  int conv = pending_.front();
-  pending_.pop_front();
-  return conv;
-}
-
-std::string UdpConv::Local() {
-  QLockGuard guard(lock_);
-  Ipv4Addr shown = laddr_.IsUnspecified() ? proto_->ip()->PrimaryAddr() : laddr_;
-  return StrFormat("%s %u\n", IpToString(shown).c_str(), lport_);
-}
-
-std::string UdpConv::Remote() {
-  QLockGuard guard(lock_);
-  return StrFormat("%s %u\n", IpToString(raddr_).c_str(), rport_);
 }
 
 std::string UdpConv::StatusText() {
@@ -189,40 +110,27 @@ std::string UdpConv::StatusText() {
       s = "Closed";
       break;
   }
-  Ipv4Addr shown = laddr_.IsUnspecified() ? proto_->ip()->PrimaryAddr() : laddr_;
   return StrFormat("udp/%d %d %s %s!%u %s!%u tx %llu rx %llu\n", index_,
-                   refs.load(), s, IpToString(shown).c_str(), lport_,
+                   refs.load(), s, IpToString(ShownLocalLocked()).c_str(), lport_,
                    IpToString(raddr_).c_str(), rport_,
                    static_cast<unsigned long long>(metrics_.bytes_sent.value()),
                    static_cast<unsigned long long>(metrics_.bytes_received.value()));
 }
 
-void UdpConv::CloseUser() {
-  std::deque<int> orphans;
-  {
-    QLockGuard guard(lock_);
-    state_ = State::kClosed;
-    orphans.swap(pending_);
-  }
-  incoming_.Wakeup();
-  stream_->Hangup();
-  // Close calls nobody will ever Listen() for.
-  for (int idx : orphans) {
-    if (NetConv* c = proto_->Conv(static_cast<size_t>(idx)); c != nullptr) {
-      c->CloseUser();
-    }
-  }
-  // Recycle the slot for a future clone.
-  {
-    QLockGuard guard(lock_);
-    state_ = State::kIdle;
-    laddr_ = raddr_ = Ipv4Addr{};
-    lport_ = rport_ = 0;
-    metrics_.Reset();
-  }
+void UdpConv::Close() {
+  // The slot goes back to idle at once; the core hangs up the stream.
+  QLockGuard guard(lock_);
+  ResetLocked();
+  HangupLocked("");
 }
 
-Status UdpConv::Output(const Bytes& payload) {
+void UdpConv::Abandon(const std::string& why) {
+  QLockGuard guard(lock_);
+  state_ = State::kClosed;
+  HangupLocked(why);
+}
+
+Status UdpConv::SendMessage(Bytes payload) {
   Ipv4Addr src, dst;
   uint16_t sport, dport;
   {
@@ -243,12 +151,14 @@ Status UdpConv::Output(const Bytes& payload) {
   std::memcpy(pkt.data() + kUdpHeaderSize, payload.data(), payload.size());
   metrics_.dgrams_sent.Inc();
   metrics_.bytes_sent.Inc(payload.size());
-  return proto_->ip()->Send(kIpProtoUdp, src, dst, pkt);
+  return ip_->Send(kIpProtoUdp, src, dst, pkt);
 }
 
 void UdpConv::Input(const IpPacket& pkt, uint16_t sport, Bytes payload) {
+  Stream* stream;
   {
     QLockGuard guard(lock_);
+    stream = stream_.get();
     if (state_ == State::kConnected) {
       // Connected conversations only hear their peer.
       if (!(pkt.src == raddr_) || sport != rport_) {
@@ -258,76 +168,17 @@ void UdpConv::Input(const IpPacket& pkt, uint16_t sport, Bytes payload) {
   }
   metrics_.dgrams_received.Inc();
   metrics_.bytes_received.Inc(payload.size());
-  stream_->DeliverUp(AllocDataBlock(std::move(payload), /*delim=*/true));
+  stream->DeliverUp(AllocDataBlock(std::move(payload), /*delim=*/true));
 }
 
-UdpProto::UdpProto(IpStack* ip) : ip_(ip) {
+UdpProto::UdpProto(IpStack* ip) : ConvTable("udp.proto"), ip_(ip) {
   ip_->RegisterProtocol(kIpProtoUdp,
                         [this](IpPacket&& pkt) { Input(std::move(pkt)); });
 }
 
 UdpProto::~UdpProto() {
   ip_->UnregisterProtocol(kIpProtoUdp);
-  TimerWheel::Default().Drain();
-}
-
-void UdpProto::Abort(const std::string& why) {
-  (void)why;  // datagram convs carry no error string; the hangup says it all
-  std::vector<UdpConv*> convs;
-  {
-    QLockGuard guard(lock_);
-    for (auto& c : convs_) {
-      convs.push_back(c.get());
-    }
-  }
-  for (UdpConv* c : convs) {
-    {
-      QLockGuard guard(c->lock_);
-      c->state_ = UdpConv::State::kClosed;
-      c->pending_.clear();
-    }
-    c->incoming_.Wakeup();
-    c->stream_->Hangup();
-  }
-  TimerWheel::Default().Drain();
-}
-
-Result<NetConv*> UdpProto::Clone() {
-  auto conv = AllocConv();
-  if (!conv.ok()) {
-    return conv.error();
-  }
-  return static_cast<NetConv*>(*conv);
-}
-
-Result<UdpConv*> UdpProto::AllocConv() {
-  QLockGuard guard(lock_);
-  for (auto& c : convs_) {
-    bool reusable;
-    {
-      QLockGuard cguard(c->lock_);
-      reusable = c->state_ == UdpConv::State::kIdle && c->refs.load() == 0;
-    }
-    if (reusable) {
-      c->Recycle();
-      return c.get();
-    }
-  }
-  if (convs_.size() >= MaxConvs()) {
-    return Error(kErrNoConv);
-  }
-  convs_.push_back(std::make_unique<UdpConv>(this, static_cast<int>(convs_.size())));
-  return convs_.back().get();
-}
-
-NetConv* UdpProto::Conv(size_t index) {
-  QLockGuard guard(lock_);
-  return index < convs_.size() ? convs_[index].get() : nullptr;
-}
-
-size_t UdpProto::ConvCount() {
-  QLockGuard guard(lock_);
-  return convs_.size();
+  Quiesce();
 }
 
 void UdpProto::Input(IpPacket&& pkt) {
@@ -358,17 +209,19 @@ UdpConv* UdpProto::FindOrSpawn(const IpPacket& pkt, uint16_t sport, uint16_t dpo
   {
     QLockGuard guard(lock_);
     // Exact 4-tuple match first.
-    for (auto& c : convs_) {
+    for (auto& slot : slots_) {
+      UdpConv* c = slot.get();
       QLockGuard cguard(c->lock_);
       if (c->state_ == UdpConv::State::kConnected && c->lport_ == dport &&
           c->rport_ == sport && c->raddr_ == pkt.src) {
-        return c.get();
+        return c;
       }
     }
-    for (auto& c : convs_) {
+    for (auto& slot : slots_) {
+      UdpConv* c = slot.get();
       QLockGuard cguard(c->lock_);
       if (c->state_ == UdpConv::State::kAnnounced && c->lport_ == dport) {
-        announced = c.get();
+        announced = c;
         break;
       }
     }
@@ -378,7 +231,7 @@ UdpConv* UdpProto::FindOrSpawn(const IpPacket& pkt, uint16_t sport, uint16_t dpo
   }
   // Unseen source on an announced port: spawn a connected conversation and
   // hand it to Listen().
-  auto spawned = AllocConv();
+  auto spawned = Alloc();
   if (!spawned.ok()) {
     return nullptr;
   }
@@ -393,11 +246,7 @@ UdpConv* UdpProto::FindOrSpawn(const IpPacket& pkt, uint16_t sport, uint16_t dpo
     // state kConnected keeps the slot from being re-cloned while it waits in
     // the pending-call queue.
   }
-  {
-    QLockGuard guard(announced->lock_);
-    announced->pending_.push_back(nc->index());
-  }
-  announced->incoming_.Wakeup();
+  announced->QueueCall(nc);
   return nc;
 }
 

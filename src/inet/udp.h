@@ -12,17 +12,15 @@
 #ifndef SRC_INET_UDP_H_
 #define SRC_INET_UDP_H_
 
-#include <deque>
 #include <memory>
 #include <vector>
 
-#include "src/inet/ip.h"
-#include "src/inet/netproto.h"
 #include "src/base/thread_annotations.h"
+#include "src/inet/ip.h"
+#include "src/inet/ipconv.h"
 #include "src/inet/portutil.h"
 #include "src/obs/metrics.h"
 #include "src/task/qlock.h"
-#include "src/task/rendez.h"
 
 namespace plan9 {
 
@@ -40,71 +38,60 @@ struct UdpConvMetrics {
   void Reset();
 };
 
-class UdpConv : public NetConv {
+class UdpConv : public IpConv {
  public:
   enum class State { kIdle, kConnected, kAnnounced, kClosed };
 
   UdpConv(UdpProto* proto, int index);
 
-  Status Ctl(const std::string& msg) override;
   Status WaitReady() override;
-  Result<int> Listen() override;
-  std::string Local() override;
-  std::string Remote() override;
   std::string StatusText() override;
-  void CloseUser() override;
+  // Transmit one datagram to the connected remote.
+  Status SendMessage(Bytes payload) override;
 
   const UdpConvMetrics& metrics() const { return metrics_; }
 
  private:
   friend class UdpProto;
-  class Module;
 
-  // Transmit one datagram to the connected remote.
-  Status Output(const Bytes& payload);
+  // Conversation-core hooks (conv.h, ipconv.h).
+  void ResetLocked() override REQUIRES(lock_);
+  bool AnnouncedLocked() const override REQUIRES(lock_) {
+    return state_ == State::kAnnounced;
+  }
+  void Close() override;
+  void Abandon(const std::string& why) override;
+  Status Connect(const HostPort& dest) override;
+  Status AnnounceLocked(uint16_t port) override REQUIRES(lock_);
+  // "bind <port>": fix the local port before connect.
+  Status CtlVerb(const std::vector<std::string>& words) override;
+
   void Input(const IpPacket& pkt, uint16_t sport, Bytes payload) P9_HOT_PATH;
-  // Fresh stream + state for slot reuse after CloseUser.
-  void Recycle();
 
   UdpProto* proto_;
-  // Ordered after udp.proto (FindOrSpawn/AllocConv hold both).
-  QLock lock_{"udp.conv"};
-  Rendez incoming_;
   State state_ GUARDED_BY(lock_) = State::kIdle;
-  Ipv4Addr laddr_ GUARDED_BY(lock_), raddr_ GUARDED_BY(lock_);
-  uint16_t lport_ GUARDED_BY(lock_) = 0, rport_ GUARDED_BY(lock_) = 0;
-  // Conversations spawned by unseen sources.
-  std::deque<int> pending_ GUARDED_BY(lock_);
   UdpConvMetrics metrics_;  // atomic counters; no lock needed
 };
 
-class UdpProto : public NetProto {
+class UdpProto : public ConvTable<UdpConv> {
  public:
   explicit UdpProto(IpStack* ip);
   ~UdpProto() override;
 
   std::string name() override { return "udp"; }
-  Result<NetConv*> Clone() override;
-  NetConv* Conv(size_t index) override;
-  size_t ConvCount() override;
 
   IpStack* ip() { return ip_; }
-
-  // Crash semantics (node lifecycle): hang up every conversation's stream
-  // and wake blocked listeners; nothing is emitted.  Call after
-  // IpStack::Unplug().
-  void Abort(const std::string& why) MAY_BLOCK;
 
  private:
   friend class UdpConv;
 
+  std::unique_ptr<UdpConv> NewConv(int index) override {
+    return std::make_unique<UdpConv>(this, index);
+  }
   void Input(IpPacket&& pkt) P9_HOT_PATH;
   UdpConv* FindOrSpawn(const IpPacket& pkt, uint16_t sport, uint16_t dport);
-  Result<UdpConv*> AllocConv();
 
   IpStack* ip_;
-  QLock lock_{"udp.proto"};
-  std::vector<std::unique_ptr<UdpConv>> convs_ GUARDED_BY(lock_);
   PortAlloc ports_ GUARDED_BY(lock_);
 };
 

@@ -74,11 +74,8 @@ Result<EtherFrame> EtherFrame::Unpack(const Bytes& raw) {
 }
 
 EtherSegment::EtherSegment(LinkParams params) : shared_(std::make_shared<Shared>()) {
-  auto now = TimerWheel::Clock::now();
-  shared_->params = params;
-  shared_->rng = Rng(params.seed);
-  shared_->faults.Reconfigure(params.faults, params.seed, now);
-  shared_->busy_until = now;
+  QLockGuard guard(shared_->lock);
+  shared_->medium.Configure(params, params.seed, TimerWheel::Clock::now());
 }
 
 EtherSegment::~EtherSegment() {
@@ -112,48 +109,23 @@ void EtherSegment::SetPromiscuous(StationId id, bool on) {
 
 Status EtherSegment::Send(const EtherFrame& frame) {
   auto shared = shared_;
-  TimerWheel::Clock::duration delay;
-  TimerWheel::Clock::duration tx_time{0};
-  size_t frame_size = kEtherHeaderSize + frame.payload.size();
   EtherFrame delivered = frame;
-  bool duplicate = false;
+  MediumCore::Delivery d;
   {
     QLockGuard guard(shared->lock);
     if (shared->down) {
       return Error(kErrShutdown);
     }
-    if (frame_size > shared->params.mtu) {
-      shared->stats.send_errors.Inc();
-      return Error(StrFormat("frame too large for medium (%zu > %zu)", frame_size,
-                             shared->params.mtu));
-    }
-    shared->stats.frames_sent.Inc();
-    shared->stats.bytes_sent.Inc(frame_size);
-    if (shared->params.loss_rate > 0 && shared->rng.Chance(shared->params.loss_rate)) {
-      shared->stats.frames_dropped.Inc();
-      return Status::Ok();
-    }
-    auto now = TimerWheel::Clock::now();
-    auto fault = shared->faults.Evaluate(now, delivered.payload.size());
-    if (fault.drop) {
-      shared->stats.frames_dropped.Inc();
-      return Status::Ok();
-    }
-    if (fault.corrupt) {
-      // Damage the payload, not the header: a corrupted destination would
-      // just look like loss, which the burst model already covers.
-      FaultInjector::ApplyCorruption(&delivered.payload, fault.corrupt_bit);
-    }
-    duplicate = fault.duplicate;
-    if (shared->params.bandwidth_bps > 0) {
-      tx_time = std::chrono::nanoseconds(frame_size * 8ULL * 1'000'000'000ULL /
-                                         shared->params.bandwidth_bps);
-    }
-    auto start = std::max(now, shared->busy_until);
-    shared->busy_until = start + tx_time;
-    delay = (shared->busy_until + shared->params.latency) - now + fault.extra_delay;
+    // Corruption damages the payload, not the header: a corrupted
+    // destination would just look like loss, which the burst model already
+    // covers.
+    P9_ASSIGN_OR_RETURN(d, shared->medium.Transmit(kEtherHeaderSize + frame.payload.size(),
+                                                   &delivered.payload));
   }
-  auto deliver = [shared, frame = std::move(delivered)]() {
+  if (d.dropped) {
+    return Status::Ok();
+  }
+  MediumCore::Schedule(d, [shared, frame = std::move(delivered)]() {
     std::vector<RecvFn> receivers;
     {
       QLockGuard guard(shared->lock);
@@ -168,36 +140,30 @@ Status EtherSegment::Send(const EtherFrame& frame) {
         }
       }
       if (!receivers.empty()) {
-        shared->stats.frames_delivered.Inc();
-        shared->stats.bytes_delivered.Inc(kEtherHeaderSize + frame.payload.size());
+        shared->medium.stats.frames_delivered.Inc();
+        shared->medium.stats.bytes_delivered.Inc(kEtherHeaderSize + frame.payload.size());
       }
     }
     for (auto& recv : receivers) {
       recv(frame);
     }
-  };
-  if (duplicate) {
-    // The copy re-serializes behind the original, so it lands strictly later.
-    TimerWheel::Default().Schedule(delay + tx_time + std::chrono::microseconds(1),
-                                   deliver);
-  }
-  TimerWheel::Default().Schedule(delay, std::move(deliver));
+  });
   return Status::Ok();
 }
 
 const MediaStats& EtherSegment::stats() {
   QLockGuard guard(shared_->lock);
-  return shared_->stats;
+  return shared_->medium.stats;
 }
 
 const FaultStats& EtherSegment::fault_stats() {
   QLockGuard guard(shared_->lock);
-  return shared_->faults.stats();
+  return shared_->medium.faults.stats();
 }
 
 void EtherSegment::SetPartitioned(bool down) {
   QLockGuard guard(shared_->lock);
-  shared_->faults.SetDown(down);
+  shared_->medium.faults.SetDown(down);
 }
 
 size_t EtherSegment::station_count() {

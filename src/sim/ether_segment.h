@@ -16,7 +16,6 @@
 
 #include "src/base/bytes.h"
 #include "src/base/thread_annotations.h"
-#include "src/base/rand.h"
 #include "src/base/result.h"
 #include "src/sim/faults.h"
 #include "src/sim/medium.h"
@@ -80,11 +79,7 @@ class EtherSegment {
     // A leaf lock: held only across bookkeeping; delivery callbacks run
     // with it dropped.
     QLock lock{"sim.ether"};
-    LinkParams params GUARDED_BY(lock);
-    Rng rng GUARDED_BY(lock){1};
-    FaultInjector faults GUARDED_BY(lock);
-    TimerWheel::Clock::time_point busy_until GUARDED_BY(lock);
-    MediaStats stats;  // atomic counters; readable without the lock
+    MediumCore medium GUARDED_BY(lock);
     std::vector<Station> stations GUARDED_BY(lock);
     StationId next_id GUARDED_BY(lock) = 1;
     bool down GUARDED_BY(lock) = false;

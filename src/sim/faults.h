@@ -38,9 +38,8 @@ struct FaultProfile {
   // Gilbert–Elliott two-state burst model.  In the Good state frames drop
   // with probability loss_good; in the Bad state with loss_bad.  After each
   // frame the chain transitions Good->Bad with p_good_to_bad and Bad->Good
-  // with p_bad_to_good.  (loss_good=loss_bad reduces to uniform loss; the
-  // plain LinkParams::loss_rate remains as the legacy uniform knob and is
-  // applied independently.)
+  // with p_bad_to_good.  Uniform loss is loss_good alone: a chain that never
+  // enters Bad drops every frame with the same probability.
   double loss_good = 0.0;
   double loss_bad = 0.0;
   double p_good_to_bad = 0.0;

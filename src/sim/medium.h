@@ -1,18 +1,22 @@
-// Simulated-media parameters.
+// Simulated-media parameters, and the per-frame core every medium shares.
 //
 // Plan 9's networks span "a hierarchy of network speeds": 125 Mb/s Cyclone
 // fiber, 10 Mb/s Ethernet, Datakit circuits, ISDN and 9600-baud serial
 // lines.  Every simulated medium is configured with a LinkParams describing
-// bandwidth, propagation latency and loss.  Loss draws from a seeded Rng so
-// every experiment replays deterministically.
+// bandwidth, propagation latency and faults.  Faults draw from a seeded Rng
+// so every experiment replays deterministically.
 #ifndef SRC_SIM_MEDIUM_H_
 #define SRC_SIM_MEDIUM_H_
 
 #include <chrono>
 #include <cstdint>
+#include <utility>
 
+#include "src/base/bytes.h"
+#include "src/base/result.h"
 #include "src/obs/metrics.h"
 #include "src/sim/faults.h"
+#include "src/task/timers.h"
 
 namespace plan9 {
 
@@ -21,15 +25,13 @@ struct LinkParams {
   uint64_t bandwidth_bps = 0;
   // One-way propagation delay.
   std::chrono::microseconds latency{0};
-  // Probability each frame is silently dropped (legacy uniform knob; the
-  // FaultProfile below models everything richer).
-  double loss_rate = 0.0;
-  // Seed for the loss/jitter Rng.
+  // Seed for the fault injector's Rng.
   uint64_t seed = 1;
   // Maximum frame size; larger sends fail (media enforce their MTU).
   size_t mtu = 64 * 1024;
-  // Adversarial link behaviour: loss bursts, duplication, reordering, bit
-  // corruption, scripted partitions.  Driven by `seed`, so replays exactly.
+  // Link behaviour beyond the ideal: uniform loss (loss_good alone), loss
+  // bursts, duplication, reordering, bit corruption, scripted partitions.
+  // Driven by `seed`, so replays exactly.
   FaultProfile faults;
 
   static LinkParams Perfect() { return LinkParams{}; }
@@ -77,6 +79,46 @@ struct MediaStats {
   obs::Counter bytes_sent;
   obs::Counter bytes_delivered;
   obs::Counter send_errors;  // oversize etc.
+};
+
+// One serialized transmission path — a Wire direction, an Ethernet cable —
+// and the per-frame steps every medium shares: the MTU check, the counters,
+// the fault verdict, serialization behind the previous frame, the
+// propagation delay, and a duplicate's later slot.  Keeps no lock: the
+// medium calls it under its own.
+class MediumCore {
+ public:
+  // When to deliver a frame Transmit admitted.
+  struct Delivery {
+    bool dropped = false;
+    bool duplicate = false;
+    TimerWheel::Clock::duration delay{};
+    TimerWheel::Clock::duration duplicate_delay{};
+  };
+
+  void Configure(const LinkParams& params, uint64_t seed,
+                 TimerWheel::Clock::time_point now);
+
+  // Put one `frame_size`-byte frame on the medium.  The fault injector sees
+  // `damageable` (the part of the frame corruption may flip a bit in) and
+  // its size; an oversize frame fails.
+  Result<Delivery> Transmit(size_t frame_size, Bytes* damageable);
+
+  // Run `deliver` after the delivery delay, and again for a duplicate.
+  template <class F>
+  static void Schedule(const Delivery& d, F deliver) {
+    if (d.duplicate) {
+      TimerWheel::Default().Schedule(d.duplicate_delay, deliver);
+    }
+    TimerWheel::Default().Schedule(d.delay, std::move(deliver));
+  }
+
+  FaultInjector faults;
+  MediaStats stats;  // atomic counters; readable without the medium's lock
+
+ private:
+  LinkParams params_;
+  TimerWheel::Clock::time_point busy_until_{};
 };
 
 }  // namespace plan9

@@ -12,7 +12,6 @@
 
 #include "src/base/bytes.h"
 #include "src/base/thread_annotations.h"
-#include "src/base/rand.h"
 #include "src/base/result.h"
 #include "src/sim/faults.h"
 #include "src/sim/medium.h"
@@ -53,11 +52,7 @@ class Wire {
 
  private:
   struct Direction {
-    LinkParams params;
-    Rng rng;
-    FaultInjector faults;
-    TimerWheel::Clock::time_point busy_until;
-    MediaStats stats;  // atomic counters; readable without the lock
+    MediumCore medium;
     RecvFn recv;  // callback of the *receiving* end
   };
 

@@ -105,8 +105,8 @@ TEST(Udp, DatagramRoundTripPreservesBoundaries) {
 
 TEST(Udp, LossyNetworkDropsDatagrams) {
   TwoHosts net{LinkParams{.latency = std::chrono::microseconds(10),
-                          .loss_rate = 0.5,
-                          .seed = 42}};
+                          .seed = 42,
+                          .faults = {.loss_good = 0.5}}};
   UdpProto audp(&net.alice), budp(&net.bob);
   auto server = budp.Clone();
   ASSERT_TRUE((*server)->Ctl("announce 9").ok());
@@ -190,8 +190,8 @@ TEST_F(IlTest, PreservesMessageBoundaries) {
 TEST_F(IlTest, ReliableUnderLoss) {
   // 15% loss each way: IL must deliver everything, in order.
   Build(LinkParams{.latency = std::chrono::microseconds(20),
-                   .loss_rate = 0.15,
-                   .seed = 7});
+                   .seed = 7,
+                   .faults = {.loss_good = 0.15}});
   Dial();
   constexpr int kMessages = 60;
   std::thread sender([&] {
@@ -307,8 +307,8 @@ TEST_F(TcpTest, DoesNotPreserveDelimiters) {
 
 TEST_F(TcpTest, BulkTransferUnderLoss) {
   Build(LinkParams{.latency = std::chrono::microseconds(20),
-                   .loss_rate = 0.08,
-                   .seed = 3});
+                   .seed = 3,
+                   .faults = {.loss_good = 0.08}});
   Dial();
   constexpr size_t kTotal = 200 * 1024;
   std::thread sender([&] {

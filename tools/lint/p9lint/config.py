@@ -148,13 +148,18 @@ HOT_PATH_SAFE = {
     # copy per message the protocol design requires.
     "IlConv::EmitLocked",
     "TcpConv::EmitLocked",
-    "UdpConv::Output",
+    "UdpConv::SendMessage",
     "CycloneConv::SendMessage",
     "UrpCircuit::SendMessage",
     # 9P framing: WriteMsg length-prefixes the serialized message in place
     # (one memmove); ReadMsg assembles a frame from the byte stream.
     "FramedMsgTransport::WriteMsg",
     "FramedMsgTransport::ReadMsg",
+    # A deliberate cold sub-path: the hangup block is allocated once per
+    # conversation, when it ends, never per message.  Reachable from the
+    # protocols' input paths (peer close, reset) through the conversation
+    # core's DeliverHangup.
+    "Stream::Hangup",
     # Leak-singleton accessors: the `new` runs once per process, under the
     # first caller, never per message.
     "MetricsRegistry::Default",

@@ -60,6 +60,17 @@ class Program:
     lock_classes: Dict[Tuple[str, str], str] = field(default_factory=dict)
     # method qname -> bare return type (for a()->b() chains).
     return_types: Dict[str, str] = field(default_factory=dict)
+    # class -> direct bases, each with its template arguments' bare type
+    # names: ("IlProto") -> [("ConvTable", ["IlConv"]), ("ProtoFiles", [])].
+    bases: Dict[str, List[Tuple[str, List[str]]]] = field(default_factory=dict)
+    # class template -> its type parameter names: "ConvTable" -> ["C"].
+    template_params: Dict[str, List[str]] = field(default_factory=dict)
+    # class -> its constructors' parameter names (None when unnamed) and
+    # mem-initializers, each an initialized name with its argument token
+    # lists: `IlProto(IpStack* ip) : ConvTable("il.proto"), ip_(ip)`.
+    ctor_inits: Dict[str, List[Tuple[List[Optional[str]],
+                                     List[Tuple[str, List[List[Token]]]]]]] = \
+        field(default_factory=dict)
     # qname -> resolved callee qnames, unioned over EVERY body with that
     # qname (colliding anonymous-namespace classes included) — the graph
     # hot-path propagation walks.  Function.calls keeps only the first body.

@@ -8,6 +8,9 @@ much structure as the checks need:
   * member declarations (types, and QLock members with their class names);
   * function definitions/declarations, their trailing annotation macros
     (MAY_BLOCK, REQUIRES(...)), and their body token slices;
+  * base classes (with template arguments), class template parameters and
+    constructor mem-initializers, so a QLock declared unnamed in a shared
+    base resolves to the class name each derived constructor passes it;
   * within bodies: QLockGuard scopes (including mid-scope Unlock()/Lock()),
     local variable types for receiver resolution, and call sites with
     receiver chains (`a->b()`, `x.y()`, `A::B()`, chained `p()->q()`).
@@ -198,6 +201,8 @@ class _Parser:
         self.toks = toks
         self.i = 0
         self.n = len(toks)
+        # `template <class C>` just seen: the parameters of the next declaration.
+        self._tparams: List[str] = []
 
     # ---- helpers ---------------------------------------------------------
 
@@ -246,6 +251,8 @@ class _Parser:
         while self.i < self.n:
             t = self.toks[self.i]
             text = t.text
+            # Template parameters apply to the declaration right after them.
+            tparams, self._tparams = self._tparams, []
             if text == "}":
                 if not top:
                     self.i += 1
@@ -268,7 +275,7 @@ class _Parser:
                     self._skip_to(";")
                 continue
             if text in ("class", "struct"):
-                self._parse_class(out)
+                self._parse_class(out, tparams)
                 continue
             if text == "enum":
                 # enum [class] Name [: type] { ... };
@@ -283,7 +290,9 @@ class _Parser:
             if text == "template":
                 self.i += 1
                 if self._tok() and self._tok().text == "<":
+                    start = self.i
                     self._skip_template_args()
+                    self._tparams = _template_param_names(self.toks[start:self.i])
                 continue
             if text in ("using", "typedef", "static_assert", "extern"):
                 self._skip_to(";")
@@ -298,7 +307,7 @@ class _Parser:
                 continue
             self._parse_declaration(cls, out)
 
-    def _parse_class(self, out: List[RawFunction]) -> None:
+    def _parse_class(self, out: List[RawFunction], tparams: List[str]) -> None:
         self.i += 1  # past class/struct
         # Skip attributes like CAPABILITY("qlock") / SCOPED_CAPABILITY.
         name = None
@@ -327,11 +336,16 @@ class _Parser:
             self._skip_template_args()
         if self._tok() and self._tok().text == ":":
             # base clause
+            start = self.i + 1
             while self.i < self.n and self.toks[self.i].text != "{":
                 if self.toks[self.i].text == ";":
                     self.i += 1
                     return
                 self.i += 1
+            if name:
+                self.program.bases[name] = _base_clause(self.toks[start:self.i])
+        if name and tparams:
+            self.program.template_params[name] = tparams
         if self._tok() and self._tok().text == "{":
             self.i += 1
             self._parse_scope(name, out)
@@ -428,10 +442,11 @@ class _Parser:
         params = _parse_params(self.toks[head_end + 1 : params_end - 1])
         self.i = params_end
         self._paren_then_tail(cls, qual, name, start, record=True, head_start=start,
-                              name_line=self.toks[name_idx].line, params=params)
+                              name_line=self.toks[name_idx].line, params=params,
+                              ctor_params=self.toks[head_end + 1 : params_end - 1])
 
     def _paren_then_tail(self, cls, qual, name, start, record, head_start=0, name_line=0,
-                         params=None):
+                         params=None, ctor_params=None):
         """self.i just past the parameter ')': consume qualifiers + body/;."""
         may_block = False
         hot = False
@@ -490,23 +505,28 @@ class _Parser:
         elif t.text == "=":
             self._skip_to(";")  # = 0 / = default / = delete
         elif t.text == ":":
-            # ctor init list: skip entries (id(..) or id{..}) up to the body.
+            # ctor init list: entries (id(..) or id{..}) up to the body.
             self.i += 1
+            inits: List[Tuple[str, List[List[Token]]]] = []
             while self.i < self.n:
                 u = self.toks[self.i]
-                if u.text == "(":
-                    self.i = _match_forward(self.toks, self.i, "(", ")")
+                prev = self.toks[self.i - 1]
+                if u.text == "(" or (u.text == "{" and prev.kind == "id"):
+                    close = ")" if u.text == "(" else "}"
+                    end = _match_forward(self.toks, self.i, u.text, close)
+                    if prev.kind == "id":  # member(init) / Base(args)
+                        inits.append((prev.text, _split_args(self.toks[self.i + 1 : end - 1])))
+                    self.i = end
                 elif u.text == "{":
-                    prev = self.toks[self.i - 1]
-                    if prev.kind == "id":  # member{init}
-                        self.i = _match_forward(self.toks, self.i, "{", "}")
-                    else:
-                        break  # the body
+                    break  # the body
                 elif u.text == ";":
                     self.i += 1
                     return
                 else:
                     self.i += 1
+            if record and name is not None and name == qual:
+                self.program.ctor_inits.setdefault(qual, []).append(
+                    (_param_names(ctor_params or []), inits))
             if self.i < self.n and self.toks[self.i].text == "{":
                 end = _match_forward(self.toks, self.i, "{", "}")
                 body = self.toks[self.i + 1 : end - 1]
@@ -609,6 +629,51 @@ def _parse_params(toks: List[Token]) -> List[Tuple[Optional[str], str]]:
     return out
 
 
+def _split_args(toks: List[Token]) -> List[List[Token]]:
+    """Split an argument list at its top-level commas."""
+    groups: List[List[Token]] = [[]]
+    depth = 0
+    for t in toks:
+        if t.text in "([{<":
+            depth += 1
+        elif t.text in ")]}>":
+            depth -= 1
+        elif t.text == "," and depth == 0:
+            groups.append([])
+            continue
+        groups[-1].append(t)
+    return groups if toks else []
+
+
+def _param_names(toks: List[Token]) -> List[Optional[str]]:
+    """Positional parameter names; None for an unnamed parameter."""
+    out: List[Optional[str]] = []
+    for g in _split_args(toks):
+        ids = [t.text for t in g if t.kind == "id" and t.text not in _DECL_QUALIFIERS]
+        out.append(ids[-1] if len(ids) >= 2 else None)
+    return out
+
+
+def _template_param_names(toks: List[Token]) -> List[str]:
+    """`< class C , typename T >` -> ["C", "T"]."""
+    return [toks[k + 1].text for k, t in enumerate(toks[:-1])
+            if t.text in ("class", "typename") and toks[k + 1].kind == "id"]
+
+
+def _base_clause(toks: List[Token]) -> List[Tuple[str, List[str]]]:
+    """`public A<B>, private C` -> [("A", ["B"]), ("C", [])]."""
+    out: List[Tuple[str, List[str]]] = []
+    for g in _split_args(toks):
+        lt = next((k for k, t in enumerate(g) if t.text == "<"), len(g))
+        ids = [t.text for t in g[:lt] if t.kind == "id"
+               and t.text not in ("public", "private", "protected", "virtual")]
+        if not ids:
+            continue
+        args = [_bare_type(a) for a in _split_args(g[lt + 1 : -1])] if lt < len(g) else []
+        out.append((ids[-1], [a for a in args if a]))
+    return out
+
+
 def _bare_type(toks: List[Token], stop_at: Optional[str] = None) -> Optional[str]:
     """Best-effort bare type name from a declaration head.
 
@@ -659,11 +724,42 @@ def parse_file(program: Program, path: str, text: str) -> FileIndex:
 _CAST_NAMES = {"static_cast", "dynamic_cast", "reinterpret_cast", "const_cast"}
 
 
+def _ancestry(program: Program, cls: str) -> List[str]:
+    """cls, then its bases transitively, nearest first."""
+    out: List[str] = []
+    queue = [cls]
+    while queue:
+        c = queue.pop(0)
+        if c not in out:
+            out.append(c)
+            queue.extend(b for b, _args in program.bases.get(c, ()))
+    return out
+
+
+def _lookup(program: Program, table: Dict[Tuple[str, str], str], cls: Optional[str],
+            member: str) -> Optional[str]:
+    """table[(cls, member)], or the nearest base's entry for an inherited member."""
+    if cls is None:
+        return None
+    for c in _ancestry(program, cls):
+        if (c, member) in table:
+            return table[(c, member)]
+    return None
+
+
+def _find_method(program: Program, cls: str, name: str) -> Optional[str]:
+    for c in _ancestry(program, cls):
+        if f"{c}::{name}" in program.functions:
+            return f"{c}::{name}"
+    return None
+
+
 def _resolve_lock_class(program: Program, cls: Optional[str], expr: str) -> Optional[str]:
     """Map a lock expression to its declared class name.
 
     `lock_` -> lock_classes[(cls, "lock_")]; `c->lock_` with c of type T ->
-    lock_classes[(T, "lock_")].  Returns None when unknown, "" for unnamed.
+    lock_classes[(T, "lock_")], inherited members included.  Returns None
+    when unknown, "" for unnamed.
     """
     expr = expr.strip()
     if "->" in expr or "." in expr:
@@ -671,17 +767,53 @@ def _resolve_lock_class(program: Program, cls: Optional[str], expr: str) -> Opti
         if not recv:
             recv, _, member = expr.rpartition(".")
         recv = recv.split("->")[-1].split(".")[-1].strip("()*& ")
-        rt = None
-        if cls is not None:
-            rt = program.member_types.get((cls, recv))
+        rt = _lookup(program, program.member_types, cls, recv)
         if rt is None:
             rt = _LOCAL_TYPES.get(recv)
-        if rt:
-            return program.lock_classes.get((rt, member))
-        return None
-    if cls is not None:
-        return program.lock_classes.get((cls, expr))
-    return None
+        return _lookup(program, program.lock_classes, rt, member)
+    return _lookup(program, program.lock_classes, cls, expr)
+
+
+def _bind_lock_classes(program: Program) -> None:
+    """Name the QLocks a shared base declares unnamed.
+
+    A base constructs its lock from a constructor parameter
+    (`ConvCore(..., const char* lock_class, ...) : lock_(lock_class)`), and
+    each derived class passes the name, directly or through intermediate
+    bases (`IlConv(...) : IpConv(..., "il.conv", ...)`).  Records the name
+    as lock_classes[(derived, member)].
+    """
+    param_of: Dict[Tuple[str, str], int] = {}  # (class, lock) -> ctor arg index
+
+    def is_lock(c: str, member: str) -> bool:
+        return program.member_types.get((c, member)) == "QLock"
+
+    changed = True
+    while changed:
+        changed = False
+        for cls, ctors in program.ctor_inits.items():
+            bases = {b for b, _args in program.bases.get(cls, ())}
+            for params, inits in ctors:
+                for name, args in inits:
+                    sources = []  # (lock member, the argument naming it)
+                    if is_lock(cls, name) and len(args) == 1:
+                        sources.append((name, args[0]))
+                    elif name in bases:
+                        sources += [(m, args[k]) for (b, m), k in param_of.items()
+                                    if b == name and k < len(args)]
+                    for member, arg in sources:
+                        if len(arg) != 1:
+                            continue
+                        key = (cls, member)
+                        if arg[0].kind == "str" and name in bases:
+                            if program.lock_classes.get(key) != arg[0].text:
+                                program.lock_classes[key] = arg[0].text
+                                changed = True
+                        elif arg[0].kind == "id" and arg[0].text in params:
+                            k = params.index(arg[0].text)
+                            if param_of.get(key) != k:
+                                param_of[key] = k
+                                changed = True
 
 
 _LOCAL_TYPES: Dict[str, str] = {}
@@ -701,6 +833,15 @@ def analyze(program: Program, files: List[FileIndex]) -> None:
                           requires=list(raw.requires), has_body=raw.has_body)
             program.merge_function(fn)
             pending.append(raw)
+    _bind_lock_classes(program)
+    instances = _instances(program, pending)
+    for inst_cls, _subst, raw in instances:
+        name = raw.qname.rpartition("::")[2]
+        program.merge_function(Function(
+            qname=f"{inst_cls}::{name}", file=raw.file, line=raw.line,
+            may_block_declared=program.functions[raw.qname].may_block_declared,
+            requires=list(raw.requires), has_body=True))
+    instantiated = {raw.cls for _c, _s, raw in instances}
     analyzed: set = set()
     for raw in pending:
         if not raw.has_body:
@@ -720,18 +861,90 @@ def analyze(program: Program, files: List[FileIndex]) -> None:
         analyzed.add(raw.qname)
         fn = program.functions[raw.qname]
         _analyze_body(program, raw, fn)
+        if raw.cls in instantiated and _unnamed_lock(program, raw.cls):
+            # Its locks have classes only in a derived class: the instances
+            # below carry this body's acquisitions, resolved.
+            fn.acquisitions = []
         edges = program.all_calls.setdefault(raw.qname, set())
         edges.update(c.callee for c in fn.calls if c.callee)
+    for inst_cls, subst, raw in instances:
+        qname = f"{inst_cls}::{raw.qname.rpartition('::')[2]}"
+        fn = program.functions[qname]
+        _analyze_body(program, raw, fn, cls=inst_cls, subst=subst)
+        program.all_calls.setdefault(qname, set()).update(
+            c.callee for c in fn.calls if c.callee)
 
 
-def _analyze_body(program: Program, raw: RawFunction, fn: Function) -> None:
-    toks = raw.body
+def _unnamed_lock(program: Program, cls: str) -> bool:
+    """Whether some lock of cls, declared or inherited, has no class name as
+    seen from cls: an abstract layer of shared code."""
+    ancestry = _ancestry(program, cls)
+    return any(_lookup(program, program.lock_classes, cls, m) == ""
+               for (c, m) in program.lock_classes if c in ancestry)
+
+
+def _instances(program: Program, raws: List[RawFunction]):
+    """Bodies a class inherits from a lock-bearing base, to be analyzed again
+    in the derived class: (derived, template substitution, base body).
+
+    Shared code such as the conversation core takes its lock classes and
+    element types from the protocol that derives from it; analyzed in each
+    protocol, its acquisitions resolve to that protocol's classes.
+    """
+    bodies: Dict[str, Dict[str, RawFunction]] = {}
+    declared: Dict[str, set] = {}
+    for raw in raws:
+        if raw.cls is None:
+            continue
+        name = raw.qname.rpartition("::")[2]
+        declared.setdefault(raw.cls, set()).add(name)
+        if raw.has_body and name not in (raw.cls, "~" + raw.cls):
+            bodies.setdefault(raw.cls, {}).setdefault(name, raw)
+    locked = {c for (c, _m) in program.lock_classes}
+    out = []
+    for cls in program.bases:
+        if _unnamed_lock(program, cls):
+            continue  # abstract: its own derived classes get the instances
+        seen = set(declared.get(cls, ()))
+        for base, subst in _bases_with_args(program, cls):
+            if any(c in locked for c in _ancestry(program, base)):
+                out += [(cls, subst, raw) for name, raw in bodies.get(base, {}).items()
+                        if name not in seen]
+            seen |= declared.get(base, set())
+    return out
+
+
+def _bases_with_args(program: Program, cls: str) -> List[Tuple[str, Dict[str, str]]]:
+    """cls's transitive bases, nearest first, each with the types its template
+    parameters stand for here: IlProto -> [("ConvTable", {"C": "IlConv"}), ...]."""
+    out: List[Tuple[str, Dict[str, str]]] = []
+    queue: List[Tuple[str, Dict[str, str]]] = [(cls, {})]
+    seen = {cls}
+    while queue:
+        c, subst = queue.pop(0)
+        for b, args in program.bases.get(c, ()):
+            if b not in seen:
+                seen.add(b)
+                b_subst = dict(zip(program.template_params.get(b, []),
+                                   [subst.get(a, a) for a in args]))
+                out.append((b, b_subst))
+                queue.append((b, b_subst))
+    return out
+
+
+def _analyze_body(program: Program, raw: RawFunction, fn: Function,
+                  cls: Optional[str] = None, subst: Optional[Dict[str, str]] = None) -> None:
+    """Calls and acquisitions of raw's body, seen from class `cls` (raw's own
+    by default) with template parameters replaced per `subst`."""
+    subst = subst or {}
+    toks = [Token(t.kind, subst[t.text], t.line) if t.kind == "id" and t.text in subst
+            else t for t in raw.body]
     n = len(toks)
-    cls = raw.cls
+    cls = cls or raw.cls
     locals_types: Dict[str, str] = {}
     for ptype, pname in raw.params:
         if ptype:
-            locals_types[pname] = ptype
+            locals_types[pname] = subst.get(ptype, ptype)
     global _LOCAL_TYPES
     _LOCAL_TYPES = locals_types
 
@@ -752,6 +965,7 @@ def _analyze_body(program: Program, raw: RawFunction, fn: Function) -> None:
     i = 0
     known_types = {t for t in program.member_types.values()}
     known_types.update(c for (c, _m) in program.member_types.keys())
+    known_types.update(program.bases)
 
     while i < n:
         t = toks[i]
@@ -868,19 +1082,18 @@ def _resolve_call(program: Program, cls: Optional[str],
             recv = prev.text
             # receiver chain like a.b.c( — use the last link's type only.
             rt = locals_types.get(recv)
-            if rt is None and cls is not None:
-                rt = program.member_types.get((cls, recv))
+            if rt is None:
+                rt = _lookup(program, program.member_types, cls, recv)
             if rt is None and i >= 4 and toks[i - 3].text in ("->", ".") \
                     and toks[i - 4].kind == "id":
                 # x->member.Method( : member's type within x's class
                 outer = toks[i - 4].text
                 ot = locals_types.get(outer)
-                if ot is None and cls is not None:
-                    ot = program.member_types.get((cls, outer))
-                if ot is not None:
-                    rt = program.member_types.get((ot, recv))
+                if ot is None:
+                    ot = _lookup(program, program.member_types, cls, outer)
+                rt = _lookup(program, program.member_types, ot, recv)
             if rt:
-                return exists(f"{rt}::{name}") or f"{rt}::{name}"
+                return _find_method(program, rt, name) or f"{rt}::{name}"
             return None
         if prev.text == ")":
             # chained: f(...)->Method( — find f, use its return type.
@@ -900,10 +1113,10 @@ def _resolve_call(program: Program, cls: Optional[str],
                 if inner:
                     rt = program.return_types.get(inner)
                     if rt:
-                        return exists(f"{rt}::{name}") or f"{rt}::{name}"
+                        return _find_method(program, rt, name) or f"{rt}::{name}"
             return None
         return None
-    # Bare call: method of the enclosing class, else free function.
-    if cls is not None and exists(f"{cls}::{name}"):
-        return f"{cls}::{name}"
+    # Bare call: method of the enclosing class or a base, else free function.
+    if cls is not None and _find_method(program, cls, name):
+        return _find_method(program, cls, name)
     return exists(name) or name

@@ -68,6 +68,29 @@ class LockOrder(unittest.TestCase):
         ])
 
 
+    def test_through_shared_core(self):
+        # The classes exist only where a protocol derives from the core: the
+        # core's bodies are checked once per protocol, resolved.
+        keys = lint("bad_lock_order_core.cc")
+        self.assertEqual(keys, [
+            "lock-order|bad_lock_order_core.cc|IlProto::BadDrain"
+            "|acquire=il.proto;held=il.conv",
+        ])
+
+    def test_shared_core_resolves_every_acquisition(self):
+        program = Program()
+        path = os.path.join(FIXTURES, "bad_lock_order_core.cc")
+        with open(path) as f:
+            idx = textparse.parse_file(program, "f.cc", f.read())
+        textparse.analyze(program, [idx])
+        seen = {(q, a.cls) for q, fn in program.functions.items()
+                for a in fn.acquisitions}
+        self.assertIn(("IlConv::Use", "il.conv"), seen)
+        self.assertIn(("IlProto::GoodScan", "il.conv"), seen)
+        self.assertNotIn(None, {cls for _q, cls in seen})
+        self.assertNotIn("", {cls for _q, cls in seen})
+
+
 class FdGuard(unittest.TestCase):
     def test_bad(self):
         keys = lint("bad_fd_guard.cc")

@@ -4,7 +4,8 @@
 #        related"
 #   §3: "The entire protocol is 847 lines of code, compared to 2200 lines
 #        for TCP."
-# Counts non-blank, non-pure-comment lines of .h/.cc under src/.
+# Counts non-blank, non-pure-comment lines of .h/.cc under src/.  Exits 1
+# when IL outgrows the paper's 847 lines.
 cd "$(dirname "$0")/.." || exit 1
 
 count() {
@@ -33,3 +34,7 @@ echo "IL:  $il lines   (paper:  847)"
 echo "TCP: $tcp lines   (paper: 2200)"
 awk -v il="$il" -v tcp="$tcp" 'BEGIN{printf "TCP/IL ratio: %.2f (paper: 2.60)\n", tcp/il}'
 echo "UDP: $udp lines"
+if [ "$il" -gt 847 ]; then
+  echo "loc.sh: IL is $il lines, over the paper's 847" >&2
+  exit 1
+fi
