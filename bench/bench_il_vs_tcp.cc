@@ -10,7 +10,7 @@
 //     printed by tools/loc.sh and recorded in EXPERIMENTS.md.
 #include <chrono>
 #include <cstdio>
-#include <fstream>
+#include <sstream>
 #include <string>
 #include <thread>
 
@@ -155,25 +155,15 @@ double ThroughputMBs(Conn& c, size_t msg, size_t total) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  bool json = false;
-  std::string json_path = "BENCH_il_vs_tcp.json";
+  auto flags = benchutil::ParseBenchFlags(argc, argv, "il_vs_tcp");
   double gate_trace_overhead = -1;
-  for (int i = 1; i < argc; i++) {
-    std::string arg = argv[i];
-    if (arg == "--quick") {
-      quick = true;
-    } else if (arg == "--json") {
-      json = true;
-    } else if (arg.rfind("--json=", 0) == 0) {
-      json = true;
-      json_path = arg.substr(7);
-    } else if (arg.rfind("--gate-trace-overhead=", 0) == 0) {
+  for (const auto& arg : flags.rest) {
+    if (arg.rfind("--gate-trace-overhead=", 0) == 0) {
       gate_trace_overhead = std::atof(arg.c_str() + 22);
     }
   }
-  int rounds = quick ? 100 : 400;
-  size_t total = (quick ? 1 : 4) * 512 * 1024;
+  int rounds = flags.quick ? 100 : 400;
+  size_t total = (flags.quick ? 1 : 4) * 512 * 1024;
 
   World w;
   std::printf("9P-transport comparison on a 10 Mb/s Ethernet (§3)\n\n");
@@ -213,20 +203,18 @@ int main(int argc, char** argv) {
       "%.2f MB/s (%.2f%%)\n",
       il_tput_off, il_tput_sampled, overhead_pct);
 
-  if (json) {
-    std::ofstream out(json_path);
-    out << "{\"suite\": \"il_vs_tcp\",\n\"results\": [\n";
+  if (flags.json) {
+    std::ostringstream body;
+    body << "\"results\": [\n";
     for (int i = 0; i < 2; i++) {
-      out << "  {\"proto\": \"" << protos[i] << "\", \"rpc_latency_us\": "
-          << lat_us[i] << ", \"throughput_mbs\": " << tput_mbs[i] << "}"
-          << (i == 0 ? ",\n" : "\n");
+      body << "  {\"proto\": \"" << protos[i] << "\", \"rpc_latency_us\": "
+           << lat_us[i] << ", \"throughput_mbs\": " << tput_mbs[i] << "}"
+           << (i == 0 ? ",\n" : "\n");
     }
-    out << "],\n\"trace_overhead\": {\"il_tput_off\": " << il_tput_off
-        << ", \"il_tput_sampled\": " << il_tput_sampled
-        << ", \"overhead_pct\": " << overhead_pct << "},\n\"block_audit\": "
-        << benchutil::RenderBlockAudit() << ",\n\"registry\": "
-        << obs::MetricsRegistry::Default().RenderJson() << "}\n";
-    std::fprintf(stderr, "wrote %s\n", json_path.c_str());
+    body << "],\n\"trace_overhead\": {\"il_tput_off\": " << il_tput_off
+         << ", \"il_tput_sampled\": " << il_tput_sampled
+         << ", \"overhead_pct\": " << overhead_pct << "}";
+    benchutil::WriteBenchJson(flags, "il_vs_tcp", body.str());
   }
   if (gate_trace_overhead >= 0 && overhead_pct > gate_trace_overhead) {
     std::fprintf(stderr,

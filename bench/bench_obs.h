@@ -1,14 +1,15 @@
-// Shared main() for google-benchmark suites, adding two flags:
+// The flags and JSON report every bench shares:
 //
 //   --quick        short run (min_time 0.05s) for CI smoke jobs
 //   --json[=path]  after the run, write BENCH_<name>.json (or `path`)
-//                  containing the google-benchmark JSON report plus a
-//                  snapshot of the metrics registry, starting the
-//                  BENCH_*.json trajectory the CI bench-smoke job uploads
+//                  containing the suite's results plus a snapshot of the
+//                  metrics registry, starting the BENCH_*.json trajectory
+//                  the CI bench-smoke job uploads
 //
-// Use P9_BENCHMARK_MAIN("name") in place of BENCHMARK_MAIN().  The
-// container's benchmark library predates the "0.2s" suffix syntax, so
-// min_time is always passed as a bare double.
+// google-benchmark suites use P9_BENCHMARK_MAIN("name") in place of
+// BENCHMARK_MAIN(); hand-timed suites call ParseBenchFlags and
+// WriteBenchJson themselves.  The benchmark library here predates the
+// "0.2s" suffix syntax, so min_time is always passed as a bare double.
 #ifndef BENCH_BENCH_OBS_H_
 #define BENCH_BENCH_OBS_H_
 
@@ -53,31 +54,53 @@ inline std::string RenderBlockAudit() {
   return out.str();
 }
 
-inline int RunWithObs(int argc, char** argv, const char* name) {
+struct BenchFlags {
   bool quick = false;
   bool json = false;
-  std::string json_path = std::string("BENCH_") + name + ".json";
-  // Rebuild argv without our flags; google benchmark rejects unknown ones.
-  std::vector<std::string> args;
-  args.emplace_back(argv[0]);
+  std::string json_path;
+  std::vector<std::string> rest;  // argv[0] and every flag not ours
+};
+
+inline BenchFlags ParseBenchFlags(int argc, char** argv, const char* name) {
+  BenchFlags flags;
+  flags.json_path = std::string("BENCH_") + name + ".json";
+  flags.rest.emplace_back(argv[0]);
   for (int i = 1; i < argc; i++) {
     std::string arg = argv[i];
     if (arg == "--quick") {
-      quick = true;
+      flags.quick = true;
     } else if (arg == "--json") {
-      json = true;
+      flags.json = true;
     } else if (arg.rfind("--json=", 0) == 0) {
-      json = true;
-      json_path = arg.substr(7);
+      flags.json = true;
+      flags.json_path = arg.substr(7);
     } else {
-      args.push_back(std::move(arg));
+      flags.rest.push_back(std::move(arg));
     }
   }
-  if (quick) {
+  return flags;
+}
+
+// Writes {"suite": name, <body>, "block_audit": ..., "registry": ...} to
+// the --json path; `body` holds the suite's own "key": value members.
+inline void WriteBenchJson(const BenchFlags& flags, const char* name,
+                           const std::string& body) {
+  std::ofstream out(flags.json_path);
+  out << "{\"suite\": \"" << name << "\",\n"
+      << body << ",\n\"block_audit\": " << RenderBlockAudit()
+      << ",\n\"registry\": " << obs::MetricsRegistry::Default().RenderJson() << "}\n";
+  std::fprintf(stderr, "wrote %s\n", flags.json_path.c_str());
+}
+
+inline int RunWithObs(int argc, char** argv, const char* name) {
+  BenchFlags flags = ParseBenchFlags(argc, argv, name);
+  // google benchmark rejects unknown flags, so it sees only the rest.
+  std::vector<std::string> args = flags.rest;
+  if (flags.quick) {
     args.emplace_back("--benchmark_min_time=0.05");
   }
-  std::string report_path = json_path + ".gbench";
-  if (json) {
+  std::string report_path = flags.json_path + ".gbench";
+  if (flags.json) {
     args.emplace_back("--benchmark_out=" + report_path);
     args.emplace_back("--benchmark_out_format=json");
   }
@@ -88,18 +111,14 @@ inline int RunWithObs(int argc, char** argv, const char* name) {
   int cargc = static_cast<int>(cargs.size());
   benchmark::Initialize(&cargc, cargs.data());
   benchmark::RunSpecifiedBenchmarks();
-  if (json) {
+  if (flags.json) {
     std::ifstream in(report_path);
     std::stringstream report;
     report << in.rdbuf();
-    std::ofstream out(json_path);
-    out << "{\"suite\": \"" << name << "\",\n\"google_benchmark\": "
-        << (report.str().empty() ? "null" : report.str())
-        << ",\n\"block_audit\": " << RenderBlockAudit()
-        << ",\n\"registry\": " << obs::MetricsRegistry::Default().RenderJson()
-        << "}\n";
+    WriteBenchJson(flags, name,
+                   "\"google_benchmark\": " +
+                       (report.str().empty() ? std::string("null") : report.str()));
     std::remove(report_path.c_str());
-    std::fprintf(stderr, "wrote %s\n", json_path.c_str());
   }
   return 0;
 }

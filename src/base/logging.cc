@@ -18,8 +18,7 @@ std::atomic<int> g_level{[] {
   return env != nullptr ? std::atoi(env) : 0;
 }()};
 
-std::mutex g_log_mutex;
-std::string g_node;  // guarded by g_log_mutex
+std::mutex g_log_mutex;  // one fwrite per line
 
 const std::chrono::steady_clock::time_point g_log_epoch =
     std::chrono::steady_clock::now();
@@ -48,24 +47,10 @@ bool LogEnabled(LogLevel level) {
   return static_cast<int>(level) <= g_level.load(std::memory_order_relaxed);
 }
 
-void SetLogNode(const std::string& name) {
-  std::lock_guard<std::mutex> lock(g_log_mutex);
-  g_node = name;
-}
-
 void LogLine(LogLevel level, const std::string& line) {
   auto us = std::chrono::duration_cast<std::chrono::microseconds>(
       std::chrono::steady_clock::now() - g_log_epoch);
-  std::string who;
-  {
-    std::lock_guard<std::mutex> lock(g_log_mutex);
-    who = g_node;
-  }
-  if (who.empty()) {
-    who = Kproc::CurrentName();
-  } else {
-    who += "/" + Kproc::CurrentName();
-  }
+  std::string who = Kproc::CurrentName();
   // The flight-recorder hook must not recurse: recording takes a QLock whose
   // diagnostics may themselves log.
   thread_local bool in_log_hook = false;

@@ -14,12 +14,7 @@ void SetLogLevel(LogLevel level);
 LogLevel GetLogLevel();
 bool LogEnabled(LogLevel level);
 
-// Node label prefixed to every line ("helix" -> "[helix/ether0.read]").
-// Empty (the default) prefixes just the kproc name.  One node per process in
-// deployment; simulations hosting several nodes leave this as the world name.
-void SetLogNode(const std::string& name);
-
-// Emits "[sec.usec] [L] [node/kproc] line".  The line is composed into one
+// Emits "[sec.usec] [L] [kproc] line".  The line is composed into one
 // buffer and written with a single call under a mutex, so concurrent writers
 // never interleave mid-line; the timestamp is monotonic (steady clock since
 // process start).  When kLog tracing is enabled the line is also recorded in

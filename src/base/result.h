@@ -50,8 +50,6 @@ class Error {
   std::string message_;
 };
 
-inline Error Errorf(std::string message) { return Error(std::move(message)); }
-
 // Result<T>: either a T or an Error.  Use Result<void> (below) for
 // operations that produce no value.
 template <typename T>

@@ -81,10 +81,6 @@ bool HasPrefix(std::string_view s, std::string_view prefix) {
   return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
 }
 
-bool HasSuffix(std::string_view s, std::string_view suffix) {
-  return s.size() >= suffix.size() && s.substr(s.size() - suffix.size()) == suffix;
-}
-
 std::optional<uint64_t> ParseU64(std::string_view s) {
   if (s.empty()) {
     return std::nullopt;

@@ -28,7 +28,6 @@ std::vector<std::string> Tokenize(std::string_view s);
 std::string_view TrimSpace(std::string_view s);
 
 bool HasPrefix(std::string_view s, std::string_view prefix);
-bool HasSuffix(std::string_view s, std::string_view suffix);
 
 // Parse an unsigned/signed decimal number; nullopt on any trailing garbage.
 std::optional<uint64_t> ParseU64(std::string_view s);

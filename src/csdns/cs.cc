@@ -4,7 +4,6 @@
 
 #include "src/base/strings.h"
 #include "src/obs/span.h"
-#include "src/task/qlock.h"
 
 namespace plan9 {
 
@@ -161,108 +160,9 @@ Result<std::vector<std::string>> CsTranslator::TranslateAnnounce(
   return lines;
 }
 
-namespace {
-
-// The /net/cs file: write a query; each read returns one translation line;
-// a read at offset 0 restarts.
-class CsFileVnode : public Vnode {
- public:
-  explicit CsFileVnode(std::shared_ptr<CsTranslator> translator)
-      : translator_(std::move(translator)) {}
-
-  Qid qid() override { return Qid{0xc5, 0}; }
-
-  Result<Dir> Stat() override {
-    Dir d;
-    d.name = "cs";
-    d.qid = qid();
-    d.mode = 0666;
-    d.type = 'x';
-    return d;
-  }
-
-  Result<std::shared_ptr<Vnode>> Walk(const std::string& name) override {
-    return Error(kErrNotDir);
-  }
-
-  Result<Bytes> Read(uint64_t offset, uint32_t count) override {
-    QLockGuard guard(lock_);
-    if (offset == 0) {
-      next_ = 0;
-    }
-    if (!error_.empty()) {
-      return Error(error_);
-    }
-    if (next_ >= lines_.size()) {
-      return Bytes{};
-    }
-    return ToBytes(lines_[next_++]);
-  }
-
-  Result<uint32_t> Write(uint64_t offset, const Bytes& data) override {
-    auto result = translator_->Query(ToString(data));
-    QLockGuard guard(lock_);
-    next_ = 0;
-    lines_.clear();
-    error_.clear();
-    if (!result.ok()) {
-      error_ = result.error().message();
-      return Error(error_);
-    }
-    lines_ = result.take();
-    return static_cast<uint32_t>(data.size());
-  }
-
- private:
-  std::shared_ptr<CsTranslator> translator_;
-  QLock lock_{"cs.file"};
-  std::vector<std::string> lines_ GUARDED_BY(lock_);
-  size_t next_ GUARDED_BY(lock_) = 0;
-  std::string error_ GUARDED_BY(lock_);
-};
-
-class CsRootVnode : public Vnode, public std::enable_shared_from_this<CsRootVnode> {
- public:
-  explicit CsRootVnode(std::shared_ptr<CsTranslator> translator)
-      : translator_(std::move(translator)) {}
-
-  Qid qid() override { return Qid{0xc0 | kQidDirBit, 0}; }
-
-  Result<Dir> Stat() override {
-    Dir d;
-    d.name = "cs";
-    d.qid = qid();
-    d.mode = kDmDir | 0555;
-    return d;
-  }
-
-  Result<std::shared_ptr<Vnode>> Walk(const std::string& name) override {
-    if (name == "." || name == "..") {
-      return std::shared_ptr<Vnode>(shared_from_this());
-    }
-    if (name == "cs") {
-      return std::shared_ptr<Vnode>(std::make_shared<CsFileVnode>(translator_));
-    }
-    return Error(kErrNotExist);
-  }
-
-  Result<Bytes> Read(uint64_t offset, uint32_t count) override {
-    std::vector<Dir> entries(1);
-    entries[0].name = "cs";
-    entries[0].qid = Qid{0xc5, 0};
-    entries[0].mode = 0666;
-    return PackDirEntries(entries, offset, count);
-  }
-
- private:
-  std::shared_ptr<CsTranslator> translator_;
-};
-
-}  // namespace
-
-Result<std::shared_ptr<Vnode>> CsVfs::Attach(const std::string& uname,
-                                             const std::string& aname) {
-  return std::shared_ptr<Vnode>(std::make_shared<CsRootVnode>(translator_));
-}
+CsVfs::CsVfs(CsConfig config)
+    : QueryVfs("cs", 0xc0, 0xc5,
+               [cs = std::make_shared<CsTranslator>(std::move(config))](
+                   const std::string& query) { return cs->Query(query); }) {}
 
 }  // namespace plan9

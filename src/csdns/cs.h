@@ -21,9 +21,9 @@
 #include <vector>
 
 #include "src/csdns/dns.h"
+#include "src/csdns/queryfs.h"
 #include "src/inet/ipaddr.h"
 #include "src/ndb/ndb.h"
-#include "src/ninep/server.h"
 
 namespace plan9 {
 
@@ -68,19 +68,10 @@ class CsTranslator {
   CsConfig config_;
 };
 
-// /net/cs as a one-file tree to union-mount onto /net.
-class CsVfs : public Vfs {
+// /net/cs: the query file answered by a CsTranslator.
+class CsVfs : public QueryVfs {
  public:
-  explicit CsVfs(CsConfig config)
-      : translator_(std::make_shared<CsTranslator>(std::move(config))) {}
-
-  Result<std::shared_ptr<Vnode>> Attach(const std::string& uname,
-                                        const std::string& aname) override;
-
-  const CsTranslator* translator() const { return translator_.get(); }
-
- private:
-  std::shared_ptr<CsTranslator> translator_;
+  explicit CsVfs(CsConfig config);
 };
 
 }  // namespace plan9

@@ -1,9 +1,8 @@
 #include "src/csdns/dns.h"
 
-#include "src/base/logging.h"
 #include "src/base/strings.h"
 #include "src/dial/dial.h"
-#include "src/svc/service.h"
+#include "src/svc/listen.h"
 
 namespace plan9 {
 namespace {
@@ -79,160 +78,47 @@ Result<std::vector<std::string>> DnsResolver::AskUpstream(const std::string& dom
   return values;
 }
 
-namespace {
-
-// The /net/dns file.  Write a query, then read record lines one per read;
-// a read at offset 0 (re)starts the enumeration.
-class DnsFileVnode : public Vnode {
- public:
-  explicit DnsFileVnode(DnsResolver* resolver) : resolver_(resolver) {}
-
-  Qid qid() override { return Qid{0x0d2f, 0}; }
-
-  Result<Dir> Stat() override {
-    Dir d;
-    d.name = "dns";
-    d.qid = qid();
-    d.mode = 0666;
-    d.type = 'x';
-    return d;
-  }
-
-  Result<std::shared_ptr<Vnode>> Walk(const std::string& name) override {
-    return Error(kErrNotDir);
-  }
-
-  Result<Bytes> Read(uint64_t offset, uint32_t count) override {
-    QLockGuard guard(lock_);
-    if (offset == 0) {
-      next_ = 0;
-    }
-    if (!error_.empty()) {
-      return Error(error_);
-    }
-    if (next_ >= lines_.size()) {
-      return Bytes{};
-    }
-    return ToBytes(lines_[next_++]);
-  }
-
-  Result<uint32_t> Write(uint64_t offset, const Bytes& data) override {
-    auto fields = Tokenize(ToString(data));
-    if (fields.empty()) {
-      return Error("dns: empty query");
-    }
-    std::string domain = fields[0];
-    std::string type = fields.size() >= 2 ? fields[1] : "ip";
-    auto values = resolver_->Resolve(domain, type);
-    QLockGuard guard(lock_);
-    lines_.clear();
-    next_ = 0;
-    error_.clear();
-    if (!values.ok()) {
-      error_ = values.error().message();
-      return Error(error_);
-    }
-    for (auto& v : *values) {
-      lines_.push_back(domain + " " + type + " " + v);
-    }
-    return static_cast<uint32_t>(data.size());
-  }
-
- private:
-  DnsResolver* resolver_;
-  QLock lock_{"dns.file"};
-  std::vector<std::string> lines_ GUARDED_BY(lock_);
-  size_t next_ GUARDED_BY(lock_) = 0;
-  std::string error_ GUARDED_BY(lock_);
-};
-
-class DnsRootVnode : public Vnode, public std::enable_shared_from_this<DnsRootVnode> {
- public:
-  explicit DnsRootVnode(DnsResolver* resolver) : resolver_(resolver) {}
-
-  Qid qid() override { return Qid{0x0d00 | kQidDirBit, 0}; }
-
-  Result<Dir> Stat() override {
-    Dir d;
-    d.name = "dns";
-    d.qid = qid();
-    d.mode = kDmDir | 0555;
-    return d;
-  }
-
-  Result<std::shared_ptr<Vnode>> Walk(const std::string& name) override {
-    if (name == "." || name == "..") {
-      return std::shared_ptr<Vnode>(shared_from_this());
-    }
-    if (name == "dns") {
-      return std::shared_ptr<Vnode>(std::make_shared<DnsFileVnode>(resolver_));
-    }
-    return Error(kErrNotExist);
-  }
-
-  Result<Bytes> Read(uint64_t offset, uint32_t count) override {
-    std::vector<Dir> entries(1);
-    entries[0].name = "dns";
-    entries[0].qid = Qid{0x0d2f, 0};
-    entries[0].mode = 0666;
-    return PackDirEntries(entries, offset, count);
-  }
-
- private:
-  DnsResolver* resolver_;
-};
-
-}  // namespace
-
-Result<std::shared_ptr<Vnode>> DnsVfs::Attach(const std::string& uname,
-                                              const std::string& aname) {
-  return std::shared_ptr<Vnode>(std::make_shared<DnsRootVnode>(resolver_.get()));
-}
+DnsVfs::DnsVfs(std::shared_ptr<DnsResolver> resolver)
+    : QueryVfs("dns", 0x0d00, 0x0d2f,
+               [resolver = std::move(resolver)](
+                   const std::string& query) -> Result<std::vector<std::string>> {
+                 auto fields = Tokenize(query);
+                 if (fields.empty()) {
+                   return Error("dns: empty query");
+                 }
+                 std::string type = fields.size() >= 2 ? fields[1] : "ip";
+                 P9_ASSIGN_OR_RETURN(auto lines, resolver->Resolve(fields[0], type));
+                 for (auto& v : lines) {
+                   v = fields[0] + " " + type + " " + v;
+                 }
+                 return lines;
+               }) {}
 
 Result<std::unique_ptr<Service>> StartDnsServer(std::shared_ptr<Proc> proc,
                                                 const Ndb* db) {
-  std::string adir;
-  auto afd = Announce(proc.get(), "udp!*!53", &adir);
-  if (!afd.ok()) {
-    return afd.error();
-  }
-  auto svc = std::make_unique<Service>("dns.server");
-  // Closing the announcement unblocks the listen loop.
-  svc->OnStop([proc, afd = *afd] { (void)proc->Close(afd); });
-  svc->Spawn([proc, db, adir] {
-    for (;;) {
-      std::string ldir;
-      auto lcfd = Listen(proc.get(), adir, &ldir);
-      if (!lcfd.ok()) {
-        return;  // announcement closed: shutting down
-      }
-      auto dfd = Accept(proc.get(), *lcfd, ldir);
-      if (!dfd.ok()) {
-        (void)proc->Close(*lcfd);
-        continue;
-      }
-      auto query = proc->ReadString(*dfd);
-      std::string reply = "!dns: bad query";
-      if (query.ok()) {
-        auto fields = Tokenize(*query);
-        if (!fields.empty()) {
-          std::string type = fields.size() >= 2 ? fields[1] : "ip";
-          std::string want = type == "ip" ? "ip" : type;
-          std::vector<std::string> lines;
-          for (const auto* e : db->Search("dom", fields[0])) {
-            for (auto& v : e->FindAll(want)) {
-              lines.push_back(fields[0] + " " + type + " " + v);
+  return Serve(
+      std::move(proc), "udp!*!53",
+      [db](Proc* p, int dfd, const std::string&) {
+        auto query = p->ReadString(dfd);
+        std::string reply = "!dns: bad query";
+        if (query.ok()) {
+          auto fields = Tokenize(*query);
+          if (!fields.empty()) {
+            std::string type = fields.size() >= 2 ? fields[1] : "ip";
+            std::string want = type == "ip" ? "ip" : type;
+            std::vector<std::string> lines;
+            for (const auto* e : db->Search("dom", fields[0])) {
+              for (auto& v : e->FindAll(want)) {
+                lines.push_back(fields[0] + " " + type + " " + v);
+              }
             }
+            reply = lines.empty() ? "!dns: no such domain" : Join(lines, "\n");
           }
-          reply = lines.empty() ? "!dns: no such domain" : Join(lines, "\n");
         }
-      }
-      (void)proc->WriteString(*dfd, reply);
-      (void)proc->Close(*dfd);
-      (void)proc->Close(*lcfd);
-    }
-  });
-  return svc;
+        (void)p->WriteString(dfd, reply);
+        (void)p->Close(dfd);
+      },
+      "dns.server");
 }
 
 }  // namespace plan9

@@ -13,7 +13,6 @@
 #ifndef SRC_CSDNS_DNS_H_
 #define SRC_CSDNS_DNS_H_
 
-#include <atomic>
 #include <chrono>
 #include <map>
 #include <memory>
@@ -21,11 +20,11 @@
 #include <vector>
 
 #include "src/base/thread_annotations.h"
+#include "src/csdns/queryfs.h"
 #include "src/ndb/ndb.h"
-#include "src/obs/metrics.h"
-#include "src/ninep/server.h"
 #include "src/ns/proc.h"
-#include "src/task/kproc.h"
+#include "src/obs/metrics.h"
+#include "src/svc/service.h"
 #include "src/task/qlock.h"
 
 namespace plan9 {
@@ -42,9 +41,6 @@ class DnsResolver {
   Result<std::vector<std::string>> Resolve(const std::string& domain,
                                            const std::string& type = "ip");
 
-  uint64_t cache_hits() const { return cache_hits_.value(); }
-  uint64_t upstream_queries() const { return upstream_queries_.value(); }
-
  private:
   struct CacheLine {
     std::vector<std::string> values;
@@ -59,34 +55,26 @@ class DnsResolver {
   const Ndb* local_db_;
   QLock lock_{"dns.cache"};
   std::map<std::string, CacheLine> cache_ GUARDED_BY(lock_);
-  // Atomic: bumped on the resolve path, read by unlocked stats accessors.
-  // Registry-backed (net.dns.* aggregates in /net/stats).
+  // Registry-backed: net.dns.cache-hits and net.dns.upstream-queries in
+  // /net/stats.
   obs::Counter cache_hits_;
   obs::Counter upstream_queries_;
 };
 
-// The /net/dns file server: a one-file tree to union-mount onto /net.
-class DnsVfs : public Vfs {
+// /net/dns: the query file answered by a DnsResolver.  A query is
+// "domain [type]" (type defaults to ip); each answer line is
+// "domain type value".
+class DnsVfs : public QueryVfs {
  public:
-  explicit DnsVfs(std::shared_ptr<DnsResolver> resolver)
-      : resolver_(std::move(resolver)) {}
-
-  Result<std::shared_ptr<Vnode>> Attach(const std::string& uname,
-                                        const std::string& aname) override;
-
-  DnsResolver* resolver() { return resolver_.get(); }
-
- private:
-  std::shared_ptr<DnsResolver> resolver_;
+  explicit DnsVfs(std::shared_ptr<DnsResolver> resolver);
 };
 
 // Run an authoritative DNS service answering from `db` on udp!*!53 within
 // `proc`'s name space.  Protocol (ASCII, one datagram each way):
 //   request:  "domain type"
 //   response: "domain type value" per record, or "!dns: no such domain".
-class Service;
 Result<std::unique_ptr<Service>> StartDnsServer(std::shared_ptr<Proc> proc,
-                                                const Ndb* db);
+                                                const Ndb* db) MAY_BLOCK;
 
 }  // namespace plan9
 

@@ -31,21 +31,14 @@ uint16_t InetChecksum(const uint8_t* data, size_t len, uint32_t seed) {
 }
 
 struct IpStack::Interface {
-  enum class Kind { kEther, kPtp } kind;
-  // common
   Ipv4Addr addr;
   Ipv4Addr mask;
   size_t mtu = 1500;
-  // ether
   EtherSegment* segment = nullptr;
   EtherSegment::StationId station = 0;
   MacAddr mac{};
   std::map<uint32_t, MacAddr> arp_table;
   std::map<uint32_t, std::vector<Bytes>> arp_pending;  // packets awaiting resolution
-  // ptp
-  Wire* wire = nullptr;
-  Wire::End end = Wire::kA;
-  Ipv4Addr peer;
 };
 
 struct IpStack::Route {
@@ -105,15 +98,12 @@ void IpStack::Unplug() {
   {
     QLockGuard guard(lock_);
     for (auto& ifc : interfaces_) {
-      if (ifc->kind == Interface::Kind::kEther && ifc->segment != nullptr) {
+      if (ifc->segment != nullptr) {
         ifc->segment->Detach(ifc->station);
         // Null the medium so a later Unplug (or the destructor) cannot detach
         // again — after a crashed kernel is graveyarded, the same station id
-        // or wire end may belong to the restarted kernel.
+        // may belong to the restarted kernel.
         ifc->segment = nullptr;
-      } else if (ifc->kind == Interface::Kind::kPtp && ifc->wire != nullptr) {
-        ifc->wire->Detach(ifc->end);
-        ifc->wire = nullptr;
       }
     }
   }
@@ -148,7 +138,6 @@ void IpStack::SweepReassembly() {
 int IpStack::AddEtherInterface(EtherSegment* segment, MacAddr mac, Ipv4Addr addr,
                                Ipv4Addr mask) {
   auto ifc = std::make_unique<Interface>();
-  ifc->kind = Interface::Kind::kEther;
   ifc->segment = segment;
   ifc->mac = mac;
   ifc->addr = addr;
@@ -173,31 +162,6 @@ int IpStack::AddEtherInterface(EtherSegment* segment, MacAddr mac, Ipv4Addr addr
     QLockGuard guard(lock_);
     interfaces_[static_cast<size_t>(index)]->station = station;
   }
-  return index;
-}
-
-int IpStack::AddPtpInterface(Wire* wire, Wire::End end, Ipv4Addr local, Ipv4Addr remote) {
-  auto ifc = std::make_unique<Interface>();
-  ifc->kind = Interface::Kind::kPtp;
-  ifc->wire = wire;
-  ifc->end = end;
-  ifc->addr = local;
-  ifc->peer = remote;
-  ifc->mask = Ipv4Addr{0xffffffffu};
-  ifc->mtu = 60 * 1024;
-  int index;
-  {
-    QLockGuard guard(lock_);
-    index = static_cast<int>(interfaces_.size());
-    interfaces_.push_back(std::move(ifc));
-    routes_.push_back(Route{remote, Ipv4Addr{0xffffffffu}, Ipv4Addr{}, index});
-  }
-  auto alive = alive_;
-  wire->Attach(end, [this, alive, index](Bytes frame) {
-    if (*alive) {
-      PtpInput(static_cast<size_t>(index), std::move(frame));
-    }
-  });
   return index;
 }
 
@@ -315,15 +279,11 @@ Status IpStack::Output(Ipv4Addr src, Ipv4Addr dst, uint8_t proto, uint8_t ttl,
 
 Status IpStack::SendOnInterface(Interface& ifc, Ipv4Addr next_hop, const Bytes& ip_packet) {
   // Caller holds lock_.
-  if ((ifc.kind == Interface::Kind::kPtp && ifc.wire == nullptr) ||
-      (ifc.kind == Interface::Kind::kEther && ifc.segment == nullptr)) {
+  if (ifc.segment == nullptr) {
     // Unplugged (crashed node): the packet silently dies at the dead NIC.
     return Error("interface unplugged");
   }
-  if (ifc.kind == Interface::Kind::kPtp) {
-    return ifc.wire->Send(ifc.end, ip_packet);
-  }
-  // Ether: resolve next_hop via ARP.
+  // Resolve next_hop via ARP.
   auto arp = ifc.arp_table.find(next_hop.v);
   if (arp != ifc.arp_table.end()) {
     EtherFrame frame;
@@ -366,8 +326,6 @@ void IpStack::EtherInput(size_t ifc_index, const EtherFrame& frame) {
     IpInput(ifc_index, frame.payload);
   }
 }
-
-void IpStack::PtpInput(size_t ifc_index, Bytes frame) { IpInput(ifc_index, frame); }
 
 void IpStack::ArpInput(size_t ifc_index, const EtherFrame& frame) {
   if (frame.payload.size() < 28) {

@@ -1,9 +1,8 @@
 // The IP layer.
 //
-// Each node runs an IpStack: interfaces onto media (Ethernet segments via
-// ARP, point-to-point wires), a routing table, transport-protocol demux, and
-// RFC-791 fragmentation/reassembly.  Gateways (ipgw= in ndb) forward between
-// interfaces.  TCP, UDP and IL (§2.3/§3) register as protocol handlers.
+// Each node runs an IpStack: interfaces onto Ethernet segments (via ARP), a
+// routing table, transport-protocol demux, and RFC-791 fragmentation and
+// reassembly.  Gateways (ipgw= in ndb) forward between interfaces.  TCP, UDP and IL (§2.3/§3) register as protocol handlers.
 #ifndef SRC_INET_IP_H_
 #define SRC_INET_IP_H_
 
@@ -18,7 +17,6 @@
 #include "src/inet/ipaddr.h"
 #include "src/obs/metrics.h"
 #include "src/sim/ether_segment.h"
-#include "src/sim/wire.h"
 #include "src/task/qlock.h"
 #include "src/task/timers.h"
 
@@ -87,9 +85,6 @@ class IpStack {
   // Returns the interface index.
   int AddEtherInterface(EtherSegment* segment, MacAddr mac, Ipv4Addr addr, Ipv4Addr mask);
 
-  // Point-to-point interface over a Wire end (Cyclone-style IP link).
-  int AddPtpInterface(Wire* wire, Wire::End end, Ipv4Addr local, Ipv4Addr remote);
-
   // Crash semantics (node lifecycle): detach every interface from its medium
   // so the stack goes silent on the wire — no packet is sent or received
   // afterwards — without destroying any state user fds still reference.
@@ -130,7 +125,6 @@ class IpStack {
   struct Reassembly;
 
   void EtherInput(size_t ifc_index, const EtherFrame& frame);
-  void PtpInput(size_t ifc_index, Bytes frame);
   void IpInput(size_t ifc_index, const Bytes& raw);
   void Deliver(IpPacket&& pkt);
   Status Output(Ipv4Addr src, Ipv4Addr dst, uint8_t proto, uint8_t ttl, const Bytes& payload);

@@ -16,28 +16,6 @@ obs::Histogram& RpcLatencyHistogram() {
   return *h;
 }
 
-// Span op name per request type (DESIGN.md §12 grammar: "9p.client.<op>").
-const char* ClientSpanOp(FcallType t) {
-  switch (t) {
-    case FcallType::kTnop: return "9p.client.nop";
-    case FcallType::kTsession: return "9p.client.session";
-    case FcallType::kTflush: return "9p.client.flush";
-    case FcallType::kTattach: return "9p.client.attach";
-    case FcallType::kTclone: return "9p.client.clone";
-    case FcallType::kTwalk: return "9p.client.walk";
-    case FcallType::kTclwalk: return "9p.client.clwalk";
-    case FcallType::kTopen: return "9p.client.open";
-    case FcallType::kTcreate: return "9p.client.create";
-    case FcallType::kTread: return "9p.client.read";
-    case FcallType::kTwrite: return "9p.client.write";
-    case FcallType::kTclunk: return "9p.client.clunk";
-    case FcallType::kTremove: return "9p.client.remove";
-    case FcallType::kTstat: return "9p.client.stat";
-    case FcallType::kTwstat: return "9p.client.wstat";
-    default: return "9p.client.other";
-  }
-}
-
 }  // namespace
 
 NinepClientStats::NinepClientStats() {
@@ -211,7 +189,7 @@ Result<Fcall> NinepClient::Rpc(Fcall tx) {
   // (an exportfs relay, a traced application), otherwise a fresh root if the
   // sampler picks it.  The context rides to the server as a message trailer,
   // stamped per outstanding tag.
-  obs::ScopedSpan span(ClientSpanOp(tx.type), host_,
+  obs::ScopedSpan span(FcallSpanOp(tx.type, /*server=*/false), host_,
                        obs::ScopedSpan::kRootAtEntry);
   if (span.active()) {
     tx.trace = span.context();

@@ -1,254 +1,295 @@
 #include "src/ninep/fcall.h"
 
+#include <iterator>
+
 #include "src/base/strings.h"
 
 namespace plan9 {
+namespace {
+
+// One row per wire type from 50 up: the message's name and, for requests,
+// the trace span ops of the client RPC and of the server handler.  A type
+// without a row is no 9P message.
+struct TypeRow {
+  const char* name = nullptr;
+  const char* client_op = "9p.client.other";
+  const char* server_op = "9p.server.other";
+};
+
+constexpr uint8_t kFirstType = 50;
+constexpr TypeRow kTypes[] = {
+    {"Tnop", "9p.client.nop", "9p.server.nop"},
+    {"Rnop"},
+    {"Tsession", "9p.client.session", "9p.server.session"},
+    {"Rsession"},
+    {},  // 54 would be Terror, which is illegal to send
+    {"Rerror"},
+    {"Tflush", "9p.client.flush", "9p.server.flush"},
+    {"Rflush"},
+    {"Tattach", "9p.client.attach", "9p.server.attach"},
+    {"Rattach"},
+    {"Tclone", "9p.client.clone", "9p.server.clone"},
+    {"Rclone"},
+    {"Twalk", "9p.client.walk", "9p.server.walk"},
+    {"Rwalk"},
+    {"Topen", "9p.client.open", "9p.server.open"},
+    {"Ropen"},
+    {"Tcreate", "9p.client.create", "9p.server.create"},
+    {"Rcreate"},
+    {"Tread", "9p.client.read", "9p.server.read"},
+    {"Rread"},
+    {"Twrite", "9p.client.write", "9p.server.write"},
+    {"Rwrite"},
+    {"Tclunk", "9p.client.clunk", "9p.server.clunk"},
+    {"Rclunk"},
+    {"Tremove", "9p.client.remove", "9p.server.remove"},
+    {"Rremove"},
+    {"Tstat", "9p.client.stat", "9p.server.stat"},
+    {"Rstat"},
+    {"Twstat", "9p.client.wstat", "9p.server.wstat"},
+    {"Rwstat"},
+    {"Tclwalk", "9p.client.clwalk", "9p.server.clwalk"},
+    {"Rclwalk"},
+};
+
+const TypeRow* Row(uint8_t type) {
+  size_t i = static_cast<size_t>(type) - kFirstType;
+  return i < std::size(kTypes) && kTypes[i].name != nullptr ? &kTypes[i] : nullptr;
+}
+
+// The two directions of one layout.  Layout() and DirLayout() below name
+// each message's fields once; Packer writes them and Unpacker reads them
+// back.  Only a count over kMaxData and a short stat record fail early;
+// Unpack reports any other shortfall once the whole layout is walked.
+class Packer {
+ public:
+  explicit Packer(Bytes* out) : w_(out) {}
+
+  template <typename T>
+  void Num(T v) {
+    if constexpr (sizeof v == 1) {
+      w_.U8(v);
+    } else if constexpr (sizeof v == 2) {
+      w_.U16(v);
+    } else if constexpr (sizeof v == 4) {
+      w_.U32(v);
+    } else {
+      w_.U64(v);
+    }
+  }
+  void Str(const std::string& s, size_t width) { w_.FixedString(s, width); }
+  void Chal(const Bytes& chal) {
+    Bytes c = chal;
+    c.resize(kChalLen);
+    w_.Raw(c);
+  }
+  Status Data(const Bytes& data) {
+    if (data.size() > kMaxData) {
+      return Error("9p data too long");
+    }
+    w_.U32(static_cast<uint32_t>(data.size()));
+    w_.Raw(data);
+    return Status::Ok();
+  }
+  Status Stat(const Dir& d);
+
+ private:
+  ByteWriter w_;
+};
+
+class Unpacker {
+ public:
+  explicit Unpacker(ByteReader* r) : r_(r) {}
+
+  template <typename T>
+  void Num(T& v) {
+    if constexpr (sizeof v == 1) {
+      v = r_->U8();
+    } else if constexpr (sizeof v == 2) {
+      v = r_->U16();
+    } else if constexpr (sizeof v == 4) {
+      v = r_->U32();
+    } else {
+      v = r_->U64();
+    }
+  }
+  void Str(std::string& s, size_t width) { s = r_->FixedString(width); }
+  void Chal(Bytes& chal) { chal = r_->Raw(kChalLen); }
+  Status Data(Bytes& data) {
+    uint32_t n = r_->U32();
+    if (n > kMaxData) {
+      return Error("9p data too long");
+    }
+    data = r_->Raw(n);
+    return Status::Ok();
+  }
+  Status Stat(Dir& d);
+
+ private:
+  ByteReader* r_;
+};
+
+// The 116-byte stat record.
+template <typename Coder, typename D>
+void DirLayout(Coder& c, D& d) {
+  c.Str(d.name, kNameLen);
+  c.Str(d.uid, kNameLen);
+  c.Str(d.gid, kNameLen);
+  c.Num(d.qid.path);
+  c.Num(d.qid.vers);
+  c.Num(d.mode);
+  c.Num(d.atime);
+  c.Num(d.mtime);
+  c.Num(d.length);
+  c.Num(d.type);
+  c.Num(d.dev);
+}
+
+Status Packer::Stat(const Dir& d) {
+  DirLayout(*this, d);
+  return Status::Ok();
+}
+
+Status Unpacker::Stat(Dir& d) {
+  DirLayout(*this, d);
+  if (!r_->ok()) {
+    return Error("short stat record");
+  }
+  return Status::Ok();
+}
+
+// Each message's fields after type[1] tag[2].  An unknown type has none.
+template <typename Coder, typename F>
+Status Layout(Coder& c, F& f) {
+  switch (f.type) {
+    case FcallType::kTnop:
+    case FcallType::kRnop:
+    case FcallType::kRflush:
+      break;
+    case FcallType::kTsession:
+      c.Chal(f.chal);
+      break;
+    case FcallType::kRsession:
+      c.Chal(f.chal);
+      c.Str(f.authid, kNameLen);
+      c.Str(f.authdom, kDomLen);
+      break;
+    case FcallType::kRerror:
+      c.Str(f.ename, kErrLen);
+      break;
+    case FcallType::kTflush:
+      c.Num(f.oldtag);
+      break;
+    case FcallType::kTattach:
+      c.Num(f.fid);
+      c.Str(f.uname, kNameLen);
+      c.Str(f.aname, kNameLen);
+      break;
+    case FcallType::kRattach:
+    case FcallType::kRwalk:
+    case FcallType::kRclwalk:
+    case FcallType::kRopen:
+    case FcallType::kRcreate:
+      c.Num(f.fid);
+      c.Num(f.qid.path);
+      c.Num(f.qid.vers);
+      break;
+    case FcallType::kTclone:
+      c.Num(f.fid);
+      c.Num(f.newfid);
+      break;
+    case FcallType::kRclone:
+    case FcallType::kTclunk:
+    case FcallType::kRclunk:
+    case FcallType::kTremove:
+    case FcallType::kRremove:
+    case FcallType::kTstat:
+    case FcallType::kRwstat:
+      c.Num(f.fid);
+      break;
+    case FcallType::kTwalk:
+      c.Num(f.fid);
+      c.Str(f.name, kNameLen);
+      break;
+    case FcallType::kTclwalk:
+      c.Num(f.fid);
+      c.Num(f.newfid);
+      c.Str(f.name, kNameLen);
+      break;
+    case FcallType::kTopen:
+      c.Num(f.fid);
+      c.Num(f.mode);
+      break;
+    case FcallType::kTcreate:
+      c.Num(f.fid);
+      c.Str(f.name, kNameLen);
+      c.Num(f.perm);
+      c.Num(f.mode);
+      break;
+    case FcallType::kTread:
+      c.Num(f.fid);
+      c.Num(f.offset);
+      c.Num(f.count);
+      break;
+    case FcallType::kRread:
+      c.Num(f.fid);
+      return c.Data(f.data);
+    case FcallType::kTwrite:
+      c.Num(f.fid);
+      c.Num(f.offset);
+      return c.Data(f.data);
+    case FcallType::kRwrite:
+      c.Num(f.fid);
+      c.Num(f.count);
+      break;
+    case FcallType::kRstat:
+    case FcallType::kTwstat:
+      c.Num(f.fid);
+      return c.Stat(f.stat);
+  }
+  return Status::Ok();
+}
+
+}  // namespace
 
 void Dir::Pack(Bytes* out) const {
-  ByteWriter w(out);
-  w.FixedString(name, kNameLen);
-  w.FixedString(uid, kNameLen);
-  w.FixedString(gid, kNameLen);
-  w.U32(qid.path);
-  w.U32(qid.vers);
-  w.U32(mode);
-  w.U32(atime);
-  w.U32(mtime);
-  w.U64(length);
-  w.U16(type);
-  w.U16(dev);
+  Packer p(out);
+  (void)p.Stat(*this);
 }
 
 Result<Dir> Dir::Unpack(ByteReader* reader) {
   Dir d;
-  d.name = reader->FixedString(kNameLen);
-  d.uid = reader->FixedString(kNameLen);
-  d.gid = reader->FixedString(kNameLen);
-  d.qid.path = reader->U32();
-  d.qid.vers = reader->U32();
-  d.mode = reader->U32();
-  d.atime = reader->U32();
-  d.mtime = reader->U32();
-  d.length = reader->U64();
-  d.type = reader->U16();
-  d.dev = reader->U16();
-  if (!reader->ok()) {
-    return Error("short stat record");
-  }
+  P9_RETURN_IF_ERROR(Unpacker(reader).Stat(d));
   return d;
 }
 
 const char* FcallTypeName(FcallType t) {
-  switch (t) {
-    case FcallType::kTnop:
-      return "Tnop";
-    case FcallType::kRnop:
-      return "Rnop";
-    case FcallType::kTsession:
-      return "Tsession";
-    case FcallType::kRsession:
-      return "Rsession";
-    case FcallType::kRerror:
-      return "Rerror";
-    case FcallType::kTflush:
-      return "Tflush";
-    case FcallType::kRflush:
-      return "Rflush";
-    case FcallType::kTattach:
-      return "Tattach";
-    case FcallType::kRattach:
-      return "Rattach";
-    case FcallType::kTclone:
-      return "Tclone";
-    case FcallType::kRclone:
-      return "Rclone";
-    case FcallType::kTwalk:
-      return "Twalk";
-    case FcallType::kRwalk:
-      return "Rwalk";
-    case FcallType::kTopen:
-      return "Topen";
-    case FcallType::kRopen:
-      return "Ropen";
-    case FcallType::kTcreate:
-      return "Tcreate";
-    case FcallType::kRcreate:
-      return "Rcreate";
-    case FcallType::kTread:
-      return "Tread";
-    case FcallType::kRread:
-      return "Rread";
-    case FcallType::kTwrite:
-      return "Twrite";
-    case FcallType::kRwrite:
-      return "Rwrite";
-    case FcallType::kTclunk:
-      return "Tclunk";
-    case FcallType::kRclunk:
-      return "Rclunk";
-    case FcallType::kTremove:
-      return "Tremove";
-    case FcallType::kRremove:
-      return "Rremove";
-    case FcallType::kTstat:
-      return "Tstat";
-    case FcallType::kRstat:
-      return "Rstat";
-    case FcallType::kTwstat:
-      return "Twstat";
-    case FcallType::kRwstat:
-      return "Rwstat";
-    case FcallType::kTclwalk:
-      return "Tclwalk";
-    case FcallType::kRclwalk:
-      return "Rclwalk";
+  const TypeRow* row = Row(static_cast<uint8_t>(t));
+  return row != nullptr ? row->name : "?";
+}
+
+const char* FcallSpanOp(FcallType t, bool server) {
+  static constexpr TypeRow kOther;
+  const TypeRow* row = Row(static_cast<uint8_t>(t));
+  if (row == nullptr) {
+    row = &kOther;
   }
-  return "?";
+  return server ? row->server_op : row->client_op;
 }
 
 Result<Bytes> Fcall::Pack() const {
   Bytes out;
   out.reserve(64 + data.size());
-  ByteWriter w(&out);
-  w.U8(static_cast<uint8_t>(type));
-  w.U16(tag);
-  switch (type) {
-    case FcallType::kTnop:
-    case FcallType::kRnop:
-      break;
-    case FcallType::kTsession: {
-      Bytes c = chal;
-      c.resize(kChalLen);
-      w.Raw(c);
-      break;
-    }
-    case FcallType::kRsession: {
-      Bytes c = chal;
-      c.resize(kChalLen);
-      w.Raw(c);
-      w.FixedString(authid, kNameLen);
-      w.FixedString(authdom, kDomLen);
-      break;
-    }
-    case FcallType::kRerror:
-      w.FixedString(ename, kErrLen);
-      break;
-    case FcallType::kTflush:
-      w.U16(oldtag);
-      break;
-    case FcallType::kRflush:
-      break;
-    case FcallType::kTattach:
-      w.U32(fid);
-      w.FixedString(uname, kNameLen);
-      w.FixedString(aname, kNameLen);
-      break;
-    case FcallType::kRattach:
-      w.U32(fid);
-      w.U32(qid.path);
-      w.U32(qid.vers);
-      break;
-    case FcallType::kTclone:
-      w.U32(fid);
-      w.U32(newfid);
-      break;
-    case FcallType::kRclone:
-      w.U32(fid);
-      break;
-    case FcallType::kTwalk:
-      w.U32(fid);
-      w.FixedString(name, kNameLen);
-      break;
-    case FcallType::kRwalk:
-      w.U32(fid);
-      w.U32(qid.path);
-      w.U32(qid.vers);
-      break;
-    case FcallType::kTclwalk:
-      w.U32(fid);
-      w.U32(newfid);
-      w.FixedString(name, kNameLen);
-      break;
-    case FcallType::kRclwalk:
-      w.U32(fid);
-      w.U32(qid.path);
-      w.U32(qid.vers);
-      break;
-    case FcallType::kTopen:
-      w.U32(fid);
-      w.U8(mode);
-      break;
-    case FcallType::kRopen:
-      w.U32(fid);
-      w.U32(qid.path);
-      w.U32(qid.vers);
-      break;
-    case FcallType::kTcreate:
-      w.U32(fid);
-      w.FixedString(name, kNameLen);
-      w.U32(perm);
-      w.U8(mode);
-      break;
-    case FcallType::kRcreate:
-      w.U32(fid);
-      w.U32(qid.path);
-      w.U32(qid.vers);
-      break;
-    case FcallType::kTread:
-      w.U32(fid);
-      w.U64(offset);
-      w.U32(count);
-      break;
-    case FcallType::kRread:
-      if (data.size() > kMaxData) {
-        return Error("9p data too long");
-      }
-      w.U32(fid);
-      w.U32(static_cast<uint32_t>(data.size()));
-      w.Raw(data);
-      break;
-    case FcallType::kTwrite:
-      if (data.size() > kMaxData) {
-        return Error("9p data too long");
-      }
-      w.U32(fid);
-      w.U64(offset);
-      w.U32(static_cast<uint32_t>(data.size()));
-      w.Raw(data);
-      break;
-    case FcallType::kRwrite:
-      w.U32(fid);
-      w.U32(count);
-      break;
-    case FcallType::kTclunk:
-    case FcallType::kRclunk:
-    case FcallType::kTremove:
-    case FcallType::kRremove:
-    case FcallType::kTstat:
-    case FcallType::kRwstat:
-      w.U32(fid);
-      break;
-    case FcallType::kRstat: {
-      w.U32(fid);
-      Bytes rec;
-      stat.Pack(&rec);
-      w.Raw(rec);
-      break;
-    }
-    case FcallType::kTwstat: {
-      w.U32(fid);
-      Bytes rec;
-      stat.Pack(&rec);
-      w.Raw(rec);
-      break;
-    }
-  }
+  Packer p(&out);
+  p.Num(static_cast<uint8_t>(type));
+  p.Num(tag);
+  P9_RETURN_IF_ERROR(Layout(p, *this));
   if (trace.sampled) {
-    w.U32(kTraceTrailerMagic);
-    w.U64(trace.trace_hi);
-    w.U64(trace.trace_lo);
-    w.U64(trace.span_id);
-    w.U8(1);  // flags: bit 0 = sampled
+    p.Num(kTraceTrailerMagic);
+    p.Num(trace.trace_hi);
+    p.Num(trace.trace_lo);
+    p.Num(trace.span_id);
+    p.Num(uint8_t{1});  // flags: bit 0 = sampled
   }
   return out;
 }
@@ -257,115 +298,13 @@ Result<Fcall> Fcall::Unpack(const Bytes& raw) {
   ByteReader r(raw);
   Fcall f;
   uint8_t t = r.U8();
-  if (t < 50 || t > 81 || t == 54) {
+  if (Row(t) == nullptr) {
     return Error(StrFormat("bad 9p message type %d", t));
   }
   f.type = static_cast<FcallType>(t);
   f.tag = r.U16();
-  switch (f.type) {
-    case FcallType::kTnop:
-    case FcallType::kRnop:
-    case FcallType::kRflush:
-      break;
-    case FcallType::kTsession:
-      f.chal = r.Raw(kChalLen);
-      break;
-    case FcallType::kRsession:
-      f.chal = r.Raw(kChalLen);
-      f.authid = r.FixedString(kNameLen);
-      f.authdom = r.FixedString(kDomLen);
-      break;
-    case FcallType::kRerror:
-      f.ename = r.FixedString(kErrLen);
-      break;
-    case FcallType::kTflush:
-      f.oldtag = r.U16();
-      break;
-    case FcallType::kTattach:
-      f.fid = r.U32();
-      f.uname = r.FixedString(kNameLen);
-      f.aname = r.FixedString(kNameLen);
-      break;
-    case FcallType::kRattach:
-    case FcallType::kRwalk:
-    case FcallType::kRclwalk:
-    case FcallType::kRopen:
-    case FcallType::kRcreate:
-      f.fid = r.U32();
-      f.qid.path = r.U32();
-      f.qid.vers = r.U32();
-      break;
-    case FcallType::kTclone:
-      f.fid = r.U32();
-      f.newfid = r.U32();
-      break;
-    case FcallType::kRclone:
-    case FcallType::kTclunk:
-    case FcallType::kRclunk:
-    case FcallType::kTremove:
-    case FcallType::kRremove:
-    case FcallType::kTstat:
-    case FcallType::kRwstat:
-      f.fid = r.U32();
-      break;
-    case FcallType::kTwalk:
-      f.fid = r.U32();
-      f.name = r.FixedString(kNameLen);
-      break;
-    case FcallType::kTclwalk:
-      f.fid = r.U32();
-      f.newfid = r.U32();
-      f.name = r.FixedString(kNameLen);
-      break;
-    case FcallType::kTopen:
-      f.fid = r.U32();
-      f.mode = r.U8();
-      break;
-    case FcallType::kTcreate:
-      f.fid = r.U32();
-      f.name = r.FixedString(kNameLen);
-      f.perm = r.U32();
-      f.mode = r.U8();
-      break;
-    case FcallType::kTread:
-      f.fid = r.U32();
-      f.offset = r.U64();
-      f.count = r.U32();
-      break;
-    case FcallType::kRread: {
-      f.fid = r.U32();
-      uint32_t n = r.U32();
-      if (n > kMaxData) {
-        return Error("9p data too long");
-      }
-      f.data = r.Raw(n);
-      break;
-    }
-    case FcallType::kTwrite: {
-      f.fid = r.U32();
-      f.offset = r.U64();
-      uint32_t n = r.U32();
-      if (n > kMaxData) {
-        return Error("9p data too long");
-      }
-      f.data = r.Raw(n);
-      break;
-    }
-    case FcallType::kRwrite:
-      f.fid = r.U32();
-      f.count = r.U32();
-      break;
-    case FcallType::kRstat:
-    case FcallType::kTwstat: {
-      f.fid = r.U32();
-      auto d = Dir::Unpack(&r);
-      if (!d.ok()) {
-        return d.error();
-      }
-      f.stat = d.take();
-      break;
-    }
-  }
+  Unpacker u(&r);
+  P9_RETURN_IF_ERROR(Layout(u, f));
   if (!r.ok()) {
     return Error(StrFormat("short 9p message (%s)", FcallTypeName(f.type)));
   }
@@ -378,13 +317,6 @@ Result<Fcall> Fcall::Unpack(const Bytes& raw) {
     f.trace.sampled = (r.U8() & 1) != 0;
   }
   return f;
-}
-
-std::string Fcall::DebugString() const {
-  return StrFormat("%s tag %u fid %u name '%s' count %u offset %llu err '%s'",
-                   FcallTypeName(type), tag, fid, name.c_str(),
-                   static_cast<unsigned>(count ? count : data.size()),
-                   static_cast<unsigned long long>(offset), ename.c_str());
 }
 
 Fcall TnopMsg() {

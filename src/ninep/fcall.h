@@ -128,7 +128,13 @@ enum class FcallType : uint8_t {
   kRclwalk = 81,
 };
 
+// "Tnop", "Rerror"...; "?" for a byte that is no message type.
 const char* FcallTypeName(FcallType t);
+
+// The trace span op of a request ("9p.client.walk" on the client,
+// "9p.server.walk" on the server; "...other" for anything but a T
+// message).  Static strings, as ScopedSpan requires.
+const char* FcallSpanOp(FcallType t, bool server);
 
 // One 9P message, all fields flattened (the Plan 9 Fcall idiom).
 struct Fcall {
@@ -169,12 +175,12 @@ struct Fcall {
 
   bool IsT() const { return (static_cast<uint8_t>(type) & 1) == 0; }
 
-  // Marshal into wire bytes.  Fails on oversize data or bad type.
+  // Marshal into wire bytes.  Fails only on data over kMaxData; a type
+  // that is no 9P message packs to its type and tag alone.
   Result<Bytes> Pack() const;
-  // Unmarshal; fails on short/corrupt messages.
+  // Unmarshal; fails on an unknown type, a count over kMaxData, or a short
+  // message.
   static Result<Fcall> Unpack(const Bytes& raw);
-
-  std::string DebugString() const;
 };
 
 // Convenience constructors for the common messages.

@@ -12,28 +12,6 @@ obs::Counter& ServedCounter() {
       &obs::MetricsRegistry::Default().CounterNamed("ninep.srv.rpcs");
   return *c;
 }
-
-// Span op name per request type (DESIGN.md §12 grammar: "9p.server.<op>").
-const char* ServerSpanOp(FcallType t) {
-  switch (t) {
-    case FcallType::kTnop: return "9p.server.nop";
-    case FcallType::kTsession: return "9p.server.session";
-    case FcallType::kTflush: return "9p.server.flush";
-    case FcallType::kTattach: return "9p.server.attach";
-    case FcallType::kTclone: return "9p.server.clone";
-    case FcallType::kTwalk: return "9p.server.walk";
-    case FcallType::kTclwalk: return "9p.server.clwalk";
-    case FcallType::kTopen: return "9p.server.open";
-    case FcallType::kTcreate: return "9p.server.create";
-    case FcallType::kTread: return "9p.server.read";
-    case FcallType::kTwrite: return "9p.server.write";
-    case FcallType::kTclunk: return "9p.server.clunk";
-    case FcallType::kTremove: return "9p.server.remove";
-    case FcallType::kTstat: return "9p.server.stat";
-    case FcallType::kTwstat: return "9p.server.wstat";
-    default: return "9p.server.other";
-  }
-}
 }  // namespace
 
 Result<Bytes> PackDirEntries(const std::vector<Dir>& entries, uint64_t offset,
@@ -145,16 +123,33 @@ void NinepServer::Reply(const Fcall& reply) {
   (void)transport_->WriteMsg(std::move(*packed));
 }
 
-void NinepServer::ReplyError(uint16_t tag, const std::string& ename) {
-  Reply(RerrorMsg(tag, ename));
-}
-
-Result<NinepServer::FidState*> NinepServer::GetFidLocked(uint32_t fid) {
+Result<NinepServer::FidState> NinepServer::Fid(uint32_t fid, bool drop) {
+  QLockGuard guard(lock_);
   auto it = fids_.find(fid);
   if (it == fids_.end()) {
     return Error("unknown fid");
   }
-  return &it->second;
+  FidState state = it->second;
+  if (drop) {
+    fids_.erase(it);
+  }
+  return state;
+}
+
+Status NinepServer::NewFid(uint32_t fid, const FidState* state) {
+  QLockGuard guard(lock_);
+  if (fids_.count(fid) != 0) {
+    return Error("fid in use");
+  }
+  if (state != nullptr) {
+    fids_[fid] = *state;
+  }
+  return Status::Ok();
+}
+
+void NinepServer::SetFid(uint32_t fid, FidState state) {
+  QLockGuard guard(lock_);
+  fids_[fid] = std::move(state);
 }
 
 void NinepServer::Dispatch(Fcall req) {
@@ -164,286 +159,112 @@ void NinepServer::Dispatch(Fcall req) {
   // becomes part of the caller's trace, so re-exported mounts carry context
   // through multi-hop import chains.  The handler itself is a span.
   obs::SpanAdoption adopt(req.trace);
-  obs::ScopedSpan span(ServerSpanOp(req.type), host_);
+  obs::ScopedSpan span(FcallSpanOp(req.type, /*server=*/true), host_);
   Fcall reply;
   reply.type = static_cast<FcallType>(static_cast<uint8_t>(req.type) + 1);
   reply.tag = req.tag;
   reply.fid = req.fid;
 
-  switch (req.type) {
-    case FcallType::kTnop:
-      Reply(reply);
-      return;
-    case FcallType::kTsession:
-      // Auth is external to 9P (§2.1); echo a null challenge.
-      reply.chal = Bytes(kChalLen, 0);
-      reply.authid = "none";
-      reply.authdom = "plan9net";
-      Reply(reply);
-      return;
-    case FcallType::kTflush: {
-      // If the old request is still outstanding, suppress its eventual
-      // reply.  (We do not interrupt a blocked operation; see DESIGN.md.)
-      QLockGuard guard(lock_);
-      if (outstanding_.count(req.oldtag) != 0) {
-        flushed_.insert(req.oldtag);
-      }
-      guard.Unlock();
-      Reply(reply);
-      return;
+  // The request's work.  Vnode calls run with lock_ dropped; a failure is
+  // answered with the one Rerror below.
+  auto handle = [&]() -> Status {
+    // Every request from Tclone on names a fid the client holds; clunk and
+    // remove take it out of the table as they look it up.
+    FidState fs;
+    if (req.type >= FcallType::kTclone) {
+      bool drop = req.type == FcallType::kTclunk || req.type == FcallType::kTremove;
+      P9_ASSIGN_OR_RETURN(fs, Fid(req.fid, drop));
     }
-    case FcallType::kTattach: {
-      auto root = vfs_->Attach(req.uname, req.aname);
-      if (!root.ok()) {
-        ReplyError(req.tag, root.error().message());
-        return;
-      }
-      {
+    switch (req.type) {
+      case FcallType::kTnop:
+        return Status::Ok();
+      case FcallType::kTsession:
+        // Auth is external to 9P (§2.1); echo a null challenge.
+        reply.chal = Bytes(kChalLen, 0);
+        reply.authid = "none";
+        reply.authdom = "plan9net";
+        return Status::Ok();
+      case FcallType::kTflush: {
+        // If the old request is still outstanding, suppress its eventual
+        // reply.  (We do not interrupt a blocked operation; see DESIGN.md.)
         QLockGuard guard(lock_);
-        if (fids_.count(req.fid) != 0) {
-          guard.Unlock();
-          ReplyError(req.tag, "fid in use");
-          return;
+        if (outstanding_.count(req.oldtag) != 0) {
+          flushed_.insert(req.oldtag);
         }
-        fids_[req.fid] = FidState{*root, req.uname, false, 0};
+        return Status::Ok();
       }
-      reply.qid = (*root)->qid();
-      Reply(reply);
-      return;
+      case FcallType::kTattach: {
+        P9_ASSIGN_OR_RETURN(fs.node, vfs_->Attach(req.uname, req.aname));
+        fs.user = req.uname;
+        P9_RETURN_IF_ERROR(NewFid(req.fid, &fs));
+        reply.qid = fs.node->qid();
+        return Status::Ok();
+      }
+      case FcallType::kTclone:
+        if (fs.open) {
+          return Error("cannot clone open fid");
+        }
+        return NewFid(req.newfid, &fs);
+      case FcallType::kTwalk:
+      case FcallType::kTclwalk: {
+        uint32_t target = req.fid;
+        if (req.type == FcallType::kTclwalk) {
+          target = req.newfid;
+          P9_RETURN_IF_ERROR(NewFid(target, nullptr));
+        }
+        P9_ASSIGN_OR_RETURN(std::shared_ptr<Vnode> walked, fs.node->Walk(req.name));
+        SetFid(target, FidState{walked, fs.user, false, 0});
+        reply.qid = walked->qid();
+        return Status::Ok();
+      }
+      case FcallType::kTopen:
+        P9_RETURN_IF_ERROR(fs.node->Open(req.mode, fs.user));
+        SetFid(req.fid, FidState{fs.node, fs.user, true, req.mode});
+        reply.qid = fs.node->qid();
+        return Status::Ok();
+      case FcallType::kTcreate: {
+        P9_ASSIGN_OR_RETURN(std::shared_ptr<Vnode> created,
+                            fs.node->Create(req.name, req.perm, req.mode, fs.user));
+        SetFid(req.fid, FidState{created, fs.user, true, req.mode});
+        reply.qid = created->qid();
+        return Status::Ok();
+      }
+      case FcallType::kTread: {
+        if (!fs.open) {
+          return Error("fid not open");
+        }
+        P9_ASSIGN_OR_RETURN(reply.data,
+                            fs.node->Read(req.offset, std::min(req.count, kMaxData)));
+        return Status::Ok();
+      }
+      case FcallType::kTwrite: {
+        if (!fs.open) {
+          return Error("fid not open");
+        }
+        P9_ASSIGN_OR_RETURN(reply.count, fs.node->Write(req.offset, req.data));
+        return Status::Ok();
+      }
+      case FcallType::kTclunk:
+      case FcallType::kTremove:
+        if (fs.open) {
+          fs.node->Close(fs.open_mode);
+        }
+        return req.type == FcallType::kTremove ? fs.node->Remove() : Status::Ok();
+      case FcallType::kTstat: {
+        P9_ASSIGN_OR_RETURN(reply.stat, fs.node->Stat());
+        return Status::Ok();
+      }
+      case FcallType::kTwstat:
+        return fs.node->Wstat(req.stat);
+      default:
+        return Error("illegal 9p message");
     }
-    case FcallType::kTclone: {
-      QLockGuard guard(lock_);
-      auto fs = GetFidLocked(req.fid);
-      if (!fs.ok()) {
-        guard.Unlock();
-        ReplyError(req.tag, fs.error().message());
-        return;
-      }
-      if ((*fs)->open) {
-        guard.Unlock();
-        ReplyError(req.tag, "cannot clone open fid");
-        return;
-      }
-      if (fids_.count(req.newfid) != 0) {
-        guard.Unlock();
-        ReplyError(req.tag, "fid in use");
-        return;
-      }
-      fids_[req.newfid] = **fs;
-      guard.Unlock();
-      Reply(reply);
-      return;
-    }
-    case FcallType::kTwalk:
-    case FcallType::kTclwalk: {
-      std::shared_ptr<Vnode> node;
-      std::string user;
-      {
-        QLockGuard guard(lock_);
-        auto fs = GetFidLocked(req.fid);
-        if (!fs.ok()) {
-          guard.Unlock();
-          ReplyError(req.tag, fs.error().message());
-          return;
-        }
-        node = (*fs)->node;
-        user = (*fs)->user;
-        if (req.type == FcallType::kTclwalk && fids_.count(req.newfid) != 0) {
-          guard.Unlock();
-          ReplyError(req.tag, "fid in use");
-          return;
-        }
-      }
-      auto walked = node->Walk(req.name);
-      if (!walked.ok()) {
-        ReplyError(req.tag, walked.error().message());
-        return;
-      }
-      {
-        QLockGuard guard(lock_);
-        uint32_t target = req.type == FcallType::kTclwalk ? req.newfid : req.fid;
-        fids_[target] = FidState{*walked, user, false, 0};
-      }
-      reply.qid = (*walked)->qid();
-      Reply(reply);
-      return;
-    }
-    case FcallType::kTopen: {
-      std::shared_ptr<Vnode> node;
-      std::string user;
-      {
-        QLockGuard guard(lock_);
-        auto fs = GetFidLocked(req.fid);
-        if (!fs.ok()) {
-          guard.Unlock();
-          ReplyError(req.tag, fs.error().message());
-          return;
-        }
-        node = (*fs)->node;
-        user = (*fs)->user;
-      }
-      Status opened = node->Open(req.mode, user);
-      if (!opened.ok()) {
-        ReplyError(req.tag, opened.error().message());
-        return;
-      }
-      {
-        QLockGuard guard(lock_);
-        auto fs = GetFidLocked(req.fid);
-        if (fs.ok()) {
-          (*fs)->open = true;
-          (*fs)->open_mode = req.mode;
-        }
-      }
-      reply.qid = node->qid();
-      Reply(reply);
-      return;
-    }
-    case FcallType::kTcreate: {
-      std::shared_ptr<Vnode> node;
-      std::string user;
-      {
-        QLockGuard guard(lock_);
-        auto fs = GetFidLocked(req.fid);
-        if (!fs.ok()) {
-          guard.Unlock();
-          ReplyError(req.tag, fs.error().message());
-          return;
-        }
-        node = (*fs)->node;
-        user = (*fs)->user;
-      }
-      auto created = node->Create(req.name, req.perm, req.mode, user);
-      if (!created.ok()) {
-        ReplyError(req.tag, created.error().message());
-        return;
-      }
-      {
-        QLockGuard guard(lock_);
-        fids_[req.fid] = FidState{*created, user, true, req.mode};
-      }
-      reply.qid = (*created)->qid();
-      Reply(reply);
-      return;
-    }
-    case FcallType::kTread: {
-      std::shared_ptr<Vnode> node;
-      {
-        QLockGuard guard(lock_);
-        auto fs = GetFidLocked(req.fid);
-        if (!fs.ok() || !(*fs)->open) {
-          guard.Unlock();
-          ReplyError(req.tag, fs.ok() ? "fid not open" : fs.error().message());
-          return;
-        }
-        node = (*fs)->node;
-      }
-      auto data = node->Read(req.offset, std::min(req.count, kMaxData));
-      if (!data.ok()) {
-        ReplyError(req.tag, data.error().message());
-        return;
-      }
-      reply.data = data.take();
-      Reply(reply);
-      return;
-    }
-    case FcallType::kTwrite: {
-      std::shared_ptr<Vnode> node;
-      {
-        QLockGuard guard(lock_);
-        auto fs = GetFidLocked(req.fid);
-        if (!fs.ok() || !(*fs)->open) {
-          guard.Unlock();
-          ReplyError(req.tag, fs.ok() ? "fid not open" : fs.error().message());
-          return;
-        }
-        node = (*fs)->node;
-      }
-      auto n = node->Write(req.offset, req.data);
-      if (!n.ok()) {
-        ReplyError(req.tag, n.error().message());
-        return;
-      }
-      reply.count = *n;
-      Reply(reply);
-      return;
-    }
-    case FcallType::kTclunk:
-    case FcallType::kTremove: {
-      std::shared_ptr<Vnode> node;
-      bool was_open = false;
-      uint8_t open_mode = 0;
-      {
-        QLockGuard guard(lock_);
-        auto fs = GetFidLocked(req.fid);
-        if (!fs.ok()) {
-          guard.Unlock();
-          ReplyError(req.tag, fs.error().message());
-          return;
-        }
-        node = (*fs)->node;
-        was_open = (*fs)->open;
-        open_mode = (*fs)->open_mode;
-        fids_.erase(req.fid);
-      }
-      if (was_open) {
-        node->Close(open_mode);
-      }
-      if (req.type == FcallType::kTremove) {
-        Status removed = node->Remove();
-        if (!removed.ok()) {
-          ReplyError(req.tag, removed.error().message());
-          return;
-        }
-      }
-      Reply(reply);
-      return;
-    }
-    case FcallType::kTstat: {
-      std::shared_ptr<Vnode> node;
-      {
-        QLockGuard guard(lock_);
-        auto fs = GetFidLocked(req.fid);
-        if (!fs.ok()) {
-          guard.Unlock();
-          ReplyError(req.tag, fs.error().message());
-          return;
-        }
-        node = (*fs)->node;
-      }
-      auto d = node->Stat();
-      if (!d.ok()) {
-        ReplyError(req.tag, d.error().message());
-        return;
-      }
-      reply.stat = d.take();
-      Reply(reply);
-      return;
-    }
-    case FcallType::kTwstat: {
-      std::shared_ptr<Vnode> node;
-      {
-        QLockGuard guard(lock_);
-        auto fs = GetFidLocked(req.fid);
-        if (!fs.ok()) {
-          guard.Unlock();
-          ReplyError(req.tag, fs.error().message());
-          return;
-        }
-        node = (*fs)->node;
-      }
-      Status s = node->Wstat(req.stat);
-      if (!s.ok()) {
-        ReplyError(req.tag, s.error().message());
-        return;
-      }
-      Reply(reply);
-      return;
-    }
-    default:
-      ReplyError(req.tag, "illegal 9p message");
-      return;
+  };
+  Status done = handle();
+  if (!done.ok()) {
+    reply = RerrorMsg(req.tag, done.error().message());
   }
+  Reply(reply);
 }
 
 }  // namespace plan9

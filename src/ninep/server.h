@@ -110,8 +110,13 @@ class NinepServer {
   void Dispatch(Fcall req) MAY_BLOCK;
   // Blocks: holds write_lock_ (sleepable) across a flow-controlled WriteMsg.
   void Reply(const Fcall& reply) MAY_BLOCK;
-  void ReplyError(uint16_t tag, const std::string& ename) MAY_BLOCK;
-  Result<FidState*> GetFidLocked(uint32_t fid) REQUIRES(lock_);
+  // The fid table, each call one step under lock_.  Fid copies a fid's
+  // state out ("unknown fid"), dropping it from the table when `drop`;
+  // NewFid fails with "fid in use" if fid exists, else installs *state
+  // (when given); SetFid installs or replaces.
+  Result<FidState> Fid(uint32_t fid, bool drop);
+  Status NewFid(uint32_t fid, const FidState* state);
+  void SetFid(uint32_t fid, FidState state);
 
   Vfs* vfs_;
   std::unique_ptr<MsgTransport> transport_;

@@ -300,11 +300,6 @@ Result<ChanPtr> Namespace::Create(const std::string& path, uint32_t perm, uint8_
   return last;
 }
 
-size_t Namespace::MountCount() {
-  QLockGuard guard(lock_);
-  return mounts_.size();
-}
-
 Result<std::vector<Dir>> ReadDirChan(const ChanPtr& chan) {
   std::vector<ChanPtr> sources;
   if (!chan->union_stack.empty()) {

@@ -78,8 +78,6 @@ class Namespace {
   Result<ChanPtr> Create(const std::string& path, uint32_t perm, uint8_t mode,
                          const std::string& user) MAY_BLOCK;
 
-  size_t MountCount();
-
  private:
   struct MountEntry {
     ChanPtr to;

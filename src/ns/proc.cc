@@ -337,19 +337,6 @@ Status Proc::WriteFile(const std::string& path, std::string_view contents, bool 
   return s;
 }
 
-Result<Dir> Proc::Fstat(int fd) {
-  ChanPtr chan;
-  {
-    QLockGuard guard(lock_);
-    auto e = GetLocked(fd);
-    if (!e.ok()) {
-      return e.error();
-    }
-    chan = (*e)->chan;
-  }
-  return chan->node->Stat();
-}
-
 Result<Dir> Proc::Stat(const std::string& path) {
   auto chan = ns_->Resolve(path);
   if (!chan.ok()) {
@@ -399,16 +386,6 @@ Status Proc::MountClient(std::shared_ptr<NinepClient> client, const std::string&
   return ns_->MountClient(std::move(client), oldpath, flags, aname, user_);
 }
 
-Status Proc::MountFd(int fd, const std::string& oldpath, int flags,
-                     const std::string& aname, bool delimited) {
-  auto transport = TransportForFd(fd, delimited);
-  if (transport == nullptr) {
-    return Error(kErrBadFd);
-  }
-  auto client = std::make_shared<NinepClient>(std::move(transport));
-  return ns_->MountClient(std::move(client), oldpath, flags, aname, user_);
-}
-
 Status Proc::Unmount(const std::string& oldpath) { return ns_->Unmount(oldpath); }
 
 void Proc::DropSession(const std::shared_ptr<NinepClient>& client) {
@@ -446,13 +423,6 @@ Result<std::pair<int, int>> Proc::Pipe() {
   int fd0 = InstallLocked(std::move(e0));
   int fd1 = InstallLocked(std::move(e1));
   return std::make_pair(fd0, fd1);
-}
-
-int Proc::PutChan(ChanPtr chan) {
-  FdEntry entry;
-  entry.chan = std::move(chan);
-  QLockGuard guard(lock_);
-  return InstallLocked(std::move(entry));
 }
 
 ChanPtr Proc::GetChan(int fd) {

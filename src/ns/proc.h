@@ -62,7 +62,6 @@ class Proc {
   Status WriteFile(const std::string& path, std::string_view contents,
                    bool create = true) MAY_BLOCK;
 
-  Result<Dir> Fstat(int fd);
   Result<Dir> Stat(const std::string& path);
   Status Wstat(const std::string& path, const Dir& d);
   Status Remove(const std::string& path);
@@ -75,11 +74,6 @@ class Proc {
                   const std::string& aname = "");
   Status MountClient(std::shared_ptr<NinepClient> client, const std::string& oldpath,
                      int flags, const std::string& aname = "");
-  // Mount the server reachable through open fd (a network data file or pipe
-  // end).  `delimited` says whether the transport preserves message
-  // boundaries (IL/URP/pipe: yes; TCP: no -> length-prefix framing).
-  Status MountFd(int fd, const std::string& oldpath, int flags,
-                 const std::string& aname = "", bool delimited = true);
   Status Unmount(const std::string& oldpath);
   // Forget an unmounted client's session record (see Namespace::DropSession).
   void DropSession(const std::shared_ptr<NinepClient>& client);
@@ -91,8 +85,6 @@ class Proc {
 
   // --- plumbing for libraries (dial, exportfs) ---------------------------
 
-  // Install an externally built chan; returns its fd.
-  int PutChan(ChanPtr chan);
   ChanPtr GetChan(int fd);
 
   // Build a 9P message transport reading/writing through fd.

@@ -145,18 +145,5 @@ std::string MetricsRegistry::RenderJson() {
   return out;
 }
 
-void MetricsRegistry::ResetAll() {
-  QLockGuard guard(lock_);
-  for (auto& [name, c] : counters_) {
-    c->Reset();
-  }
-  for (auto& [name, g] : gauges_) {
-    g->Reset();
-  }
-  for (auto& [name, h] : histograms_) {
-    h->Reset();
-  }
-}
-
 }  // namespace obs
 }  // namespace plan9

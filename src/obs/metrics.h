@@ -156,9 +156,6 @@ class MetricsRegistry {
   // One JSON object {"name": value, ...} for bench snapshots.
   std::string RenderJson();
 
-  // Zero every metric (bench/test isolation); references stay valid.
-  void ResetAll();
-
  private:
   QLock lock_{"obs.registry"};
   std::map<std::string, std::unique_ptr<Counter>> counters_ GUARDED_BY(lock_);

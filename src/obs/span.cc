@@ -37,8 +37,6 @@ uint64_t Tracer::NextId() {
 
 const TraceContext& Tracer::Current() { return g_current; }
 
-void Tracer::SetCurrent(const TraceContext& ctx) { g_current = ctx; }
-
 ScopedSpan::ScopedSpan(const char* op, const std::string& host, Mode mode)
     : op_(op) {
   if (g_current.sampled) {

@@ -79,7 +79,6 @@ class Tracer {
 
   // The calling thread's current context (inactive by default).
   static const TraceContext& Current();
-  static void SetCurrent(const TraceContext& ctx);
 
  private:
   std::atomic<uint32_t> interval_{0};

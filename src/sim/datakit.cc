@@ -169,9 +169,4 @@ Result<std::shared_ptr<DkCircuit>> DatakitSwitch::Dial(const std::string& from_h
   return call->circuit_;
 }
 
-size_t DatakitSwitch::host_count() {
-  QLockGuard guard(lock_);
-  return hosts_.size();
-}
-
 }  // namespace plan9

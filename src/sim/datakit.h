@@ -98,8 +98,6 @@ class DatakitSwitch {
       const std::string& from_host, const std::string& dest,
       std::chrono::milliseconds timeout = std::chrono::milliseconds(2000)) MAY_BLOCK;
 
-  size_t host_count();
-
  private:
   QLock lock_{"dk.switch"};
   LinkParams circuit_params_;

@@ -14,42 +14,6 @@ std::string MacToString(const MacAddr& mac) {
   return out;
 }
 
-Result<MacAddr> MacFromString(std::string_view s) {
-  // Accept "0800690222f0" and "08:00:69:02:22:f0".
-  std::string hex;
-  for (char c : s) {
-    if (c == ':') {
-      continue;
-    }
-    hex.push_back(c);
-  }
-  if (hex.size() != 12) {
-    return Error(kErrBadAddr);
-  }
-  auto nibble = [](char c) -> int {
-    if (c >= '0' && c <= '9') {
-      return c - '0';
-    }
-    if (c >= 'a' && c <= 'f') {
-      return c - 'a' + 10;
-    }
-    if (c >= 'A' && c <= 'F') {
-      return c - 'A' + 10;
-    }
-    return -1;
-  };
-  MacAddr mac{};
-  for (size_t i = 0; i < 6; i++) {
-    int hi = nibble(hex[2 * i]);
-    int lo = nibble(hex[2 * i + 1]);
-    if (hi < 0 || lo < 0) {
-      return Error(kErrBadAddr);
-    }
-    mac[i] = static_cast<uint8_t>(hi << 4 | lo);
-  }
-  return mac;
-}
-
 Bytes EtherFrame::Pack() const {
   Bytes out;
   out.reserve(kEtherHeaderSize + payload.size());
@@ -164,11 +128,6 @@ const FaultStats& EtherSegment::fault_stats() {
 void EtherSegment::SetPartitioned(bool down) {
   QLockGuard guard(shared_->lock);
   shared_->medium.faults.SetDown(down);
-}
-
-size_t EtherSegment::station_count() {
-  QLockGuard guard(shared_->lock);
-  return shared_->stations.size();
 }
 
 }  // namespace plan9

@@ -28,8 +28,7 @@ using MacAddr = std::array<uint8_t, 6>;
 
 inline constexpr MacAddr kEtherBroadcast = {0xff, 0xff, 0xff, 0xff, 0xff, 0xff};
 
-std::string MacToString(const MacAddr& mac);            // "0800690222f0"
-Result<MacAddr> MacFromString(std::string_view s);
+std::string MacToString(const MacAddr& mac);  // "0800690222f0"
 
 // On-the-cable frame layout: dst[6] src[6] type[2,big-endian] payload.
 struct EtherFrame {
@@ -61,7 +60,6 @@ class EtherSegment {
 
   const MediaStats& stats();
   const FaultStats& fault_stats();
-  size_t station_count();
 
   // Temporary partition (the test's hand on the cable): while down, every
   // frame sent drops as a partition loss.  Frames already in flight still

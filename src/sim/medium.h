@@ -59,12 +59,6 @@ struct LinkParams {
                       .mtu = 64 * 1024,
                       .faults = {}};
   }
-  static LinkParams Serial9600() {
-    return LinkParams{.bandwidth_bps = 9'600,
-                      .latency = std::chrono::microseconds(100),
-                      .mtu = 1024,
-                      .faults = {}};
-  }
 };
 
 // Counters every medium keeps; the ether device's `stats` file reports them.

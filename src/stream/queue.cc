@@ -35,9 +35,6 @@ Status Queue::Put(BlockPtr b) {
     blocks_.push_back(std::move(b));
   }
   can_read_.Wakeup();
-  if (kick_) {
-    kick_();
-  }
   return Status::Ok();
 }
 
@@ -53,9 +50,6 @@ Status Queue::PutNoBlock(BlockPtr b) {
     blocks_.push_back(std::move(b));
   }
   can_read_.Wakeup();
-  if (kick_) {
-    kick_();
-  }
   return Status::Ok();
 }
 
@@ -102,12 +96,6 @@ BlockPtr Queue::GetNoWait() {
   return b;
 }
 
-bool Queue::WaitNonEmpty() {
-  QLockGuard guard(lock_);
-  can_read_.Sleep(lock_, [&]() REQUIRES(lock_) { return closed_ || !blocks_.empty(); });
-  return !blocks_.empty();
-}
-
 void Queue::Close() {
   {
     QLockGuard guard(lock_);
@@ -142,11 +130,6 @@ size_t Queue::byte_count() {
 size_t Queue::block_count() {
   QLockGuard guard(lock_);
   return blocks_.size();
-}
-
-bool Queue::HasRoom() {
-  QLockGuard guard(lock_);
-  return !closed_ && bytes_ <= limit_;
 }
 
 }  // namespace plan9

@@ -3,13 +3,11 @@
 // "An instance of a processing module is represented by a pair of queues,
 // one for each direction."  Queues point at put procedures and buffer blocks
 // travelling along the stream.  Writers block when a queue exceeds its limit
-// (flow control); readers sleep until data or close.  A queue may have a
-// `kick` function, called after a put, which devices use to start output.
+// (flow control); readers sleep until data or close.
 #ifndef SRC_STREAM_QUEUE_H_
 #define SRC_STREAM_QUEUE_H_
 
 #include <deque>
-#include <functional>
 
 #include "src/base/block_annotations.h"
 #include "src/base/result.h"
@@ -24,8 +22,7 @@ class Queue {
  public:
   static constexpr size_t kDefaultLimit = 128 * 1024;
 
-  explicit Queue(size_t limit = kDefaultLimit, std::function<void()> kick = nullptr)
-      : limit_(limit), kick_(std::move(kick)) {}
+  explicit Queue(size_t limit = kDefaultLimit) : limit_(limit) {}
   ~Queue();  // releases still-queued bytes from the process depth gauge
 
   // Enqueue, sleeping while the queue is over its limit.  Fails if closed.
@@ -44,10 +41,6 @@ class Queue {
   // Non-blocking dequeue; nullptr if empty.
   BlockPtr GetNoWait() P9_HOT_PATH;
 
-  // Block until at least one block is queued or the queue is closed.
-  // Returns true if data is available.
-  bool WaitNonEmpty() MAY_BLOCK;
-
   // No more puts; readers drain whatever is queued, then see EOF.
   void Close();
   // Close and discard queued blocks.
@@ -56,13 +49,11 @@ class Queue {
   bool closed();
   size_t byte_count();
   size_t block_count();
-  // True when below the flow-control limit (writers would not block).
-  bool HasRoom();
 
  private:
   // Queue locks order *after* the stream read lock and after conversation
   // locks (input paths put while holding conversation state); they are
-  // leaves apart from the timer — kick_ runs with lock_ dropped.
+  // leaves apart from the timer.
   QLock lock_{"stream.queue"};
   Rendez can_read_;
   Rendez can_write_;
@@ -70,7 +61,6 @@ class Queue {
   size_t bytes_ GUARDED_BY(lock_) = 0;
   const size_t limit_;
   bool closed_ GUARDED_BY(lock_) = false;
-  const std::function<void()> kick_;
 };
 
 }  // namespace plan9

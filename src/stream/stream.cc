@@ -133,16 +133,6 @@ Result<size_t> Stream::Write(const uint8_t* data, size_t n) {
   return sent;
 }
 
-Status Stream::WriteBlock(BlockPtr b) {
-  P9_HOT_ROOT("stream.write-block");
-  if (hungup_.load()) {
-    DropBlock(std::move(b));
-    return Error(kErrHungup);
-  }
-  SendDown(std::move(b));
-  return Status::Ok();
-}
-
 Status Stream::WriteControl(std::string_view msg) {
   auto words = Tokenize(msg);
   if (!words.empty()) {

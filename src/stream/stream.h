@@ -118,10 +118,6 @@ class Stream {
   Result<size_t> Write(std::string_view s) MAY_BLOCK {
     return Write(reinterpret_cast<const uint8_t*>(s.data()), s.size());
   }
-  // Send one pre-formed block down (no splitting); used by RPC layers that
-  // need message boundaries preserved exactly.
-  Status WriteBlock(BlockPtr b) P9_CONSUMES(b) P9_HOT_PATH MAY_BLOCK;
-
   // Write a control block.  `push name`, `pop` and `hangup` are interpreted
   // by the stream system; everything else goes down the stream.
   Status WriteControl(std::string_view msg) MAY_BLOCK;

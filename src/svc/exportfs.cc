@@ -13,15 +13,6 @@
 namespace plan9 {
 namespace {
 
-// Fold a (dev_id, qid) pair into an export-local qid path, preserving the
-// directory bit.  Different servers may reuse qid paths; the relay must
-// present a single consistent space.
-uint32_t FoldQid(uint64_t dev_id, uint32_t qid_path) {
-  uint64_t h = dev_id * 0x9e3779b97f4a7c15ULL ^ (qid_path & ~kQidDirBit);
-  h ^= h >> 33;
-  return (static_cast<uint32_t>(h) & ~kQidDirBit) | (qid_path & kQidDirBit);
-}
-
 // A vnode naming a path inside the exported name space.  Walks re-resolve
 // through the Namespace so mount points and unions behave exactly as they
 // do locally.
@@ -40,17 +31,11 @@ class ExportVnode : public Vnode {
     }
   }
 
-  Qid qid() override {
-    Qid q = chan_->qid;
-    q.path = FoldQid(chan_->dev_id, q.path);
-    return q;
-  }
+  Qid qid() override { return Fold(chan_->qid); }
 
   Result<Dir> Stat() override {
-    auto d = chan_->node->Stat();
-    if (d.ok()) {
-      d->qid.path = FoldQid(chan_->dev_id, d->qid.path);
-    }
+    P9_ASSIGN_OR_RETURN(Dir d, chan_->node->Stat());
+    d.qid = Fold(d.qid);
     return d;
   }
 
@@ -80,7 +65,7 @@ class ExportVnode : public Vnode {
       }
       dir_image_ = std::make_shared<Bytes>();
       for (auto& d : *entries) {
-        d.qid.path = FoldQid(chan_->dev_id, d.qid.path);
+        d.qid = Fold(d.qid);
         d.Pack(dir_image_.get());
       }
       return Status::Ok();
@@ -113,7 +98,19 @@ class ExportVnode : public Vnode {
       return Bytes(dir_image_->begin() + static_cast<long>(offset),
                    dir_image_->begin() + static_cast<long>(offset + n));
     }
-    return chan_->node->Read(offset, count);
+    P9_ASSIGN_OR_RETURN(Bytes data, chan_->node->Read(offset, count));
+    if (!chan_->IsDir()) {
+      return data;
+    }
+    // A plain directory's records, each with its qid folded.
+    Bytes folded;
+    ByteReader r(data);
+    while (r.remaining() >= kDirLen) {
+      P9_ASSIGN_OR_RETURN(Dir d, Dir::Unpack(&r));
+      d.qid = Fold(d.qid);
+      d.Pack(&folded);
+    }
+    return folded;
   }
 
   Result<uint32_t> Write(uint64_t offset, const Bytes& data) override {
@@ -131,6 +128,17 @@ class ExportVnode : public Vnode {
   }
 
  private:
+  // Fold (dev_id, qid) into an export-local qid path, preserving the
+  // directory bit.  Different servers may reuse qid paths; the relay must
+  // present a single consistent space, so every qid it serves comes through
+  // here: Stat, qid() and each directory record.
+  Qid Fold(Qid q) const {
+    uint64_t h = chan_->dev_id * 0x9e3779b97f4a7c15ULL ^ (q.path & ~kQidDirBit);
+    h ^= h >> 33;
+    q.path = (static_cast<uint32_t>(h) & ~kQidDirBit) | (q.path & kQidDirBit);
+    return q;
+  }
+
   std::shared_ptr<Proc> proc_;
   std::string root_;
   std::string path_;
@@ -187,42 +195,24 @@ Result<std::unique_ptr<Service>> StartExportfs(std::shared_ptr<Proc> proc,
       "exportfs");
 }
 
-Status Import(Proc* proc, const std::string& dest, const std::string& remote_tree,
-              const std::string& local_mount, int flags) {
-  // Convenience beyond the original tool: materialize a missing mount point
-  // (the common /n/<machine> case).
-  if (!proc->ns()->Resolve(local_mount).ok()) {
-    auto made = proc->ns()->Create(local_mount, kDmDir | 0775, kORead, proc->user());
-    if (!made.ok()) {
-      return made.error();
-    }
-  }
-  std::string dir;
-  P9_ASSIGN_OR_RETURN(int dfd, Dial(proc, dest, &dir));
-  bool delimited = DialPathDelimited(dir);
-  auto transport = proc->TransportForFd(dfd, delimited);
-  if (transport == nullptr) {
-    (void)proc->Close(dfd);
-    return Error(kErrBadFd);
-  }
-  // Initial protocol: name the tree we want.
-  Status named = transport->WriteMsg(ToBytes(remote_tree));
-  if (!named.ok()) {
-    (void)proc->Close(dfd);
-    return named;
-  }
-  auto client = std::make_shared<NinepClient>(std::move(transport), proc->host());
-  Status mounted = proc->MountClient(client, local_mount, flags);
-  // The data fd stays open underneath the transport; the fd table entry is
-  // no longer needed ("the import command ... exits").
-  return mounted;
-}
-
 namespace {
 
+// Convenience beyond the original tool: materialize a missing mount point
+// (the common /n/<machine> case).
+Status MakeMountPoint(Proc* proc, const std::string& local_mount) MAY_BLOCK {
+  if (proc->ns()->Resolve(local_mount).ok()) {
+    return Status::Ok();
+  }
+  auto made = proc->ns()->Create(local_mount, kDmDir | 0775, kORead, proc->user());
+  if (!made.ok()) {
+    return made.error();
+  }
+  return Status::Ok();
+}
+
 // Dial the remote exportfs, speak the initial protocol, and wrap the
-// connection in a 9P client — the connect half of import, factored out so
-// the remounter can re-run it.
+// connection in a 9P client: the connect half of Import, which the
+// remounter re-runs.
 Result<std::shared_ptr<NinepClient>> DialExport(Proc* proc, const std::string& dest,
                                                 const std::string& remote_tree,
                                                 const ImportOptions& opts) MAY_BLOCK {
@@ -278,17 +268,20 @@ void Dismantle(Proc* proc, const std::string& local_mount,
 
 }  // namespace
 
+Status Import(Proc* proc, const std::string& dest, const std::string& remote_tree,
+              const std::string& local_mount, int flags) {
+  P9_RETURN_IF_ERROR(MakeMountPoint(proc, local_mount));
+  P9_ASSIGN_OR_RETURN(auto client, DialExport(proc, dest, remote_tree, ImportOptions{}));
+  // The data fd stays open underneath the transport; the fd table entry is
+  // no longer needed ("the import command ... exits").
+  return proc->MountClient(client, local_mount, flags);
+}
+
 Result<std::unique_ptr<Service>> ImportManaged(Proc* proc, const std::string& dest,
                                                const std::string& remote_tree,
                                                const std::string& local_mount,
                                                ImportOptions opts) {
-  if (!proc->ns()->Resolve(local_mount).ok()) {
-    auto made = proc->ns()->Create(local_mount, kDmDir | 0775, kORead, proc->user());
-    if (!made.ok()) {
-      return made.error();
-    }
-  }
-
+  P9_RETURN_IF_ERROR(MakeMountPoint(proc, local_mount));
   auto state = std::make_shared<RemountState>();
   auto arm = [state](const std::shared_ptr<NinepClient>& client) {
     client->OnDead([state](const std::string&) {

@@ -75,14 +75,6 @@ TEST(Queue, PutBackPreservesFront) {
   EXPECT_EQ(q.Get()->Text(), "b");
 }
 
-TEST(Queue, KickRunsOnPut) {
-  int kicks = 0;
-  Queue q(Queue::kDefaultLimit, [&] { kicks++; });
-  ASSERT_TRUE(q.Put(MakeDataBlock("x")).ok());
-  ASSERT_TRUE(q.PutNoBlock(MakeDataBlock("y")).ok());
-  EXPECT_EQ(kicks, 2);
-}
-
 TEST(Stream, WriteThenReadRoundTrips) {
   auto s = MakeLoopback();
   ASSERT_TRUE(s->Write("hello").ok());

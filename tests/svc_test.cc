@@ -11,6 +11,7 @@
 #include "src/base/strings.h"
 #include "src/dial/dial.h"
 #include "src/ndb/ndb.h"
+#include "src/obs/metrics.h"
 #include "src/svc/exportfs.h"
 #include "src/svc/listen.h"
 #include "src/svc/service.h"
@@ -197,6 +198,87 @@ TEST_F(SvcTest, ImportIsPerProcessNamespace) {
 
   auto other = helix_->NewProc();
   EXPECT_FALSE(other->ReadFile("/n/musca/motd").ok());
+}
+
+// Each entry a directory listing returns is what Stat of its path says.
+void ExpectListingMatchesStat(Proc* proc, const std::string& dir) {
+  SCOPED_TRACE(dir);
+  auto entries = proc->ReadDir(dir);
+  ASSERT_TRUE(entries.ok());
+  ASSERT_FALSE(entries->empty());
+  for (const auto& listed : *entries) {
+    std::string path = dir + "/" + listed.name;
+    auto st = proc->Stat(path);
+    ASSERT_TRUE(st.ok()) << path;
+    EXPECT_EQ(st->name, listed.name) << path;
+    EXPECT_EQ(st->qid.path, listed.qid.path) << path;
+    EXPECT_EQ(st->qid.vers, listed.qid.vers) << path;
+    EXPECT_EQ(st->mode, listed.mode) << path;
+    EXPECT_EQ(st->type, listed.type) << path;
+    EXPECT_EQ(st->uid, listed.uid) << path;
+    EXPECT_EQ(st->gid, listed.gid) << path;
+  }
+}
+
+TEST_F(SvcTest, ListingsAgreeWithStat) {
+  // Devices, the CS and DNS query files, a conversation directory, and a
+  // plain tree imported from musca.
+  ASSERT_TRUE(musca_->rootfs()->WriteFile("lib/motd", "maxims of musca").ok());
+  auto svc = StartExportfs(std::shared_ptr<Proc>(musca_->NewProc().release()),
+                           "il!*!exportfs");
+  ASSERT_TRUE(svc.ok());
+  auto proc = helix_->NewProcPrivate();
+  ASSERT_TRUE(
+      Import(proc.get(), "il!135.104.9.6!17007", "/lib", "/n/musca", kMRepl).ok());
+  auto cfd = proc->Open("/net/il/clone", kORdWr);
+  ASSERT_TRUE(cfd.ok());
+  auto conv = proc->ReadString(*cfd, 16);
+  ASSERT_TRUE(conv.ok());
+  for (const std::string& dir :
+       {std::string("/net"), std::string("/net/il"), "/net/il/" + *conv,
+        std::string("/net/ether0"), std::string("/n/musca")}) {
+    ExpectListingMatchesStat(proc.get(), dir);
+  }
+  ASSERT_TRUE(proc->Close(*cfd).ok());
+}
+
+TEST(DnsUpstreamTest, AnswerLearnedFromUpstreamIsCached) {
+  // musca's DNS answers for a domain helix's database lacks; helix asks it
+  // once, then answers from its cache.
+  auto db = std::make_shared<Ndb>();
+  ASSERT_TRUE(db->Load(kNdb).ok());
+  Ndb musca_zone;
+  ASSERT_TRUE(musca_zone.Load("dom=plan9.bell-labs.com ip=135.104.9.99\n").ok());
+  EtherSegment ether(LinkParams::Ether10());
+  Node helix("helix");
+  Node musca("musca");
+  helix.AddEther(&ether, MacAddr{8, 0, 0x69, 2, 0x22, 1},
+                 Ipv4Addr::FromOctets(135, 104, 9, 31), Ipv4Addr{0xffffff00});
+  musca.AddEther(&ether, MacAddr{8, 0, 0x69, 2, 0x22, 2},
+                 Ipv4Addr::FromOctets(135, 104, 9, 6), Ipv4Addr{0xffffff00});
+  ASSERT_TRUE(BootNetwork(&musca, db, kNdb).ok());
+  BootOptions opts;
+  opts.dns_upstream = "udp!135.104.9.6!53";
+  ASSERT_TRUE(BootNetwork(&helix, db, kNdb, opts).ok());
+  auto dns = StartDnsServer(std::shared_ptr<Proc>(musca.NewProc().release()), &musca_zone);
+  ASSERT_TRUE(dns.ok());
+
+  auto& registry = obs::MetricsRegistry::Default();
+  uint64_t asked = registry.CounterNamed("net.dns.upstream-queries").value();
+  uint64_t hits = registry.CounterNamed("net.dns.cache-hits").value();
+  auto proc = helix.NewProc();
+  for (int i = 0; i < 2; i++) {
+    auto fd = proc->Open("/net/dns", kORdWr);
+    ASSERT_TRUE(fd.ok());
+    ASSERT_TRUE(proc->WriteString(*fd, "plan9.bell-labs.com ip").ok());
+    ASSERT_TRUE(proc->Seek(*fd, 0, kSeekSet).ok());
+    auto line = proc->ReadString(*fd);
+    ASSERT_TRUE(line.ok()) << i;
+    EXPECT_EQ(*line, "plan9.bell-labs.com ip 135.104.9.99") << i;
+    ASSERT_TRUE(proc->Close(*fd).ok());
+  }
+  EXPECT_EQ(registry.CounterNamed("net.dns.upstream-queries").value() - asked, 1u);
+  EXPECT_EQ(registry.CounterNamed("net.dns.cache-hits").value() - hits, 1u);
 }
 
 TEST_F(SvcTest, DiscardServiceSwallowsData) {

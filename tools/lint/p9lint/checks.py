@@ -345,7 +345,7 @@ def check_span_names(files: List[FileIndex]) -> List[Finding]:
                 continue
             j += 1
             if j >= n or toks[j].kind != "str":
-                continue  # computed op (ClientSpanOp etc.) or a declaration
+                continue  # computed op (FcallSpanOp's table) or a declaration
             name = toks[j].text
             if j + 1 < n and toks[j + 1].kind == "str":
                 continue  # concatenated literals: dynamic enough to skip
