@@ -42,7 +42,6 @@ CsTranslator* Translator(bool indexed) {
   static CsTranslator* plain_tr = nullptr;
   auto make = [&] {
     CsConfig config;
-    config.sysname = "helix";
     config.self_ip = Ipv4Addr::FromOctets(135, 104, 9, 31);
     config.dk_name = "nj/astro/helix";
     config.db = db;

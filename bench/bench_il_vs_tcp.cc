@@ -16,9 +16,6 @@
 
 #include "bench/bench_obs.h"
 #include "src/dial/dial.h"
-#include "src/obs/metrics.h"
-#include "src/obs/span.h"
-#include "src/obs/trace.h"
 #include "src/ndb/ndb.h"
 #include "src/world/boot.h"
 #include "src/world/node.h"
@@ -186,15 +183,19 @@ int main(int argc, char** argv) {
   // Causal-tracing overhead (DESIGN.md §12): IL throughput with tracing off
   // vs head sampling at 1/1000.  The off run above already measured the
   // baseline shape; re-measure both on fresh conversations so the only
-  // variable is the sampler.
+  // variable is the sampler, which each node sets through its /net/ctl.
+  auto ctl = [&w](const char* msg) {
+    for (Node* n : {w.helix.get(), w.musca.get()}) {
+      (void)n->NewProc()->WriteFile("/net/ctl", msg, /*create=*/false);
+    }
+  };
   double il_tput_off = ThroughputMBs(
       *std::make_unique<Conn>(Connect(w, "il", "9903")).get(), 8192, total);
-  (void)obs::FlightRecorder::Default().Ctl("trace sample 1000");
+  ctl("trace sample 1000");
   double il_tput_sampled = ThroughputMBs(
       *std::make_unique<Conn>(Connect(w, "il", "9904")).get(), 8192, total);
-  (void)obs::FlightRecorder::Default().Ctl("trace sample 0");
-  obs::FlightRecorder::Default().Disable(
-      static_cast<uint32_t>(obs::TraceKind::kSpan));
+  ctl("trace sample 0");
+  ctl("trace off span");
   double overhead_pct =
       il_tput_off > 0 ? (il_tput_off - il_tput_sampled) / il_tput_off * 100.0
                       : 0.0;

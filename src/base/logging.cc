@@ -7,7 +7,6 @@
 #include <mutex>
 
 #include "src/base/strings.h"
-#include "src/obs/trace.h"
 #include "src/task/kproc.h"
 
 namespace plan9 {
@@ -51,16 +50,6 @@ void LogLine(LogLevel level, const std::string& line) {
   auto us = std::chrono::duration_cast<std::chrono::microseconds>(
       std::chrono::steady_clock::now() - g_log_epoch);
   std::string who = Kproc::CurrentName();
-  // The flight-recorder hook must not recurse: recording takes a QLock whose
-  // diagnostics may themselves log.
-  thread_local bool in_log_hook = false;
-  auto& recorder = obs::FlightRecorder::Default();
-  if (!in_log_hook && recorder.enabled(obs::TraceKind::kLog)) {
-    in_log_hook = true;
-    recorder.Record(obs::TraceKind::kLog, who,
-                    StrFormat("%s %s", LevelName(level), line.c_str()));
-    in_log_hook = false;
-  }
   std::string full =
       StrFormat("[%4lld.%06lld] [%s] [%s] %s\n", (long long)(us.count() / 1000000),
                 (long long)(us.count() % 1000000), LevelName(level), who.c_str(),

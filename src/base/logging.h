@@ -17,8 +17,7 @@ bool LogEnabled(LogLevel level);
 // Emits "[sec.usec] [L] [kproc] line".  The line is composed into one
 // buffer and written with a single call under a mutex, so concurrent writers
 // never interleave mid-line; the timestamp is monotonic (steady clock since
-// process start).  When kLog tracing is enabled the line is also recorded in
-// the flight recorder (readable as /net/log).
+// process start).
 void LogLine(LogLevel level, const std::string& line);
 
 // Stream-style one-shot logger: LogMessage(kInfo).stream() << ...

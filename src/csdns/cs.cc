@@ -3,13 +3,12 @@
 #include <algorithm>
 
 #include "src/base/strings.h"
-#include "src/obs/span.h"
 
 namespace plan9 {
 
 Result<std::vector<std::string>> CsTranslator::Query(const std::string& query) const {
   // Visible in a dial trace as the name-translation hop under dial.cs.
-  obs::ScopedSpan span("cs.translate", config_.sysname);
+  obs::ScopedSpan span("cs.translate", *config_.obs);
   auto q = std::string(TrimSpace(query));
   if (HasPrefix(q, "announce ")) {
     return TranslateAnnounce(q.substr(9));

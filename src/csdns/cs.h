@@ -24,11 +24,13 @@
 #include "src/csdns/queryfs.h"
 #include "src/inet/ipaddr.h"
 #include "src/ndb/ndb.h"
+#include "src/obs/context.h"
 
 namespace plan9 {
 
 struct CsConfig {
-  std::string sysname;
+  // The node's context: translations are spans there.
+  obs::Context* obs = &obs::Context::Root();
   Ipv4Addr self_ip;     // source host for $attr walks
   std::string dk_name;  // this host's Datakit address ("" = none)
   // Networks this machine can reach, in preference order.  The paper's

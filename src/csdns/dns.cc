@@ -10,11 +10,10 @@ constexpr auto kCacheTtl = std::chrono::seconds(300);
 }  // namespace
 
 DnsResolver::DnsResolver(Proc* proc, std::string upstream, const Ndb* local_db)
-    : proc_(proc), upstream_(std::move(upstream)), local_db_(local_db) {
-  auto& r = obs::MetricsRegistry::Default();
-  cache_hits_.BindParent(&r.CounterNamed("net.dns.cache-hits"));
-  upstream_queries_.BindParent(&r.CounterNamed("net.dns.upstream-queries"));
-}
+    : proc_(proc),
+      upstream_(std::move(upstream)),
+      local_db_(local_db),
+      stats_(proc->obs().metrics()) {}
 
 Result<std::vector<std::string>> DnsResolver::Resolve(const std::string& domain,
                                                       const std::string& type) {
@@ -23,7 +22,7 @@ Result<std::vector<std::string>> DnsResolver::Resolve(const std::string& domain,
     QLockGuard guard(lock_);
     auto it = cache_.find(key);
     if (it != cache_.end() && it->second.expires > std::chrono::steady_clock::now()) {
-      cache_hits_.Inc();
+      stats_.cache_hits.Inc();
       return it->second.values;
     }
   }
@@ -52,7 +51,7 @@ Result<std::vector<std::string>> DnsResolver::Resolve(const std::string& domain,
 
 Result<std::vector<std::string>> DnsResolver::AskUpstream(const std::string& domain,
                                                           const std::string& type) {
-  upstream_queries_.Inc();
+  stats_.upstream_queries.Inc();
   P9_ASSIGN_OR_RETURN(int fd, Dial(proc_, upstream_));
   std::string query = domain + " " + type;
   Status sent = proc_->WriteString(fd, query);

@@ -50,15 +50,19 @@ class DnsResolver {
   Result<std::vector<std::string>> AskUpstream(const std::string& domain,
                                                const std::string& type);
 
+  // In the node's /net/stats, next to the protocols'.
+  struct Stats : obs::MetricSet {
+    using MetricSet::MetricSet;
+    obs::Counter cache_hits{this, "net.dns.cache-hits"};
+    obs::Counter upstream_queries{this, "net.dns.upstream-queries"};
+  };
+
   Proc* proc_;
   std::string upstream_;
   const Ndb* local_db_;
   QLock lock_{"dns.cache"};
   std::map<std::string, CacheLine> cache_ GUARDED_BY(lock_);
-  // Registry-backed: net.dns.cache-hits and net.dns.upstream-queries in
-  // /net/stats.
-  obs::Counter cache_hits_;
-  obs::Counter upstream_queries_;
+  Stats stats_;
 };
 
 // /net/dns: the query file answered by a DnsResolver.  A query is

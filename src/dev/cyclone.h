@@ -62,7 +62,8 @@ class CycloneConv : public ConvCore {
 
 class CycloneProto : public ConvTable<CycloneConv>, public ProtoFiles {
  public:
-  CycloneProto() : ConvTable("cyclone.proto") {}
+  explicit CycloneProto(obs::Context& obs = obs::Context::Root())
+      : ConvTable("cyclone.proto", obs) {}
 
   // Register one end of a fiber as link number `n` (sequential).  Returns
   // the link number.  Wire not owned.

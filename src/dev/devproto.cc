@@ -3,9 +3,6 @@
 #include <algorithm>
 
 #include "src/base/strings.h"
-#include "src/obs/metrics.h"
-#include "src/obs/span.h"
-#include "src/obs/trace.h"
 #include "src/sim/chaos.h"
 
 namespace plan9 {
@@ -22,7 +19,7 @@ void MaybeCaptureTrace(NetConv* conv, const std::string& msg) {
 }
 
 // Qid layout: [proto+1 : bits 20..27][conv+1 : bits 8..19][file kind : bits 0..7]
-// Root-level observability files use the low qids 2..6 (proto qids start at
+// Root-level observability files use the low qids 2..5 (proto qids start at
 // 1<<20, so the space is free).
 uint32_t QidRoot() { return 1; }
 uint32_t QidObsFile(size_t kind) { return static_cast<uint32_t>(kind + 2); }
@@ -38,25 +35,34 @@ Result<std::string> SliceText(const std::string& text, uint64_t offset, uint32_t
   return text.substr(offset, count);
 }
 
-class ProtoDirVnode;
-class ConvDirVnode;
+// A directory read: each child named in `names`, walked and described by its
+// own Stat.
+Result<Bytes> ListDir(Vnode* dir, const std::vector<std::string>& names,
+                      uint64_t offset, uint32_t count) {
+  std::vector<Dir> entries;
+  for (const auto& name : names) {
+    P9_ASSIGN_OR_RETURN(auto child, dir->Walk(name));
+    P9_ASSIGN_OR_RETURN(Dir d, child->Stat());
+    entries.push_back(std::move(d));
+  }
+  return PackDirEntries(entries, offset, count);
+}
 
 // The /net-level observability files (tentpole): every node exports its
 // metrics registry and flight recorder the same way the LANCE driver exports
 // its stats file — as text, readable by cat, importable across machines.
-//   /net/stats  the metrics registry, `key value` per line
-//   /net/trace  the flight recorder ring, oldest first
-//   /net/log    kLog events only (P9_LOG lines routed when tracing is on)
-//   /net/ctl    writable: "trace on [kind...]", "trace off", "clear"
+//   /net/stats  the node's metrics registry, `key value` per line
+//   /net/trace  the node's flight recorder ring, oldest first
+//   /net/ctl    writable: the node's trace settings (obs::Context::Ctl)
 //   /net/chaos  writable: the chaos engine (sim/chaos.h); reads render the
 //               seed, node/medium state and schedule, writes drive it
 //               ("crash gnot", "seed 42 8", "run", ...)
-constexpr const char* kObsFiles[] = {"stats", "trace", "log", "ctl", "chaos"};
-constexpr size_t kObsFileCount = 5;
+constexpr const char* kObsFiles[] = {"stats", "trace", "ctl", "chaos"};
+constexpr size_t kObsFileCount = 4;
 
 class ObsFileVnode : public Vnode {
  public:
-  explicit ObsFileVnode(size_t kind) : kind_(kind) {}
+  ObsFileVnode(obs::Context& obs, size_t kind) : obs_(obs), kind_(kind) {}
 
   Qid qid() override { return Qid{QidObsFile(kind_), 0}; }
 
@@ -77,19 +83,14 @@ class ObsFileVnode : public Vnode {
     std::string text;
     const std::string name = kObsFiles[kind_];
     if (name == "stats") {
-      text = obs::MetricsRegistry::Default().RenderText();
+      text = obs_.metrics().RenderText();
     } else if (name == "trace") {
-      text = obs::FlightRecorder::Default().RenderText();
-    } else if (name == "log") {
-      text = obs::FlightRecorder::Default().RenderText(
-          static_cast<uint32_t>(obs::TraceKind::kLog));
+      text = obs_.recorder().RenderText();
     } else if (name == "chaos") {
       ChaosEngine* engine = ChaosEngine::Current();
       text = engine != nullptr ? engine->StatusText() : "no chaos engine\n";
-    } else {  // ctl reads back the current mask as ctl-writable lines
-      text = StrFormat("trace mask %#x\ntrace sample %u\n",
-                       obs::FlightRecorder::Default().mask(),
-                       obs::Tracer::Default().sample_interval());
+    } else {
+      text = obs_.CtlText();
     }
     auto sliced = SliceText(text, offset, count);
     return ToBytes(*sliced);
@@ -108,11 +109,12 @@ class ObsFileVnode : public Vnode {
     if (name != "ctl") {
       return Error(kErrPerm);
     }
-    P9_RETURN_IF_ERROR(obs::FlightRecorder::Default().Ctl(ToString(data)));
+    P9_RETURN_IF_ERROR(obs_.Ctl(ToString(data)));
     return static_cast<uint32_t>(data.size());
   }
 
  private:
+  obs::Context& obs_;
   size_t kind_;
 };
 
@@ -349,19 +351,7 @@ class ConvDirVnode : public Vnode {
   }
 
   Result<Bytes> Read(uint64_t offset, uint32_t count) override {
-    std::vector<Dir> entries;
-    auto names = entry_.files->ConvFileNames();
-    for (size_t k = 0; k < names.size(); k++) {
-      Dir d;
-      d.name = names[k];
-      d.uid = conv_->owner();
-      d.gid = conv_->owner();
-      d.qid = Qid{QidFile(proto_idx_, static_cast<size_t>(conv_->index()), k), 0};
-      d.mode = 0666;
-      d.type = 'I';
-      entries.push_back(std::move(d));
-    }
-    return PackDirEntries(entries, offset, count);
+    return ListDir(this, entry_.files->ConvFileNames(), offset, count);
   }
 
  private:
@@ -412,29 +402,11 @@ class ProtoDirVnode : public Vnode,
   }
 
   Result<Bytes> Read(uint64_t offset, uint32_t count) override {
-    std::vector<Dir> entries;
-    Dir clone;
-    clone.name = "clone";
-    clone.qid = Qid{QidClone(proto_idx_), 0};
-    clone.mode = 0666;
-    clone.type = 'I';
-    entries.push_back(std::move(clone));
-    size_t n = entry_.proto->ConvCount();
-    for (size_t c = 0; c < n; c++) {
-      NetConv* conv = entry_.proto->Conv(c);
-      if (conv == nullptr) {
-        continue;
-      }
-      Dir d;
-      d.name = StrFormat("%zu", c);
-      d.uid = conv->owner();
-      d.gid = conv->owner();
-      d.qid = Qid{QidConv(proto_idx_, c) | kQidDirBit, 0};
-      d.mode = kDmDir | 0555;
-      d.type = 'I';
-      entries.push_back(std::move(d));
+    std::vector<std::string> names = {"clone"};
+    for (size_t c = 0; c < entry_.proto->ConvCount(); c++) {
+      names.push_back(StrFormat("%zu", c));
     }
-    return PackDirEntries(entries, offset, count);
+    return ListDir(this, names, offset, count);
   }
 
  private:
@@ -445,8 +417,8 @@ class ProtoDirVnode : public Vnode,
 
 class NetRootVnode : public Vnode, public std::enable_shared_from_this<NetRootVnode> {
  public:
-  explicit NetRootVnode(const std::vector<NetDirVfs::Entry>* entries)
-      : entries_(entries) {}
+  NetRootVnode(obs::Context& obs, const std::vector<NetDirVfs::Entry>* entries)
+      : obs_(obs), entries_(entries) {}
 
   Qid qid() override { return Qid{QidRoot() | kQidDirBit, 0}; }
 
@@ -465,7 +437,7 @@ class NetRootVnode : public Vnode, public std::enable_shared_from_this<NetRootVn
     }
     for (size_t k = 0; k < kObsFileCount; k++) {
       if (name == kObsFiles[k]) {
-        return std::shared_ptr<Vnode>(std::make_shared<ObsFileVnode>(k));
+        return std::shared_ptr<Vnode>(std::make_shared<ObsFileVnode>(obs_, k));
       }
     }
     for (size_t p = 0; p < entries_->size(); p++) {
@@ -478,27 +450,15 @@ class NetRootVnode : public Vnode, public std::enable_shared_from_this<NetRootVn
   }
 
   Result<Bytes> Read(uint64_t offset, uint32_t count) override {
-    std::vector<Dir> entries;
-    for (size_t k = 0; k < kObsFileCount; k++) {
-      Dir d;
-      d.name = kObsFiles[k];
-      d.qid = Qid{QidObsFile(k), 0};
-      d.mode = d.name == "ctl" || d.name == "chaos" ? 0666 : 0444;
-      d.type = 'I';
-      entries.push_back(std::move(d));
+    std::vector<std::string> names(kObsFiles, kObsFiles + kObsFileCount);
+    for (const auto& entry : *entries_) {
+      names.push_back(entry.proto->name());
     }
-    for (size_t p = 0; p < entries_->size(); p++) {
-      Dir d;
-      d.name = (*entries_)[p].proto->name();
-      d.qid = Qid{QidProto(p) | kQidDirBit, 0};
-      d.mode = kDmDir | 0555;
-      d.type = 'I';
-      entries.push_back(std::move(d));
-    }
-    return PackDirEntries(entries, offset, count);
+    return ListDir(this, names, offset, count);
   }
 
  private:
+  obs::Context& obs_;
   const std::vector<NetDirVfs::Entry>* entries_;
 };
 
@@ -517,7 +477,8 @@ Result<std::string> ProtoFiles::InfoText(NetConv* conv, const std::string& file)
   return Error(kErrNotExist);
 }
 
-NetDirVfs::NetDirVfs() : default_files_(std::make_unique<ProtoFiles>()) {}
+NetDirVfs::NetDirVfs(obs::Context& obs)
+    : obs_(obs), default_files_(std::make_unique<ProtoFiles>()) {}
 
 NetDirVfs::~NetDirVfs() = default;
 
@@ -527,7 +488,7 @@ void NetDirVfs::Add(NetProto* proto, ProtoFiles* files) {
 
 Result<std::shared_ptr<Vnode>> NetDirVfs::Attach(const std::string& uname,
                                                  const std::string& aname) {
-  return std::shared_ptr<Vnode>(std::make_shared<NetRootVnode>(&entries_));
+  return std::shared_ptr<Vnode>(std::make_shared<NetRootVnode>(obs_, &entries_));
 }
 
 }  // namespace plan9

@@ -17,7 +17,8 @@
 // the fd morphs into the ctl file of the new conversation.
 //
 // NetDirVfs aggregates several NetProtos into one mountable root so that
-// `bind -a` onto /net produces /net/tcp /net/udp /net/il ... (§6).
+// `bind -a` onto /net produces /net/tcp /net/udp /net/il ... (§6), next to
+// the node's observability files (stats, trace, ctl).
 #ifndef SRC_DEV_DEVPROTO_H_
 #define SRC_DEV_DEVPROTO_H_
 
@@ -51,7 +52,9 @@ class NetDirVfs : public Vfs {
     ProtoFiles* files;  // nullptr -> default ProtoFiles
   };
 
-  NetDirVfs();
+  // `obs` is the node's context, which /net/stats, /net/trace and /net/ctl
+  // describe.
+  explicit NetDirVfs(obs::Context& obs);
   ~NetDirVfs() override;
 
   // Add a protocol directory (not owned).  files may be nullptr.
@@ -62,6 +65,7 @@ class NetDirVfs : public Vfs {
 
  private:
   friend class NetRootVnode;
+  obs::Context& obs_;
   std::vector<Entry> entries_;
   std::unique_ptr<ProtoFiles> default_files_;
 };

@@ -8,21 +8,10 @@
 
 namespace plan9 {
 
-EtherConvMetrics::EtherConvMetrics() {
-  auto& r = obs::MetricsRegistry::Default();
-  frames_in.BindParent(&r.CounterNamed("net.ether.frames-in"));
-  frames_out.BindParent(&r.CounterNamed("net.ether.frames-out"));
-  drops.BindParent(&r.CounterNamed("net.ether.drops"));
-}
-
-void EtherConvMetrics::Reset() {
-  frames_in.Reset();
-  frames_out.Reset();
-  drops.Reset();
-}
-
 EtherConv::EtherConv(EtherProto* proto, int index)
-    : ConvCore(proto, index, "ether.conv", "ether"), proto_(proto) {}
+    : ConvCore(proto, index, "ether.conv", "ether"),
+      proto_(proto),
+      metrics_(proto->obs().metrics()) {}
 
 void EtherConv::ResetLocked() {
   type_.reset();
@@ -136,8 +125,9 @@ void EtherConv::Deliver(Bytes frame) {
   stream->DeliverUp(AllocDataBlock(std::move(frame), /*delim=*/true));
 }
 
-EtherProto::EtherProto(EtherSegment* segment, MacAddr mac, std::string name)
-    : ConvTable("ether.proto"), name_(std::move(name)), segment_(segment), mac_(mac) {
+EtherProto::EtherProto(EtherSegment* segment, MacAddr mac, std::string name,
+                       obs::Context& obs)
+    : ConvTable("ether.proto", obs), name_(std::move(name)), segment_(segment), mac_(mac) {
   station_ = segment_->Attach(mac_, [this](const EtherFrame& f) { Input(f); });
 }
 

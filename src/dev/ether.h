@@ -35,15 +35,13 @@ namespace plan9 {
 
 class EtherProto;
 
-// Registry-backed interface counters (net.ether.* aggregates in /net/stats).
-struct EtherConvMetrics {
-  EtherConvMetrics();
-
-  obs::Counter frames_in;
-  obs::Counter frames_out;
-  obs::Counter drops;  // input overruns: software lagged the cable
-
-  void Reset();  // this conversation only
+// Interface counters (net.ether.* in the node's /net/stats).
+struct EtherConvMetrics : obs::MetricSet {
+  using MetricSet::MetricSet;
+  obs::Counter frames_in{this, "net.ether.frames-in"};
+  obs::Counter frames_out{this, "net.ether.frames-out"};
+  // Input overruns: software lagged the cable.
+  obs::Counter drops{this, "net.ether.drops"};
 };
 
 class EtherConv : public ConvCore {
@@ -82,7 +80,8 @@ class EtherProto : public ConvTable<EtherConv>, public ProtoFiles {
  public:
   // Attaches a station on `segment` with address `mac`.  `name` is the
   // directory name under /net (ether0).
-  EtherProto(EtherSegment* segment, MacAddr mac, std::string name = "ether0");
+  EtherProto(EtherSegment* segment, MacAddr mac, std::string name = "ether0",
+             obs::Context& obs = obs::Context::Root());
   ~EtherProto() override;
 
   // NetProto:

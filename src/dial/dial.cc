@@ -6,30 +6,9 @@
 
 #include "src/base/rand.h"
 #include "src/base/strings.h"
-#include "src/obs/metrics.h"
-#include "src/obs/span.h"
-#include "src/obs/trace.h"
 
 namespace plan9 {
 namespace {
-
-// Process-wide dial counters (net.dial.* in /net/stats).
-struct DialCounters {
-  DialCounters() {
-    auto& r = obs::MetricsRegistry::Default();
-    attempts = &r.CounterNamed("net.dial.attempts");
-    successes = &r.CounterNamed("net.dial.successes");
-    failures = &r.CounterNamed("net.dial.failures");
-  }
-  obs::Counter* attempts;
-  obs::Counter* successes;
-  obs::Counter* failures;
-};
-
-DialCounters& Counters() {
-  static DialCounters* c = new DialCounters;
-  return *c;
-}
 
 // Closes the held fd on every exit path; Release() hands ownership back to
 // the caller on success.  Every early return below leaks nothing.
@@ -134,15 +113,16 @@ Result<int> CloneAndCtl(Proc* p, const Candidate& cand, std::string* conn_dir) {
 // One full pass over the translated candidates: the classic single-attempt
 // dial.  On failure every fd opened along the way is closed.
 Result<int> DialOnce(Proc* p, const std::string& dest, std::string* dir, int* cfd) {
-  Counters().attempts->Inc();
-  P9_TRACE(obs::TraceKind::kDial, "dial", dest);
-  // A dial is a trace root if the sampler picks it (and a child if the
-  // caller — an exportfs relay, a traced test — already carries a context).
-  obs::ScopedSpan call_span("dial.call", p->host(),
-                            obs::ScopedSpan::kRootAtEntry);
+  obs::Context& ctx = p->obs();
+  ctx.stats().dial_attempts.Inc();
+  P9_TRACE(ctx.recorder(), obs::TraceKind::kDial, "dial", dest);
+  // A dial is a trace root if the node's sampler picks it (and a child if
+  // the caller — an exportfs relay, a traced test — already carries a
+  // context).
+  obs::ScopedSpan call_span("dial.call", ctx, obs::ScopedSpan::kRootAtEntry);
   std::vector<Candidate> candidates;
   {
-    obs::ScopedSpan cs_span("dial.cs", p->host());
+    obs::ScopedSpan cs_span("dial.cs", ctx);
     P9_ASSIGN_OR_RETURN(candidates, Translate(p, dest, /*announce=*/false));
   }
   Error last{std::string(kErrBadAddr)};
@@ -151,7 +131,7 @@ Result<int> DialOnce(Proc* p, const std::string& dest, std::string* dir, int* cf
   for (const auto& cand : candidates) {
     // The span live while the ctl write lands is the one devproto stamps
     // onto the conversation (MaybeCaptureTrace).
-    obs::ScopedSpan connect_span("dial.connect", p->host());
+    obs::ScopedSpan connect_span("dial.connect", ctx);
     std::string conn_dir;
     auto ctl_fd = CloneAndCtl(p, cand, &conn_dir);
     if (!ctl_fd.ok()) {
@@ -170,11 +150,11 @@ Result<int> DialOnce(Proc* p, const std::string& dest, std::string* dir, int* cf
     if (cfd != nullptr) {
       *cfd = ctl.Release();
     }
-    Counters().successes->Inc();
+    ctx.stats().dial_successes.Inc();
     return dfd;
   }
-  Counters().failures->Inc();
-  P9_TRACE(obs::TraceKind::kDial, "dial",
+  ctx.stats().dial_failures.Inc();
+  P9_TRACE(ctx.recorder(), obs::TraceKind::kDial, "dial",
            StrFormat("%s failed: %s", dest.c_str(), last.message().c_str()));
   return last;
 }

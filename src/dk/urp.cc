@@ -35,29 +35,10 @@ const char* StateName(DkConv::State s) {
 
 }  // namespace
 
-UrpMetrics::UrpMetrics() {
-  auto& r = obs::MetricsRegistry::Default();
-  cells_sent.BindParent(&r.CounterNamed("net.dk.cells-sent"));
-  cells_received.BindParent(&r.CounterNamed("net.dk.cells-rcvd"));
-  retransmits.BindParent(&r.CounterNamed("net.dk.resends"));
-  msgs_sent.BindParent(&r.CounterNamed("net.dk.msgs-sent"));
-  msgs_received.BindParent(&r.CounterNamed("net.dk.msgs-rcvd"));
-  bytes_sent.BindParent(&r.CounterNamed("net.dk.bytes-sent"));
-  bytes_received.BindParent(&r.CounterNamed("net.dk.bytes-rcvd"));
-}
-
-void UrpMetrics::Reset() {
-  cells_sent.Reset();
-  cells_received.Reset();
-  retransmits.Reset();
-  msgs_sent.Reset();
-  msgs_received.Reset();
-  bytes_sent.Reset();
-  bytes_received.Reset();
-}
-
 DkConv::DkConv(DkProto* proto, int index)
-    : ConvCore(proto, index, "dk.conv", "urp"), proto_(proto) {}
+    : ConvCore(proto, index, "dk.conv", "urp"),
+      proto_(proto),
+      metrics_(proto->obs().metrics()) {}
 
 void DkConv::ResetLocked() {
   state_ = State::kIdle;
@@ -391,8 +372,8 @@ void DkConv::CircuitHangup(const DkCircuit* from) {
   Settle();
 }
 
-DkProto::DkProto(DatakitSwitch* dk_switch, std::string host_name)
-    : ConvTable("dk.proto"), switch_(dk_switch), host_name_(std::move(host_name)) {
+DkProto::DkProto(DatakitSwitch* dk_switch, std::string host_name, obs::Context& obs)
+    : ConvTable("dk.proto", obs), switch_(dk_switch), host_name_(std::move(host_name)) {
   (void)switch_->AttachHost(host_name_,
                             [this](std::shared_ptr<DkCall> call) { IncomingCall(call); });
 }

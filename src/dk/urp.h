@@ -27,19 +27,16 @@
 
 namespace plan9 {
 
-// Registry-backed URP counters (net.dk.* aggregates in /net/stats).
-struct UrpMetrics {
-  UrpMetrics();
-
-  obs::Counter cells_sent;
-  obs::Counter cells_received;
-  obs::Counter retransmits;
-  obs::Counter msgs_sent;
-  obs::Counter msgs_received;
-  obs::Counter bytes_sent;
-  obs::Counter bytes_received;
-
-  void Reset();  // this conversation only
+// URP counters (net.dk.* in the node's /net/stats).
+struct UrpMetrics : obs::MetricSet {
+  using MetricSet::MetricSet;
+  obs::Counter cells_sent{this, "net.dk.cells-sent"};
+  obs::Counter cells_received{this, "net.dk.cells-rcvd"};
+  obs::Counter retransmits{this, "net.dk.resends"};
+  obs::Counter msgs_sent{this, "net.dk.msgs-sent"};
+  obs::Counter msgs_received{this, "net.dk.msgs-rcvd"};
+  obs::Counter bytes_sent{this, "net.dk.bytes-sent"};
+  obs::Counter bytes_received{this, "net.dk.bytes-rcvd"};
 };
 
 class DkProto;
@@ -115,7 +112,8 @@ class DkConv : public ConvCore {
 class DkProto : public ConvTable<DkConv> {
  public:
   // `host_name` is this machine's Datakit address ("nj/astro/helix").
-  DkProto(DatakitSwitch* dk_switch, std::string host_name);
+  DkProto(DatakitSwitch* dk_switch, std::string host_name,
+          obs::Context& obs = obs::Context::Root());
   ~DkProto() override;
 
   std::string name() override { return "dk"; }

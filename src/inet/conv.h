@@ -184,7 +184,8 @@ class ConvTable : public NetProto {
   }
 
  protected:
-  explicit ConvTable(const char* lock_class) : lock_(lock_class) {}
+  ConvTable(const char* lock_class, obs::Context& obs)
+      : NetProto(obs), lock_(lock_class) {}
 
   virtual std::unique_ptr<C> NewConv(int index) = 0;
 

@@ -12,13 +12,6 @@
 namespace plan9 {
 namespace {
 
-// IL RTT samples feed this histogram (microseconds), next to the adaptive
-// timeout state that consumes them.
-obs::Histogram& IlRttHistogram() {
-  static obs::Histogram& h = obs::MetricsRegistry::Default().HistogramNamed("net.il.rtt");
-  return h;
-}
-
 constexpr size_t kIlHeaderSize = 18;
 
 // Timing bounds.  Plan 9 used coarse ticks; we work in microseconds with the
@@ -77,37 +70,11 @@ const char* StateName(IlConv::State s) {
 
 }  // namespace
 
-IlConvMetrics::IlConvMetrics() {
-  auto& r = obs::MetricsRegistry::Default();
-  msgs_sent.BindParent(&r.CounterNamed("net.il.msgs-sent"));
-  msgs_received.BindParent(&r.CounterNamed("net.il.msgs-rcvd"));
-  bytes_sent.BindParent(&r.CounterNamed("net.il.bytes-sent"));
-  bytes_received.BindParent(&r.CounterNamed("net.il.bytes-rcvd"));
-  retransmits.BindParent(&r.CounterNamed("net.il.resends"));
-  queries_sent.BindParent(&r.CounterNamed("net.il.queries"));
-  states_sent.BindParent(&r.CounterNamed("net.il.states"));
-  dups_dropped.BindParent(&r.CounterNamed("net.il.dups"));
-  out_of_window.BindParent(&r.CounterNamed("net.il.outwin"));
-  keepalives_sent.BindParent(&r.CounterNamed("net.il.keepalives"));
-  deadman_closes.BindParent(&r.CounterNamed("net.il.deadman"));
-}
-
-void IlConvMetrics::Reset() {
-  msgs_sent.Reset();
-  msgs_received.Reset();
-  bytes_sent.Reset();
-  bytes_received.Reset();
-  retransmits.Reset();
-  queries_sent.Reset();
-  states_sent.Reset();
-  dups_dropped.Reset();
-  out_of_window.Reset();
-  keepalives_sent.Reset();
-  deadman_closes.Reset();
-}
-
 IlConv::IlConv(IlProto* proto, int index)
-    : IpConv(proto, proto->ip(), index, "il.conv", "il"), proto_(proto), rtt_(kRttBounds) {}
+    : IpConv(proto, proto->ip(), index, "il.conv", "il"),
+      proto_(proto),
+      rtt_(kRttBounds),
+      metrics_(proto->obs().metrics()) {}
 
 void IlConv::ResetLocked() {
   state_ = State::kClosed;
@@ -236,8 +203,8 @@ Status IlConv::SendMessage(Bytes payload) {
   uint32_t id = next_++;
   metrics_.msgs_sent.Inc();
   metrics_.bytes_sent.Inc(payload.size());
-  P9_TRACE(obs::TraceKind::kIl, StrFormat("il/%d", index_),
-           StrFormat("send id=%u len=%zu", id, payload.size()));
+  P9_TRACE(proto_->obs().recorder(), obs::TraceKind::kIl,
+           StrFormat("il/%d", index_), StrFormat("send id=%u len=%zu", id, payload.size()));
   // The retransmit buffer takes the payload by move; the wire frame is
   // serialized from it, so the user's message is copied exactly once (into
   // the packet).
@@ -261,18 +228,17 @@ Status IlConv::EmitLocked(IlType type, uint32_t id, uint32_t ack, const Bytes& p
 }
 
 void IlConv::RttSampleLocked(std::chrono::microseconds sample) {
-  IlRttHistogram().Record(static_cast<uint64_t>(sample.count()));
+  obs::Context& ctx = proto_->obs();
+  ctx.stats().il_rtt.Record(static_cast<uint64_t>(sample.count()));
   // A sampled-trace conversation attributes its first RTT measurements to
   // its trace as `il.rtt` point spans parented on the dial.connect span
   // that created the conversation (DESIGN.md §12).  Bounded by the per-
   // capture budget and gated on sampling still being on, so turning
   // sampling off quiesces the ring and trace harvesting over IL never
   // feeds back into the trace.
-  if (obs::FlightRecorder::Default().enabled(obs::TraceKind::kSpan) &&
-      obs::Tracer::Default().sample_interval() != 0 && trace_hi() != 0 &&
-      TakeRttSpanBudget()) {
-    obs::EmitPointSpan("il.rtt", proto_->host(), trace_hi(), trace_lo(),
-                       trace_parent(),
+  if (ctx.recorder().enabled(obs::TraceKind::kSpan) &&
+      ctx.tracer().sample_interval() != 0 && trace_hi() != 0 && TakeRttSpanBudget()) {
+    obs::EmitPointSpan("il.rtt", ctx, trace_hi(), trace_lo(), trace_parent(),
                        static_cast<uint64_t>(sample.count()));
   }
   rtt_.Sample(sample);
@@ -295,8 +261,9 @@ void IlConv::TimerLocked() {
         metrics_.deadman_closes.Inc();
         // Recovery accounting: a conv reaped because its peer went silent
         // (crash, partition) — the chaos invariants assert on this.
-        obs::MetricsRegistry::Default().CounterNamed("recovery.il.deadman-reaped").Inc();
-        P9_TRACE(obs::TraceKind::kIl, StrFormat("il/%d", index_), "deadman close");
+        proto_->obs().stats().deadman_reaped.Inc();
+        P9_TRACE(proto_->obs().recorder(), obs::TraceKind::kIl,
+                 StrFormat("il/%d", index_), "deadman close");
         CloseLocked(kErrTimedOut);
         break;
       }
@@ -322,7 +289,7 @@ void IlConv::TimerLocked() {
       // If a message is lost and a timeout occurs, a query message is sent."
       metrics_.queries_sent.Inc();
       unanswered_queries_++;
-      P9_TRACE(obs::TraceKind::kIl, StrFormat("il/%d", index_),
+      P9_TRACE(proto_->obs().recorder(), obs::TraceKind::kIl, StrFormat("il/%d", index_),
                StrFormat("query recvd=%u unacked=%zu", recvd_, unacked_.size()));
       (void)EmitLocked(IlType::kQuery, next_ - 1, recvd_, {});
       ArmTimerLocked(rtt_.Rto());
@@ -342,8 +309,8 @@ void IlConv::TimerLocked() {
 }
 
 void IlConv::HandleAckLocked(uint32_t ack) {
-  P9_TRACE(obs::TraceKind::kIl, StrFormat("il/%d", index_),
-           StrFormat("ack %u", ack));
+  P9_TRACE(proto_->obs().recorder(), obs::TraceKind::kIl,
+           StrFormat("il/%d", index_), StrFormat("ack %u", ack));
   bool advanced = false;
   bool first = true;
   while (!unacked_.empty() && static_cast<int32_t>(ack - unacked_.front().id) >= 0) {
@@ -508,7 +475,8 @@ void IlConv::Input(IlType type, uint32_t id, uint32_t ack, Bytes payload) {
                 auto& msg = unacked_.front();
                 msg.retransmitted = true;
                 metrics_.retransmits.Inc();
-                P9_TRACE(obs::TraceKind::kIl, StrFormat("il/%d", index_),
+                P9_TRACE(proto_->obs().recorder(), obs::TraceKind::kIl,
+                         StrFormat("il/%d", index_),
                          StrFormat("resend id=%u len=%zu", msg.id, msg.payload.size()));
                 last_rexmit_ = now;
                 last_rexmit_id_ = msg.id;
@@ -552,7 +520,7 @@ void IlConv::Input(IlType type, uint32_t id, uint32_t ack, Bytes payload) {
   window_.Wakeup();
 }
 
-IlProto::IlProto(IpStack* ip) : ConvTable("il.proto"), ip_(ip) {
+IlProto::IlProto(IpStack* ip) : ConvTable("il.proto", ip->obs()), ip_(ip) {
   ip_->RegisterProtocol(kIpProtoIl,
                         [this](IpPacket&& pkt) { Input(std::move(pkt)); });
 }

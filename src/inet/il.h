@@ -48,25 +48,22 @@ enum class IlType : uint8_t {
   kClose = 6,
 };
 
-// Per-conversation counters, registry-backed: each increment also feeds the
-// process-wide net.il.* aggregate in /net/stats.  Atomic, so readable
-// without the conversation lock.
-struct IlConvMetrics {
-  IlConvMetrics();
-
-  obs::Counter msgs_sent;
-  obs::Counter msgs_received;
-  obs::Counter bytes_sent;
-  obs::Counter bytes_received;
-  obs::Counter retransmits;
-  obs::Counter queries_sent;
-  obs::Counter states_sent;
-  obs::Counter dups_dropped;
-  obs::Counter out_of_window;
-  obs::Counter keepalives_sent;  // idle-connection probes
-  obs::Counter deadman_closes;   // killed after too many unanswered queries
-
-  void Reset();  // this conversation only; the aggregates keep counting
+// Per-conversation counters: each increment also feeds the node's net.il.*
+// entry in /net/stats.  Atomic, so readable without the conversation lock.
+struct IlConvMetrics : obs::MetricSet {
+  using MetricSet::MetricSet;
+  obs::Counter msgs_sent{this, "net.il.msgs-sent"};
+  obs::Counter msgs_received{this, "net.il.msgs-rcvd"};
+  obs::Counter bytes_sent{this, "net.il.bytes-sent"};
+  obs::Counter bytes_received{this, "net.il.bytes-rcvd"};
+  obs::Counter retransmits{this, "net.il.resends"};
+  obs::Counter queries_sent{this, "net.il.queries"};
+  obs::Counter states_sent{this, "net.il.states"};
+  obs::Counter dups_dropped{this, "net.il.dups"};
+  obs::Counter out_of_window{this, "net.il.outwin"};
+  obs::Counter keepalives_sent{this, "net.il.keepalives"};  // idle probes
+  // Killed after too many unanswered queries.
+  obs::Counter deadman_closes{this, "net.il.deadman"};
 };
 
 class IlProto;

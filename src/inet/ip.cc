@@ -57,20 +57,8 @@ struct IpStack::Reassembly {
   uint8_t proto = 0, ttl = 0;
 };
 
-IpMetrics::IpMetrics() {
-  auto& r = obs::MetricsRegistry::Default();
-  packets_sent.BindParent(&r.CounterNamed("net.ip.packets-sent"));
-  packets_received.BindParent(&r.CounterNamed("net.ip.packets-rcvd"));
-  packets_forwarded.BindParent(&r.CounterNamed("net.ip.forwarded"));
-  fragments_sent.BindParent(&r.CounterNamed("net.ip.frags-sent"));
-  fragments_received.BindParent(&r.CounterNamed("net.ip.frags-rcvd"));
-  reassembly_drops.BindParent(&r.CounterNamed("net.ip.reassembly-drops"));
-  no_route.BindParent(&r.CounterNamed("net.ip.no-route"));
-  bad_header.BindParent(&r.CounterNamed("net.ip.bad-header"));
-  unknown_proto.BindParent(&r.CounterNamed("net.ip.unknown-proto"));
-}
-
-IpStack::IpStack() : alive_(std::make_shared<std::atomic<bool>>(true)) {
+IpStack::IpStack(obs::Context& obs)
+    : obs_(obs), alive_(std::make_shared<std::atomic<bool>>(true)) {
   auto alive = alive_;
   // Periodic reassembly-buffer sweep.
   std::function<void()> arm = [this, alive]() {

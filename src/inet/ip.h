@@ -15,7 +15,7 @@
 #include "src/base/bytes.h"
 #include "src/base/thread_annotations.h"
 #include "src/inet/ipaddr.h"
-#include "src/obs/metrics.h"
+#include "src/obs/context.h"
 #include "src/sim/ether_segment.h"
 #include "src/task/qlock.h"
 #include "src/task/timers.h"
@@ -57,27 +57,29 @@ inline uint32_t Get32(const uint8_t* p) {
   return static_cast<uint32_t>(Get16(p)) << 16 | Get16(p + 2);
 }
 
-// Per-stack counters, registry-backed (net.ip.* aggregates in /net/stats).
-struct IpMetrics {
-  IpMetrics();
-
-  obs::Counter packets_sent;
-  obs::Counter packets_received;
-  obs::Counter packets_forwarded;
-  obs::Counter fragments_sent;
-  obs::Counter fragments_received;
-  obs::Counter reassembly_drops;
-  obs::Counter no_route;
-  obs::Counter bad_header;
-  obs::Counter unknown_proto;
+// Per-stack counters (net.ip.* in the node's /net/stats).
+struct IpMetrics : obs::MetricSet {
+  using MetricSet::MetricSet;
+  obs::Counter packets_sent{this, "net.ip.packets-sent"};
+  obs::Counter packets_received{this, "net.ip.packets-rcvd"};
+  obs::Counter packets_forwarded{this, "net.ip.forwarded"};
+  obs::Counter fragments_sent{this, "net.ip.frags-sent"};
+  obs::Counter fragments_received{this, "net.ip.frags-rcvd"};
+  obs::Counter reassembly_drops{this, "net.ip.reassembly-drops"};
+  obs::Counter no_route{this, "net.ip.no-route"};
+  obs::Counter bad_header{this, "net.ip.bad-header"};
+  obs::Counter unknown_proto{this, "net.ip.unknown-proto"};
 };
 
 class IpStack {
  public:
   using ProtoHandler = std::function<void(IpPacket&&)>;
 
-  IpStack();
+  // `obs` is the node's context, which the transports above share.
+  explicit IpStack(obs::Context& obs = obs::Context::Root());
   ~IpStack();
+
+  obs::Context& obs() const { return obs_; }
 
   // --- interfaces ----------------------------------------------------------
 
@@ -143,7 +145,8 @@ class IpStack {
   std::map<uint64_t, Reassembly> reassembly_ GUARDED_BY(lock_);
   uint16_t next_ident_ GUARDED_BY(lock_) = 1;
   bool forwarding_ GUARDED_BY(lock_) = false;
-  IpMetrics stats_;  // atomic counters; no lock needed
+  obs::Context& obs_;
+  IpMetrics stats_{obs_.metrics()};  // atomic counters; no lock needed
   TimerId sweep_timer_ GUARDED_BY(lock_) = kNoTimer;
   // Set false in the destructor so in-flight sweep callbacks become no-ops;
   // the pointer itself is immutable after construction.

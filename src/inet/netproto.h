@@ -20,7 +20,7 @@
 #include "src/base/result.h"
 #include "src/base/strings.h"
 #include "src/base/thread_annotations.h"
-#include "src/obs/span.h"
+#include "src/obs/context.h"
 #include "src/stream/stream.h"
 
 namespace plan9 {
@@ -131,15 +131,15 @@ class NetConv {
 
 class NetProto {
  public:
+  explicit NetProto(obs::Context& obs) : obs_(obs) {}
   virtual ~NetProto() = default;
 
   // Directory name under /net ("tcp", "udp", "il", "dk").
   virtual std::string name() = 0;
 
-  // The owning node's sysname, for trace-span hop labels ("" in bare
-  // protocol unit tests).
-  const std::string& host() const { return host_; }
-  void set_host(std::string host) { host_ = std::move(host); }
+  // The owning node's observability context: its conversations count into
+  // its /net/stats and trace into its /net/trace.
+  obs::Context& obs() const { return obs_; }
 
   // Conversation slots per protocol (directory entries 0..255).
   static constexpr size_t kMaxConvs = 256;
@@ -154,7 +154,7 @@ class NetProto {
   virtual size_t ConvCount() = 0;
 
  private:
-  std::string host_;
+  obs::Context& obs_;
 };
 
 }  // namespace plan9

@@ -34,27 +34,6 @@ bool SeqLeq(uint32_t a, uint32_t b) { return static_cast<int32_t>(a - b) <= 0; }
 
 }  // namespace
 
-TcpConvMetrics::TcpConvMetrics() {
-  auto& r = obs::MetricsRegistry::Default();
-  segs_sent.BindParent(&r.CounterNamed("net.tcp.segs-sent"));
-  segs_received.BindParent(&r.CounterNamed("net.tcp.segs-rcvd"));
-  bytes_sent.BindParent(&r.CounterNamed("net.tcp.bytes-sent"));
-  bytes_received.BindParent(&r.CounterNamed("net.tcp.bytes-rcvd"));
-  retransmit_segs.BindParent(&r.CounterNamed("net.tcp.resends"));
-  retransmit_bytes.BindParent(&r.CounterNamed("net.tcp.resend-bytes"));
-  dup_segs.BindParent(&r.CounterNamed("net.tcp.dups"));
-}
-
-void TcpConvMetrics::Reset() {
-  segs_sent.Reset();
-  segs_received.Reset();
-  bytes_sent.Reset();
-  bytes_received.Reset();
-  retransmit_segs.Reset();
-  retransmit_bytes.Reset();
-  dup_segs.Reset();
-}
-
 // Stream device module: TCP is a byte stream, so block and delimiter
 // boundaries vanish into the send buffer.
 class TcpConv::Module : public StreamModule {
@@ -79,7 +58,10 @@ class TcpConv::Module : public StreamModule {
 };
 
 TcpConv::TcpConv(TcpProto* proto, int index)
-    : IpConv(proto, proto->ip(), index, "tcp.conv", "tcp"), proto_(proto), rtt_(kRttBounds) {}
+    : IpConv(proto, proto->ip(), index, "tcp.conv", "tcp"),
+      proto_(proto),
+      rtt_(kRttBounds),
+      metrics_(proto->obs().metrics()) {}
 
 std::unique_ptr<StreamModule> TcpConv::NewModule() { return std::make_unique<Module>(this); }
 
@@ -324,9 +306,7 @@ void TcpConv::EmitLocked(uint16_t flags, uint32_t seq, size_t payload_off,
 }
 
 void TcpConv::RttSampleLocked(std::chrono::microseconds sample) {
-  static obs::Histogram& hist =
-      obs::MetricsRegistry::Default().HistogramNamed("net.tcp.rtt");
-  hist.Record(static_cast<uint64_t>(sample.count()));
+  proto_->obs().stats().tcp_rtt.Record(static_cast<uint64_t>(sample.count()));
   rtt_.Sample(sample);
 }
 
@@ -374,7 +354,7 @@ void TcpConv::RetransmitLocked() {
   snd_nxt_ = snd_una_;
   fin_sent_ = false;
   rtt_timing_ = false;  // Karn: don't time retransmitted data
-  P9_TRACE(obs::TraceKind::kTcp, StrFormat("tcp/%d", index_),
+  P9_TRACE(proto_->obs().recorder(), obs::TraceKind::kTcp, StrFormat("tcp/%d", index_),
            StrFormat("rexmit una=%u nxt=%u", snd_una_, snd_nxt_));
   size_t off = 0;
   size_t data_len = std::min<size_t>(to_resend, send_buf_.size());
@@ -607,7 +587,7 @@ void TcpConv::Input(uint32_t seq, uint32_t ack, uint16_t flags, uint16_t wnd,
   window_.Wakeup();
 }
 
-TcpProto::TcpProto(IpStack* ip) : ConvTable("tcp.proto"), ip_(ip) {
+TcpProto::TcpProto(IpStack* ip) : ConvTable("tcp.proto", ip->obs()), ip_(ip) {
   ip_->RegisterProtocol(kIpProtoTcp,
                         [this](IpPacket&& pkt) { Input(std::move(pkt)); });
 }

@@ -32,20 +32,17 @@
 
 namespace plan9 {
 
-// Per-conversation counters, registry-backed: each increment also feeds the
-// process-wide net.tcp.* aggregate in /net/stats.
-struct TcpConvMetrics {
-  TcpConvMetrics();
-
-  obs::Counter segs_sent;
-  obs::Counter segs_received;
-  obs::Counter bytes_sent;
-  obs::Counter bytes_received;
-  obs::Counter retransmit_segs;
-  obs::Counter retransmit_bytes;
-  obs::Counter dup_segs;
-
-  void Reset();  // this conversation only
+// Per-conversation counters: each increment also feeds the node's net.tcp.*
+// entry in /net/stats.
+struct TcpConvMetrics : obs::MetricSet {
+  using MetricSet::MetricSet;
+  obs::Counter segs_sent{this, "net.tcp.segs-sent"};
+  obs::Counter segs_received{this, "net.tcp.segs-rcvd"};
+  obs::Counter bytes_sent{this, "net.tcp.bytes-sent"};
+  obs::Counter bytes_received{this, "net.tcp.bytes-rcvd"};
+  obs::Counter retransmit_segs{this, "net.tcp.resends"};
+  obs::Counter retransmit_bytes{this, "net.tcp.resend-bytes"};
+  obs::Counter dup_segs{this, "net.tcp.dups"};
 };
 
 class TcpProto;

@@ -13,25 +13,12 @@ constexpr size_t kUdpHeaderSize = 8;
 
 }  // namespace
 
-UdpConvMetrics::UdpConvMetrics() {
-  auto& r = obs::MetricsRegistry::Default();
-  dgrams_sent.BindParent(&r.CounterNamed("net.udp.dgrams-sent"));
-  dgrams_received.BindParent(&r.CounterNamed("net.udp.dgrams-rcvd"));
-  bytes_sent.BindParent(&r.CounterNamed("net.udp.bytes-sent"));
-  bytes_received.BindParent(&r.CounterNamed("net.udp.bytes-rcvd"));
-}
-
-void UdpConvMetrics::Reset() {
-  dgrams_sent.Reset();
-  dgrams_received.Reset();
-  bytes_sent.Reset();
-  bytes_received.Reset();
-}
-
 // User writes become datagrams through the core's MessageModule: one write,
 // one datagram, however the stream split it.
 UdpConv::UdpConv(UdpProto* proto, int index)
-    : IpConv(proto, proto->ip(), index, "udp.conv", "udp"), proto_(proto) {}
+    : IpConv(proto, proto->ip(), index, "udp.conv", "udp"),
+      proto_(proto),
+      metrics_(proto->obs().metrics()) {}
 
 void UdpConv::ResetLocked() {
   state_ = State::kIdle;
@@ -171,7 +158,7 @@ void UdpConv::Input(const IpPacket& pkt, uint16_t sport, Bytes payload) {
   stream->DeliverUp(AllocDataBlock(std::move(payload), /*delim=*/true));
 }
 
-UdpProto::UdpProto(IpStack* ip) : ConvTable("udp.proto"), ip_(ip) {
+UdpProto::UdpProto(IpStack* ip) : ConvTable("udp.proto", ip->obs()), ip_(ip) {
   ip_->RegisterProtocol(kIpProtoUdp,
                         [this](IpPacket&& pkt) { Input(std::move(pkt)); });
 }

@@ -26,16 +26,13 @@ namespace plan9 {
 
 class UdpProto;
 
-// Registry-backed datagram/byte counters (net.udp.* aggregates).
-struct UdpConvMetrics {
-  UdpConvMetrics();
-
-  obs::Counter dgrams_sent;
-  obs::Counter dgrams_received;
-  obs::Counter bytes_sent;
-  obs::Counter bytes_received;
-
-  void Reset();
+// Datagram/byte counters (net.udp.* in the node's /net/stats).
+struct UdpConvMetrics : obs::MetricSet {
+  using MetricSet::MetricSet;
+  obs::Counter dgrams_sent{this, "net.udp.dgrams-sent"};
+  obs::Counter dgrams_received{this, "net.udp.dgrams-rcvd"};
+  obs::Counter bytes_sent{this, "net.udp.bytes-sent"};
+  obs::Counter bytes_received{this, "net.udp.bytes-rcvd"};
 };
 
 class UdpConv : public IpConv {

@@ -2,36 +2,12 @@
 
 #include "src/base/logging.h"
 #include "src/base/strings.h"
-#include "src/obs/trace.h"
 
 namespace plan9 {
 
-namespace {
-
-// One histogram for every client in the process: RPC round-trip time in
-// microseconds, surfaced as ninep.rpc.latency-* in /net/stats.
-obs::Histogram& RpcLatencyHistogram() {
-  static obs::Histogram* h =
-      &obs::MetricsRegistry::Default().HistogramNamed("ninep.rpc.latency");
-  return *h;
-}
-
-}  // namespace
-
-NinepClientStats::NinepClientStats() {
-  auto& r = obs::MetricsRegistry::Default();
-  rpcs.BindParent(&r.CounterNamed("ninep.rpc.count"));
-  timeouts.BindParent(&r.CounterNamed("ninep.rpc.timeouts"));
-  flushes_sent.BindParent(&r.CounterNamed("ninep.rpc.flushes-sent"));
-  flushed.BindParent(&r.CounterNamed("ninep.rpc.flushed"));
-  late_replies.BindParent(&r.CounterNamed("ninep.rpc.late-replies"));
-  failures.BindParent(&r.CounterNamed("ninep.rpc.failures"));
-}
-
-NinepClient::NinepClient(std::unique_ptr<MsgTransport> transport,
-                         std::string host)
+NinepClient::NinepClient(std::unique_ptr<MsgTransport> transport, obs::Context& obs)
     : transport_(std::move(transport)),
-      host_(std::move(host)),
+      obs_(obs),
       reader_("9p.client.reader", [this] { ReaderLoop(); }) {}
 
 NinepClient::~NinepClient() {
@@ -189,7 +165,7 @@ Result<Fcall> NinepClient::Rpc(Fcall tx) {
   // (an exportfs relay, a traced application), otherwise a fresh root if the
   // sampler picks it.  The context rides to the server as a message trailer,
   // stamped per outstanding tag.
-  obs::ScopedSpan span(FcallSpanOp(tx.type, /*server=*/false), host_,
+  obs::ScopedSpan span(FcallSpanOp(tx.type, /*server=*/false), obs_,
                        obs::ScopedSpan::kRootAtEntry);
   if (span.active()) {
     tx.trace = span.context();
@@ -241,8 +217,8 @@ Result<Fcall> NinepClient::Rpc(Fcall tx) {
   }
   auto elapsed = std::chrono::duration_cast<std::chrono::microseconds>(
       std::chrono::steady_clock::now() - started);
-  RpcLatencyHistogram().Record(static_cast<uint64_t>(elapsed.count()));
-  P9_TRACE(obs::TraceKind::kNinep, "9p.client",
+  obs_.stats().rpc_latency.Record(static_cast<uint64_t>(elapsed.count()));
+  P9_TRACE(obs_.recorder(), obs::TraceKind::kNinep, "9p.client",
            StrFormat("%s tag %u -> %s", FcallTypeName(tx.type), tx.tag,
                      FcallTypeName(reply->type)),
            tx.tag, static_cast<uint64_t>(elapsed.count()));

@@ -18,7 +18,7 @@
 #include "src/base/thread_annotations.h"
 #include "src/ninep/fcall.h"
 #include "src/ninep/transport.h"
-#include "src/obs/metrics.h"
+#include "src/obs/context.h"
 #include "src/task/kproc.h"
 #include "src/task/qlock.h"
 #include "src/task/rendez.h"
@@ -26,25 +26,27 @@
 namespace plan9 {
 
 // Counters for the recovery machinery; tests assert Tflush actually fired.
-// Registry-backed: increments also feed the process-wide ninep.rpc.*
-// aggregates in /net/stats.  Atomic, so readable without the client lock.
-struct NinepClientStats {
-  NinepClientStats();
-
-  obs::Counter rpcs;
-  obs::Counter timeouts;      // RPC deadlines that expired
-  obs::Counter flushes_sent;  // Tflush messages written
-  obs::Counter flushed;       // RPCs the server confirmed flushed (Rflush won)
-  obs::Counter late_replies;  // original reply beat the Rflush after a timeout
-  obs::Counter failures;      // connection declared dead (FailAll)
+// Increments also feed the node's ninep.rpc.* entries in /net/stats.
+// Atomic, so readable without the client lock.
+struct NinepClientStats : obs::MetricSet {
+  using MetricSet::MetricSet;
+  obs::Counter rpcs{this, "ninep.rpc.count"};
+  obs::Counter timeouts{this, "ninep.rpc.timeouts"};  // deadlines that expired
+  obs::Counter flushes_sent{this, "ninep.rpc.flushes-sent"};  // Tflushes written
+  // RPCs the server confirmed flushed (Rflush won).
+  obs::Counter flushed{this, "ninep.rpc.flushed"};
+  // The original reply beat the Rflush after a timeout.
+  obs::Counter late_replies{this, "ninep.rpc.late-replies"};
+  // Connection declared dead (FailAll).
+  obs::Counter failures{this, "ninep.rpc.failures"};
 };
 
 class NinepClient {
  public:
-  // `host` labels this client's trace spans with the node it runs on
-  // ("" in transport unit tests).
+  // `obs` is the context of the node the client runs on: its counters,
+  // latency histogram and RPC spans land there.
   explicit NinepClient(std::unique_ptr<MsgTransport> transport,
-                       std::string host = "");
+                       obs::Context& obs = obs::Context::Root());
   ~NinepClient();
 
   NinepClient(const NinepClient&) = delete;
@@ -115,7 +117,7 @@ class NinepClient {
                              std::chrono::milliseconds deadline) MAY_BLOCK;
 
   std::unique_ptr<MsgTransport> transport_;
-  std::string host_;
+  obs::Context& obs_;
   QLock lock_{"9p.client"};
   std::map<uint16_t, std::shared_ptr<Pending>> pending_ GUARDED_BY(lock_);
   uint16_t next_tag_ GUARDED_BY(lock_) = 1;
@@ -124,7 +126,7 @@ class NinepClient {
   std::string death_reason_ GUARDED_BY(lock_);
   std::chrono::milliseconds rpc_timeout_ GUARDED_BY(lock_){0};
   std::function<void(const std::string&)> on_dead_ GUARDED_BY(lock_);
-  NinepClientStats stats_;  // atomic counters; no lock needed
+  NinepClientStats stats_{obs_.metrics()};  // atomic counters; no lock needed
   Kproc reader_;
 };
 

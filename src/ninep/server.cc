@@ -2,17 +2,8 @@
 
 #include "src/base/logging.h"
 #include "src/base/strings.h"
-#include "src/obs/metrics.h"
 
 namespace plan9 {
-namespace {
-// Requests served, across every server in the process (ninep.srv.rpcs).
-obs::Counter& ServedCounter() {
-  static obs::Counter* c =
-      &obs::MetricsRegistry::Default().CounterNamed("ninep.srv.rpcs");
-  return *c;
-}
-}  // namespace
 
 Result<Bytes> PackDirEntries(const std::vector<Dir>& entries, uint64_t offset,
                              uint32_t count) {
@@ -30,8 +21,8 @@ Result<Bytes> PackDirEntries(const std::vector<Dir>& entries, uint64_t offset,
 }
 
 NinepServer::NinepServer(Vfs* vfs, std::unique_ptr<MsgTransport> transport,
-                         std::string name, std::string host)
-    : vfs_(vfs), transport_(std::move(transport)), host_(std::move(host)) {
+                         std::string name, obs::Context& obs)
+    : vfs_(vfs), transport_(std::move(transport)), obs_(obs) {
   for (int i = 0; i < kWorkers; i++) {
     workers_.emplace_back(StrFormat("%s.w%d", name.c_str(), i), [this] { Worker(); });
   }
@@ -153,13 +144,13 @@ void NinepServer::SetFid(uint32_t fid, FidState state) {
 }
 
 void NinepServer::Dispatch(Fcall req) {
-  ServedCounter().Inc();
+  obs_.stats().rpcs_served.Inc();
   // Adopt the context that rode in on the request's trailer: everything the
   // handler does downstream on this worker thread (exportfs relays included)
   // becomes part of the caller's trace, so re-exported mounts carry context
   // through multi-hop import chains.  The handler itself is a span.
   obs::SpanAdoption adopt(req.trace);
-  obs::ScopedSpan span(FcallSpanOp(req.type, /*server=*/true), host_);
+  obs::ScopedSpan span(FcallSpanOp(req.type, /*server=*/true), obs_);
   Fcall reply;
   reply.type = static_cast<FcallType>(static_cast<uint8_t>(req.type) + 1);
   reply.tag = req.tag;

@@ -21,6 +21,7 @@
 #include "src/base/thread_annotations.h"
 #include "src/ninep/fcall.h"
 #include "src/ninep/transport.h"
+#include "src/obs/context.h"
 #include "src/task/kproc.h"
 #include "src/task/qlock.h"
 #include "src/task/rendez.h"
@@ -84,10 +85,11 @@ class NinepServer {
   static constexpr int kWorkers = 4;
 
   // Serves until EOF on the transport; call Shutdown() or destroy to stop.
-  // `vfs` must outlive the server.  `host` labels this server's trace spans
-  // with the node it runs on ("" in unit tests).
+  // `vfs` must outlive the server.  `obs` is the context of the node the
+  // server runs on: its served count and spans land there.
   NinepServer(Vfs* vfs, std::unique_ptr<MsgTransport> transport,
-              std::string name = "9p.server", std::string host = "");
+              std::string name = "9p.server",
+              obs::Context& obs = obs::Context::Root());
   ~NinepServer();
 
   void Shutdown();
@@ -120,7 +122,7 @@ class NinepServer {
 
   Vfs* vfs_;
   std::unique_ptr<MsgTransport> transport_;
-  std::string host_;
+  obs::Context& obs_;
   // Serializes replies onto the transport; never held with lock_ (Reply
   // drops lock_ before packing and writing).  Sleepable: held across
   // WriteMsg, which can block on transport flow control — by design, so

@@ -88,8 +88,8 @@ class PipeEndVnode : public Vnode {
 
 }  // namespace
 
-Proc::Proc(std::shared_ptr<Namespace> ns, std::string user)
-    : ns_(std::move(ns)), user_(std::move(user)) {}
+Proc::Proc(std::shared_ptr<Namespace> ns, std::string user, obs::Context& obs)
+    : ns_(std::move(ns)), user_(std::move(user)), obs_(obs) {}
 
 Result<Proc::FdEntry*> Proc::GetLocked(int fd) {
   if (fd < 0 || static_cast<size_t>(fd) >= fds_.size() || fds_[fd] == nullptr) {

@@ -16,6 +16,7 @@
 #include "src/ninep/client.h"
 #include "src/ns/chan.h"
 #include "src/ns/namespace.h"
+#include "src/obs/context.h"
 #include "src/task/qlock.h"
 
 namespace plan9 {
@@ -27,16 +28,15 @@ inline constexpr int kSeekEnd = 2;
 
 class Proc {
  public:
-  explicit Proc(std::shared_ptr<Namespace> ns, std::string user = "glenda");
+  // `obs` is the context of the node the proc runs on; the libraries it
+  // calls (dial, 9P, exportfs, DNS) count and trace there.
+  explicit Proc(std::shared_ptr<Namespace> ns, std::string user = "glenda",
+                obs::Context& obs = obs::Context::Root());
 
   Namespace* ns() { return ns_.get(); }
   std::shared_ptr<Namespace> ns_ref() { return ns_; }
   const std::string& user() const { return user_; }
-
-  // The sysname of the node this proc runs on ("" for bare test procs);
-  // set by Node::NewProc, used to label trace spans with their hop.
-  const std::string& host() const { return host_; }
-  void set_host(std::string host) { host_ = std::move(host); }
+  obs::Context& obs() const { return obs_; }
 
   // --- file descriptors ------------------------------------------------------
   // Open/Read/Write (and their string/file helpers) are MAY_BLOCK: the path
@@ -103,7 +103,7 @@ class Proc {
 
   std::shared_ptr<Namespace> ns_;
   std::string user_;
-  std::string host_;
+  obs::Context& obs_;
   QLock lock_{"proc.fds"};
   std::vector<std::unique_ptr<FdEntry>> fds_ GUARDED_BY(lock_);
 };

@@ -3,6 +3,7 @@
 #include <bit>
 
 #include "src/base/strings.h"
+#include "src/obs/context.h"
 
 namespace plan9 {
 namespace obs {
@@ -18,12 +19,34 @@ uint64_t Histogram::BucketLowerBound(int b) {
   return uint64_t{1} << (b - 1);
 }
 
+Counter::Counter(MetricSet* set, const char* name)
+    : parent_(&set->registry_.CounterNamed(name)) {
+  set->counters_.push_back(this);
+}
+
+Histogram::Histogram(MetricSet* set, const char* name)
+    : parent_(&set->registry_.HistogramNamed(name)) {
+  set->histograms_.push_back(this);
+}
+
+void MetricSet::Reset() {
+  for (Counter* c : counters_) {
+    c->Reset();
+  }
+  for (Histogram* h : histograms_) {
+    h->Reset();
+  }
+}
+
 void Histogram::Record(uint64_t v) {
   buckets_[BucketFor(v)].fetch_add(1, std::memory_order_relaxed);
   count_.fetch_add(1, std::memory_order_relaxed);
   sum_.fetch_add(v, std::memory_order_relaxed);
   uint64_t m = max_.load(std::memory_order_relaxed);
   while (v > m && !max_.compare_exchange_weak(m, v, std::memory_order_relaxed)) {
+  }
+  if (parent_ != nullptr) {
+    parent_->Record(v);
   }
 }
 
@@ -61,16 +84,16 @@ void Histogram::Reset() {
   max_.store(0, std::memory_order_relaxed);
 }
 
-MetricsRegistry& MetricsRegistry::Default() {
-  static MetricsRegistry* registry = new MetricsRegistry;
-  return *registry;
-}
+MetricsRegistry& MetricsRegistry::Default() { return Context::Root().metrics(); }
 
+// The parent's entry is resolved before taking this registry's lock, so two
+// registries' locks are never held at once.
 Counter& MetricsRegistry::CounterNamed(const std::string& name) {
+  Counter* up = parent_ != nullptr ? &parent_->CounterNamed(name) : nullptr;
   QLockGuard guard(lock_);
   auto& slot = counters_[name];
   if (slot == nullptr) {
-    slot = std::make_unique<Counter>();
+    slot = std::make_unique<Counter>(up);
   }
   return *slot;
 }
@@ -85,10 +108,11 @@ Gauge& MetricsRegistry::GaugeNamed(const std::string& name) {
 }
 
 Histogram& MetricsRegistry::HistogramNamed(const std::string& name) {
+  Histogram* up = parent_ != nullptr ? &parent_->HistogramNamed(name) : nullptr;
   QLockGuard guard(lock_);
   auto& slot = histograms_[name];
   if (slot == nullptr) {
-    slot = std::make_unique<Histogram>();
+    slot = std::make_unique<Histogram>(up);
   }
   return *slot;
 }

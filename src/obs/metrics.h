@@ -7,12 +7,14 @@
 // high-water marks, and log-bucketed latency histograms, registered by
 // dotted name ("net.il.resends", "ninep.rpc.latency", "stream.q.depth").
 //
-// Two-level design: per-object stats structs (one per conversation, segment,
-// client...) are built from obs::Counter members whose *parent* is the
-// process-wide registry counter of the same family.  An increment is two
-// relaxed atomic adds — one for the local `stats` file, one for the global
-// `/net/stats` aggregate.  Registry entries are created once and never move,
-// so handed-out references stay valid for the life of the process.
+// Three levels: per-object stats structs (one per conversation, segment,
+// client...) are MetricSets whose members are declared once, with their
+// names, and bound to a registry as they are built.  A node's registry
+// (obs::Context, context.h) renders its /net/stats; each of its counters and
+// histograms feeds the process root's entry of the same name, so an
+// increment is one relaxed atomic add per level: the object's own counter,
+// its node's entry and the root's.  Registry entries are created once and
+// never move, so handed-out references stay valid for the registry's life.
 #ifndef SRC_OBS_METRICS_H_
 #define SRC_OBS_METRICS_H_
 
@@ -22,12 +24,15 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "src/base/thread_annotations.h"
 #include "src/task/qlock.h"
 
 namespace plan9 {
 namespace obs {
+
+class MetricSet;
 
 // A monotonically increasing event count.  Incrementing is wait-free; an
 // optional parent receives every increment so registry-level aggregates stay
@@ -38,10 +43,10 @@ class Counter {
  public:
   Counter() = default;
   explicit Counter(Counter* parent) : parent_(parent) {}
+  // A member of `set` named `name`, fed into the set's registry entry.
+  Counter(MetricSet* set, const char* name);
   Counter(const Counter&) = delete;
   Counter& operator=(const Counter&) = delete;
-
-  void BindParent(Counter* parent) { parent_ = parent; }
 
   void Inc(uint64_t n = 1) {
     value_.fetch_add(n, std::memory_order_relaxed);
@@ -56,7 +61,7 @@ class Counter {
 
  private:
   std::atomic<uint64_t> value_{0};
-  Counter* parent_ = nullptr;
+  Counter* const parent_ = nullptr;
 };
 
 // A point-in-time level (queue depth, window size) with a high-water mark.
@@ -101,12 +106,16 @@ class Gauge {
 // bucket 1 holds 1, bucket 2 holds 2..3, bucket b (b >= 1) holds
 // [2^(b-1), 2^b).  Recording is wait-free; snapshots are read relaxed and
 // may be slightly torn under concurrent writers, which is fine for
-// observability (counts never go backward).
+// observability (counts never go backward).  Like a Counter, a histogram
+// may feed a parent that receives every sample.
 class Histogram {
  public:
   static constexpr int kBuckets = 64;
 
   Histogram() = default;
+  explicit Histogram(Histogram* parent) : parent_(parent) {}
+  // A member of `set` named `name`, fed into the set's registry entry.
+  Histogram(MetricSet* set, const char* name);
   Histogram(const Histogram&) = delete;
   Histogram& operator=(const Histogram&) = delete;
 
@@ -133,16 +142,22 @@ class Histogram {
   std::atomic<uint64_t> count_{0};
   std::atomic<uint64_t> sum_{0};
   std::atomic<uint64_t> max_{0};
+  Histogram* const parent_ = nullptr;
 };
 
-// The process-wide registry.  Entries are created on first use and live
-// forever; lookup takes a lock, so resolve names once (at object
-// construction) and keep the reference — never look up on a hot path.
+// A registry: a node's (its /net/stats) or the process root's.  Entries are
+// created on first use and live as long as the registry; lookup takes a
+// lock, so resolve names once (at object construction) and keep the
+// reference — never look up on a hot path.
 class MetricsRegistry {
  public:
+  // The process root's registry (Context::Root()): every node's counters
+  // and histograms add up here, and code below any node counts here.
   static MetricsRegistry& Default();
 
-  MetricsRegistry() = default;
+  // Counters and histograms created here feed `parent`'s entries of the same
+  // name.  Gauges are levels, not event counts, and stay local.
+  explicit MetricsRegistry(MetricsRegistry* parent = nullptr) : parent_(parent) {}
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
@@ -157,10 +172,38 @@ class MetricsRegistry {
   std::string RenderJson();
 
  private:
+  MetricsRegistry* const parent_;
   QLock lock_{"obs.registry"};
   std::map<std::string, std::unique_ptr<Counter>> counters_ GUARDED_BY(lock_);
   std::map<std::string, std::unique_ptr<Gauge>> gauges_ GUARDED_BY(lock_);
   std::map<std::string, std::unique_ptr<Histogram>> histograms_ GUARDED_BY(lock_);
+};
+
+// The base of a stats struct.  Each member is declared once, with its name:
+//
+//   struct IlConvMetrics : obs::MetricSet {
+//     using MetricSet::MetricSet;
+//     obs::Counter msgs_sent{this, "net.il.msgs-sent"};
+//   };
+//
+// The set binds its members to its registry as they are built and
+// remembers them, so Reset needs no list.
+class MetricSet {
+ public:
+  explicit MetricSet(MetricsRegistry& registry) : registry_(registry) {}
+  MetricSet(const MetricSet&) = delete;
+  MetricSet& operator=(const MetricSet&) = delete;
+
+  // Zeroes every member; the registry's entries keep counting events.
+  void Reset();
+
+ private:
+  friend class Counter;
+  friend class Histogram;
+
+  MetricsRegistry& registry_;
+  std::vector<Counter*> counters_;
+  std::vector<Histogram*> histograms_;
 };
 
 }  // namespace obs

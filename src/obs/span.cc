@@ -1,17 +1,13 @@
 #include "src/obs/span.h"
 
 #include "src/base/strings.h"
-#include "src/obs/trace.h"
+#include "src/obs/context.h"
 
 namespace plan9 {
 namespace obs {
 namespace {
 
 thread_local TraceContext g_current;
-
-const char* SrcHost(const std::string& host) {
-  return host.empty() ? "-" : host.c_str();
-}
 
 uint64_t SplitMix64(uint64_t x) {
   x += 0x9e3779b97f4a7c15ull;
@@ -20,12 +16,24 @@ uint64_t SplitMix64(uint64_t x) {
   return x ^ (x >> 31);
 }
 
-}  // namespace
-
-Tracer& Tracer::Default() {
-  static Tracer* tracer = new Tracer;
-  return *tracer;
+// One begin (B) or end (E, with its duration) record in the node's ring,
+// labelled with the node's sysname ("-" for the process root).
+void RecordSpan(Context& obs, bool end, const char* op, uint64_t trace_hi,
+                uint64_t trace_lo, uint64_t span, uint64_t parent, uint64_t us) {
+  std::string text =
+      StrFormat("%c %s trace=%016llx%016llx span=%016llx parent=%016llx",
+                end ? 'E' : 'B', op, (unsigned long long)trace_hi,
+                (unsigned long long)trace_lo, (unsigned long long)span,
+                (unsigned long long)parent);
+  if (end) {
+    text += StrFormat(" us=%llu", (unsigned long long)us);
+  }
+  const std::string& host = obs.sysname();
+  obs.recorder().Append(TraceKind::kSpan, host.empty() ? "-" : host,
+                        std::move(text));
 }
+
+}  // namespace
 
 uint64_t Tracer::NextId() {
   uint64_t id;
@@ -37,16 +45,16 @@ uint64_t Tracer::NextId() {
 
 const TraceContext& Tracer::Current() { return g_current; }
 
-ScopedSpan::ScopedSpan(const char* op, const std::string& host, Mode mode)
-    : op_(op) {
+ScopedSpan::ScopedSpan(const char* op, Context& obs, Mode mode)
+    : op_(op), obs_(obs) {
+  Tracer& tracer = obs.tracer();
   if (g_current.sampled) {
     // Child of the active span: same trace, fresh span id.
     prev_ = g_current;
     ctx_.trace_hi = prev_.trace_hi;
     ctx_.trace_lo = prev_.trace_lo;
     parent_ = prev_.span_id;
-  } else if (mode == kRootAtEntry && Tracer::Default().ShouldSample()) {
-    auto& tracer = Tracer::Default();
+  } else if (mode == kRootAtEntry && tracer.ShouldSample()) {
     prev_ = g_current;
     ctx_.trace_hi = tracer.NextId();
     ctx_.trace_lo = tracer.NextId();
@@ -55,20 +63,12 @@ ScopedSpan::ScopedSpan(const char* op, const std::string& host, Mode mode)
     return;  // unsampled: the branch is the whole cost
   }
   active_ = true;
-  ctx_.span_id = Tracer::Default().NextId();
+  ctx_.span_id = tracer.NextId();
   ctx_.sampled = true;
-  host_ = host;
   g_current = ctx_;
   begin_ = std::chrono::steady_clock::now();
-  auto& fr = FlightRecorder::Default();
-  if (fr.enabled(TraceKind::kSpan)) {
-    fr.Record(TraceKind::kSpan, SrcHost(host_),
-              StrFormat("B %s trace=%016llx%016llx span=%016llx parent=%016llx",
-                        op_, (unsigned long long)ctx_.trace_hi,
-                        (unsigned long long)ctx_.trace_lo,
-                        (unsigned long long)ctx_.span_id,
-                        (unsigned long long)parent_));
-  }
+  RecordSpan(obs_, /*end=*/false, op_, ctx_.trace_hi, ctx_.trace_lo, ctx_.span_id,
+             parent_, 0);
 }
 
 ScopedSpan::~ScopedSpan() {
@@ -78,17 +78,8 @@ ScopedSpan::~ScopedSpan() {
   g_current = prev_;
   auto us = std::chrono::duration_cast<std::chrono::microseconds>(
       std::chrono::steady_clock::now() - begin_);
-  auto& fr = FlightRecorder::Default();
-  if (fr.enabled(TraceKind::kSpan)) {
-    fr.Record(
-        TraceKind::kSpan, SrcHost(host_),
-        StrFormat("E %s trace=%016llx%016llx span=%016llx parent=%016llx us=%llu",
-                  op_, (unsigned long long)ctx_.trace_hi,
-                  (unsigned long long)ctx_.trace_lo,
-                  (unsigned long long)ctx_.span_id,
-                  (unsigned long long)parent_,
-                  (unsigned long long)us.count()));
-  }
+  RecordSpan(obs_, /*end=*/true, op_, ctx_.trace_hi, ctx_.trace_lo, ctx_.span_id,
+             parent_, static_cast<uint64_t>(us.count()));
 }
 
 SpanAdoption::SpanAdoption(const TraceContext& wire) {
@@ -106,22 +97,13 @@ SpanAdoption::~SpanAdoption() {
   }
 }
 
-void EmitPointSpan(const char* op, const std::string& host, uint64_t trace_hi,
+void EmitPointSpan(const char* op, Context& obs, uint64_t trace_hi,
                    uint64_t trace_lo, uint64_t parent, uint64_t us) {
   if (trace_hi == 0 && trace_lo == 0) {
     return;
   }
-  auto& fr = FlightRecorder::Default();
-  if (!fr.enabled(TraceKind::kSpan)) {
-    return;
-  }
-  uint64_t id = Tracer::Default().NextId();
-  fr.Record(
-      TraceKind::kSpan, SrcHost(host),
-      StrFormat("E %s trace=%016llx%016llx span=%016llx parent=%016llx us=%llu",
-                op, (unsigned long long)trace_hi, (unsigned long long)trace_lo,
-                (unsigned long long)id, (unsigned long long)parent,
-                (unsigned long long)us));
+  RecordSpan(obs, /*end=*/true, op, trace_hi, trace_lo, obs.tracer().NextId(),
+             parent, us);
 }
 
 }  // namespace obs

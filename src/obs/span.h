@@ -18,11 +18,17 @@
 //     connect/announce so late protocol events (RTT samples) and status
 //     lines stay attributable.
 //
-// Spans are recorded as TraceKind::kSpan events in the flight recorder with
-// a fixed, parseable text shape (see stitch.h for the reader):
+// Spans are recorded as TraceKind::kSpan events in the flight recorder of
+// the node each one runs on, labelled with its sysname, in a fixed,
+// parseable text shape (see stitch.h for the reader):
 //
 //   B <op> trace=<32 hex> span=<16 hex> parent=<16 hex>
 //   E <op> trace=<32 hex> span=<16 hex> parent=<16 hex> us=<n>
+//
+// Sampling is head-based and per node: a node's `trace sample <n>` decides
+// only the roots that node starts, and a sampled span is recorded by the
+// node it runs on whatever that node's own setting — the root decided for
+// the whole request.
 //
 // The tracing-off cost is one thread-local read and a branch per ScopedSpan;
 // nothing is formatted, copied, or locked unless the context is sampled.
@@ -32,10 +38,11 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <string>
 
 namespace plan9 {
 namespace obs {
+
+class Context;
 
 struct TraceContext {
   uint64_t trace_hi = 0;  // 128-bit trace id, high half
@@ -46,13 +53,15 @@ struct TraceContext {
   bool active() const { return sampled; }
 };
 
-// Process-wide sampler + id generator.  The sample interval is a relaxed
-// atomic (`trace sample <n>` via /net/ctl): 0 disables root creation
-// entirely, 1 samples every root, N samples 1/N deterministically (a
-// counter, not a coin flip, so tests replay).
+// One node's sampler + id generator.  The sample interval is a relaxed
+// atomic (`trace sample <n>` via the node's /net/ctl): 0 disables root
+// creation entirely, 1 samples every root, N samples 1/N deterministically
+// (a counter, not a coin flip, so tests replay).
 class Tracer {
  public:
-  static Tracer& Default();
+  // Ids are drawn from the stream that starts at `seed`; nodes seed theirs
+  // apart (Context), so ids stay unique across a process.
+  explicit Tracer(uint64_t seed = 0) : ids_(seed) {}
 
   void SetSampleInterval(uint32_t n) {
     interval_.store(n, std::memory_order_relaxed);
@@ -83,20 +92,21 @@ class Tracer {
  private:
   std::atomic<uint32_t> interval_{0};
   std::atomic<uint64_t> decisions_{0};
-  std::atomic<uint64_t> ids_{0};
+  std::atomic<uint64_t> ids_;
 };
 
-// RAII span.  `op` must outlive the span (string literals / static tables).
-// kChildOnly starts a span only under an already-sampled context;
-// kRootAtEntry additionally consults the sampler when there is none — use
-// it at the request edges (Dial, 9P client RPC), kChildOnly everywhere
-// else.  While active, the span installs itself as the thread's current
-// context and restores the previous one on destruction.
+// RAII span, run on the node `obs` belongs to.  `op` must outlive the span
+// (string literals / static tables).  kChildOnly starts a span only under an
+// already-sampled context; kRootAtEntry additionally consults the node's
+// sampler when there is none — use it at the request edges (Dial, 9P client
+// RPC), kChildOnly everywhere else.  While active, the span installs itself
+// as the thread's current context and restores the previous one on
+// destruction.
 class ScopedSpan {
  public:
   enum Mode { kChildOnly, kRootAtEntry };
 
-  ScopedSpan(const char* op, const std::string& host, Mode mode = kChildOnly);
+  ScopedSpan(const char* op, Context& obs, Mode mode = kChildOnly);
   ~ScopedSpan();
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
@@ -107,11 +117,11 @@ class ScopedSpan {
 
  private:
   const char* op_;
+  Context& obs_;
   bool active_ = false;
   TraceContext ctx_;
   TraceContext prev_;
   uint64_t parent_ = 0;
-  std::string host_;
   std::chrono::steady_clock::time_point begin_;
 };
 
@@ -131,9 +141,10 @@ class SpanAdoption {
 };
 
 // A point span measured elsewhere (e.g. one IL RTT sample): emits a single
-// end record of `us` microseconds under the given trace/parent.  No-op when
-// the trace id is zero or span recording is disabled.
-void EmitPointSpan(const char* op, const std::string& host, uint64_t trace_hi,
+// end record of `us` microseconds under the given trace/parent into the
+// node's recorder.  No-op when the trace id is zero; the caller decides
+// whether the node records such spans at all.
+void EmitPointSpan(const char* op, Context& obs, uint64_t trace_hi,
                    uint64_t trace_lo, uint64_t parent, uint64_t us);
 
 }  // namespace obs

@@ -2,10 +2,9 @@
 //
 // The reader half of causal tracing (DESIGN.md §12).  ParseSpans scans
 // rendered /net/trace text for kSpan lines (any other kinds are ignored, so
-// a mixed dump — chaos schedules, IL events, log lines — parses fine),
-// merges each span's begin/end records, and deduplicates: in a simulated
-// world every node's /net/trace is a view of the same recorder, so the same
-// span read through three mounts must count once.  StitchSpans groups spans
+// a mixed dump — chaos schedules, IL events, fault events — parses fine),
+// merges each span's begin/end records, and deduplicates: the same ring
+// read through two mounts must count once.  StitchSpans groups spans
 // by trace id and builds parent/child trees, flagging orphans (a parent id
 // never seen — the CI gate) and unfinished spans (begin without end — how a
 // stuck RPC shows up in a chaos dump).
@@ -27,7 +26,7 @@ struct SpanRecord {
   uint64_t span = 0;
   uint64_t parent = 0;  // 0 = root
   std::string op;       // "9p.server.walk", "dial.cs", ...
-  std::string host;     // "-" when the emitter had no host label
+  std::string host;     // the recording node's sysname; "-" for the root
   double begin_s = 0;   // seconds since recorder epoch (begin, or end if
                         // only the end record was seen)
   uint64_t us = 0;      // duration; 0 until the end record lands

@@ -1,29 +1,12 @@
 #include "src/obs/trace.h"
 
-#include <cstdlib>
-
 #include "src/base/strings.h"
-#include "src/obs/metrics.h"
-#include "src/obs/span.h"
 
 namespace plan9 {
 namespace obs {
-namespace {
-
-// Events overwritten before any reader rendered them (satellite of ISSUE 9):
-// surfaced in /net/stats and netstat so span loss is visible.
-Counter& DroppedCounter() {
-  static Counter* c =
-      &MetricsRegistry::Default().CounterNamed("obs.trace.dropped");
-  return *c;
-}
-
-}  // namespace
 
 const char* TraceKindName(TraceKind kind) {
   switch (kind) {
-    case TraceKind::kBlock:
-      return "block";
     case TraceKind::kIl:
       return "il";
     case TraceKind::kTcp:
@@ -34,8 +17,6 @@ const char* TraceKindName(TraceKind kind) {
       return "dial";
     case TraceKind::kFault:
       return "fault";
-    case TraceKind::kLog:
-      return "log";
     case TraceKind::kChaos:
       return "chaos";
     case TraceKind::kSpan:
@@ -48,9 +29,8 @@ const char* TraceKindName(TraceKind kind) {
 
 std::optional<TraceKind> TraceKindFromName(std::string_view name) {
   static constexpr TraceKind kKinds[] = {
-      TraceKind::kBlock, TraceKind::kIl,    TraceKind::kTcp,   TraceKind::kNinep,
-      TraceKind::kDial,  TraceKind::kFault, TraceKind::kLog,   TraceKind::kChaos,
-      TraceKind::kSpan,  TraceKind::kAll,
+      TraceKind::kIl,    TraceKind::kTcp,   TraceKind::kNinep, TraceKind::kDial,
+      TraceKind::kFault, TraceKind::kChaos, TraceKind::kSpan,  TraceKind::kAll,
   };
   for (TraceKind k : kKinds) {
     if (name == TraceKindName(k)) {
@@ -60,20 +40,13 @@ std::optional<TraceKind> TraceKindFromName(std::string_view name) {
   return std::nullopt;
 }
 
-FlightRecorder& FlightRecorder::Default() {
-  static FlightRecorder* recorder = new FlightRecorder;
-  return *recorder;
-}
-
-FlightRecorder::FlightRecorder(size_t capacity)
+FlightRecorder::FlightRecorder(size_t capacity, Counter* dropped)
     : capacity_(capacity == 0 ? 1 : capacity),
+      dropped_(dropped),
       epoch_(std::chrono::steady_clock::now()) {}
 
-void FlightRecorder::Record(TraceKind kind, std::string src, std::string text,
+void FlightRecorder::Append(TraceKind kind, std::string src, std::string text,
                             uint64_t a, uint64_t b) {
-  if (!enabled(kind)) {
-    return;  // callers may invoke directly, without the P9_TRACE gate
-  }
   TraceEvent ev;
   ev.ts = std::chrono::steady_clock::now();
   ev.kind = kind;
@@ -88,8 +61,8 @@ void FlightRecorder::Record(TraceKind kind, std::string src, std::string text,
     // The slot being overwritten holds the oldest event, whose sequence
     // number is recorded_ - capacity_; if no reader has rendered that far,
     // the event is lost unseen.
-    if (recorded_ - capacity_ >= read_seq_) {
-      DroppedCounter().Inc();
+    if (recorded_ - capacity_ >= read_seq_ && dropped_ != nullptr) {
+      dropped_->Inc();
     }
     ring_[next_ % capacity_] = std::move(ev);
   }
@@ -103,54 +76,6 @@ void FlightRecorder::Enable(uint32_t kinds) {
 
 void FlightRecorder::Disable(uint32_t kinds) {
   mask_.fetch_and(~kinds, std::memory_order_relaxed);
-}
-
-Status FlightRecorder::Ctl(std::string_view msg) {
-  auto fields = Tokenize(msg);
-  if (fields.empty()) {
-    return Error("empty ctl message");
-  }
-  if (fields[0] == "clear") {
-    Clear();
-    return Status::Ok();
-  }
-  if (fields[0] == "trace") {
-    if (fields.size() == 3 && fields[1] == "sample") {
-      char* end = nullptr;
-      unsigned long n = std::strtoul(fields[2].c_str(), &end, 10);
-      if (end == nullptr || *end != '\0') {
-        return Error("usage: trace sample <1/n>");
-      }
-      Tracer::Default().SetSampleInterval(static_cast<uint32_t>(n));
-      if (n > 0) {
-        Enable(static_cast<uint32_t>(TraceKind::kSpan));
-      }
-      return Status::Ok();
-    }
-    if (fields.size() < 2 || (fields[1] != "on" && fields[1] != "off")) {
-      return Error("usage: trace on|off [kind...] | trace sample <1/n>");
-    }
-    bool on = fields[1] == "on";
-    uint32_t kinds = 0;
-    if (fields.size() == 2) {
-      kinds = static_cast<uint32_t>(TraceKind::kAll);
-    } else {
-      for (size_t i = 2; i < fields.size(); i++) {
-        auto k = TraceKindFromName(fields[i]);
-        if (!k.has_value()) {
-          return Error(StrFormat("unknown trace kind: %s", fields[i].c_str()));
-        }
-        kinds |= static_cast<uint32_t>(*k);
-      }
-    }
-    if (on) {
-      Enable(kinds);
-    } else {
-      Disable(kinds);
-    }
-    return Status::Ok();
-  }
-  return Error(StrFormat("unknown ctl message: %s", fields[0].c_str()));
 }
 
 std::string FlightRecorder::RenderText(uint32_t kinds) {

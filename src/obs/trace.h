@@ -1,19 +1,18 @@
 // Flight recorder (observability tentpole).
 //
-// A fixed-size ring buffer of typed trace events: block put/queue, IL
-// send/resend/ack/deadman, 9P T/R with latency, dial attempts, fault
-// injections, and (optionally) every log line.  Tracing is off by default;
-// the enabled-kind mask is a relaxed atomic so the disabled fast path is a
+// A fixed-size ring buffer of typed trace events: IL send/resend/ack/
+// deadman, 9P T/R with latency, dial attempts, fault injections, chaos
+// events and causal-trace spans.  Tracing is off by default; the
+// enabled-kind mask is a relaxed atomic so the disabled fast path is a
 // single load and branch — event text is only formatted when the kind is on
 // (use the P9_TRACE macro).  When the ring is full the oldest event is
-// overwritten; `overwritten` counts what was lost.
+// overwritten; an event lost before anyone read it counts in
+// obs.trace.dropped.
 //
-// The recorder is per node in deployment terms: a real Plan 9 node is one
-// process, so the process-wide Default() instance *is* the node's recorder.
-// In multi-node simulations the nodes of a world share it; every event
-// carries a source tag ("helix/il/3") so interleaved node activity stays
-// attributable.  Readable as text through /net/trace and /net/log (kLog
-// events only), controllable through /net/ctl — see devproto.
+// Each node's context (context.h) owns one recorder: its /net/trace,
+// controlled through its /net/ctl (see devproto).  Events from code below
+// any node — the wire's faults, the chaos engine, node crashes and
+// restarts — land in the process root's recorder.
 #ifndef SRC_OBS_TRACE_H_
 #define SRC_OBS_TRACE_H_
 
@@ -25,24 +24,22 @@
 #include <string_view>
 #include <vector>
 
-#include "src/base/result.h"
 #include "src/base/thread_annotations.h"
+#include "src/obs/metrics.h"
 #include "src/task/qlock.h"
 
 namespace plan9 {
 namespace obs {
 
 enum class TraceKind : uint32_t {
-  kBlock = 1u << 0,  // block put / queue transitions
-  kIl = 1u << 1,     // IL send/resend/ack/deadman
-  kTcp = 1u << 2,    // TCP segment events
-  kNinep = 1u << 3,  // 9P T/R tag with latency
-  kDial = 1u << 4,   // dial/announce attempts
-  kFault = 1u << 5,  // injected faults
-  kLog = 1u << 6,    // routed P9_LOG lines
-  kChaos = 1u << 7,  // chaos engine: crash/restart/partition/heal/flap
-  kSpan = 1u << 8,   // causal-trace span begin/end (src/obs/span.h)
-  kAll = 0x1ff,
+  kIl = 1u << 0,     // IL send/resend/ack/deadman
+  kTcp = 1u << 1,    // TCP segment events
+  kNinep = 1u << 2,  // 9P T/R tag with latency
+  kDial = 1u << 3,   // dial/announce attempts
+  kFault = 1u << 4,  // injected faults
+  kChaos = 1u << 5,  // chaos engine: crash/restart/partition/heal/flap
+  kSpan = 1u << 6,   // causal-trace span begin/end (src/obs/span.h)
+  kAll = 0x7f,
 };
 
 const char* TraceKindName(TraceKind kind);
@@ -51,7 +48,7 @@ std::optional<TraceKind> TraceKindFromName(std::string_view name);
 
 struct TraceEvent {
   std::chrono::steady_clock::time_point ts;
-  TraceKind kind = TraceKind::kLog;
+  TraceKind kind{};
   std::string src;   // "helix/il/3", "9p.client", ...
   std::string text;  // event-specific detail
   uint64_t a = 0;    // event-specific numbers (latency us, seq, tag...)
@@ -65,9 +62,10 @@ class FlightRecorder {
   // reports a span whose parent was overwritten as an orphan.
   static constexpr size_t kDefaultCapacity = 16384;
 
-  static FlightRecorder& Default();
-
-  explicit FlightRecorder(size_t capacity = kDefaultCapacity);
+  // `dropped` (optional) counts events overwritten before any reader saw
+  // them.
+  explicit FlightRecorder(size_t capacity = kDefaultCapacity,
+                          Counter* dropped = nullptr);
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
@@ -76,24 +74,25 @@ class FlightRecorder {
     return (mask_.load(std::memory_order_relaxed) & static_cast<uint32_t>(kind)) != 0;
   }
 
+  // Records the event iff its kind is enabled.
   void Record(TraceKind kind, std::string src, std::string text, uint64_t a = 0,
+              uint64_t b = 0) {
+    if (enabled(kind)) {
+      Append(kind, std::move(src), std::move(text), a, b);
+    }
+  }
+  // Records the event whatever the mask says: a sampled span is kept by the
+  // head-based rule (span.h), not by this node's settings.
+  void Append(TraceKind kind, std::string src, std::string text, uint64_t a = 0,
               uint64_t b = 0);
 
   void Enable(uint32_t kinds);
   void Disable(uint32_t kinds);
   uint32_t mask() const { return mask_.load(std::memory_order_relaxed); }
 
-  // Ctl grammar (the writable /net/ctl file):
-  //   trace on [kind...]    enable all kinds, or just the named ones
-  //   trace off [kind...]   disable all kinds, or just the named ones
-  //   trace sample <n>      head-sample 1/n traces (0 off, 1 all); a
-  //                         non-zero n also enables the span kind
-  //   clear                 drop every recorded event
-  Status Ctl(std::string_view msg);
-
   // Events oldest-first, one per line:
   //   <sec.usec> <kind> <src> <text> [a [b]]
-  // With a filter, only matching kinds render (log files pass kLog).
+  // With a filter, only matching kinds render (the stitcher passes kSpan).
   // Formatting happens on a snapshot, outside the ring lock, so a slow
   // reader never stalls hot-path writers.
   std::string RenderText(uint32_t kinds = static_cast<uint32_t>(TraceKind::kAll));
@@ -106,6 +105,7 @@ class FlightRecorder {
 
  private:
   const size_t capacity_;
+  Counter* const dropped_;
   std::atomic<uint32_t> mask_{0};
   const std::chrono::steady_clock::time_point epoch_;
 
@@ -119,14 +119,14 @@ class FlightRecorder {
   uint64_t read_seq_ GUARDED_BY(lock_) = 0;
 };
 
-// Record iff the kind is enabled; argument expressions (StrFormat etc.) are
-// not evaluated when tracing is off.
-#define P9_TRACE(kind, ...)                                          \
-  do {                                                               \
-    auto& p9_fr = ::plan9::obs::FlightRecorder::Default();           \
-    if (p9_fr.enabled(kind)) {                                       \
-      p9_fr.Record(kind, __VA_ARGS__);                               \
-    }                                                                \
+// Record into `recorder` iff the kind is enabled; argument expressions
+// (StrFormat etc.) are not evaluated when tracing is off.
+#define P9_TRACE(recorder, kind, ...)                 \
+  do {                                                \
+    ::plan9::obs::FlightRecorder& p9_fr = (recorder); \
+    if (p9_fr.enabled(kind)) {                        \
+      p9_fr.Append(kind, __VA_ARGS__);                \
+    }                                                 \
   } while (0)
 
 }  // namespace obs

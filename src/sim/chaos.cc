@@ -9,9 +9,8 @@
 #include "src/base/rand.h"
 #include "src/base/strings.h"
 #include "src/dial/dial.h"
-#include "src/obs/metrics.h"
+#include "src/obs/context.h"
 #include "src/obs/stitch.h"
-#include "src/obs/trace.h"
 #include "src/task/kproc.h"
 #include "src/task/timers.h"
 
@@ -93,9 +92,9 @@ std::string RenderChaosEvent(const ChaosEvent& ev) {
 ChaosEngine::ChaosEngine() {
   ChaosEngine* expected = nullptr;
   (void)g_current.compare_exchange_strong(expected, this);
-  // Chaos runs are forensic by nature: always record lifecycle events.
-  obs::FlightRecorder::Default().Enable(
-      static_cast<uint32_t>(obs::TraceKind::kChaos));
+  // Chaos runs are forensic by nature: always record lifecycle events (the
+  // engine and node lifecycles belong to no one node: the root's ring).
+  obs::Context::Root().recorder().Enable(static_cast<uint32_t>(obs::TraceKind::kChaos));
 }
 
 ChaosEngine::~ChaosEngine() {
@@ -380,9 +379,9 @@ Status ChaosEngine::SetMediumDown(const std::string& name, bool down) {
 }
 
 Status ChaosEngine::Fire(const ChaosEvent& ev) {
-  auto& registry = obs::MetricsRegistry::Default();
-  registry.CounterNamed("chaos.sched.events").Inc();
-  P9_TRACE(obs::TraceKind::kChaos, "chaos", RenderChaosEvent(ev));
+  obs::Context& root = obs::Context::Root();
+  root.metrics().CounterNamed("chaos.sched.events").Inc();
+  P9_TRACE(root.recorder(), obs::TraceKind::kChaos, "chaos", RenderChaosEvent(ev));
   switch (ev.kind) {
     case ChaosEvent::Kind::kCrash:
     case ChaosEvent::Kind::kRestart: {
@@ -401,13 +400,13 @@ Status ChaosEngine::Fire(const ChaosEvent& ev) {
       return node->Restart();
     }
     case ChaosEvent::Kind::kPartition:
-      registry.CounterNamed("chaos.sched.partitions").Inc();
+      root.metrics().CounterNamed("chaos.sched.partitions").Inc();
       return SetMediumDown(ev.target, true);
     case ChaosEvent::Kind::kHeal:
-      registry.CounterNamed("chaos.sched.heals").Inc();
+      root.metrics().CounterNamed("chaos.sched.heals").Inc();
       return SetMediumDown(ev.target, false);
     case ChaosEvent::Kind::kFlap: {
-      registry.CounterNamed("chaos.sched.flaps").Inc();
+      root.metrics().CounterNamed("chaos.sched.flaps").Inc();
       P9_RETURN_IF_ERROR(SetMediumDown(ev.target, true));
       std::this_thread::sleep_for(ev.down);
       return SetMediumDown(ev.target, false);
@@ -569,10 +568,11 @@ Status ScanProto(NetProto* proto, const std::string& sysname) {
 }
 
 // A stuck-conversation failure names the trace that dialed the conversation
-// (the status line's "trace <32 hex>" note).  Dump that trace's stitched
-// span tree to stderr so the failure arrives with its causal history
-// attached — which hop stalled, and how long each one took.
-void DumpStuckTrace(const std::string& error_message) {
+// (the status line's "trace <32 hex>" note).  Dump that trace's span tree,
+// stitched from every watched node's ring, to stderr so the failure arrives
+// with its causal history attached — which hop stalled, and how long each
+// one took.
+void DumpStuckTrace(const std::vector<Node*>& nodes, const std::string& error_message) {
   auto pos = error_message.find(" trace ");
   if (pos == std::string::npos) {
     return;
@@ -581,8 +581,13 @@ void DumpStuckTrace(const std::string& error_message) {
   if (id.size() != 32) {
     return;
   }
-  auto spans = obs::ParseSpans(obs::FlightRecorder::Default().RenderText(
-      static_cast<uint32_t>(obs::TraceKind::kSpan)));
+  std::string text;
+  for (Node* n : nodes) {
+    if (obs::Context* ctx = n->obs(); ctx != nullptr) {
+      text += ctx->recorder().RenderText(static_cast<uint32_t>(obs::TraceKind::kSpan));
+    }
+  }
+  auto spans = obs::ParseSpans(text);
   for (const auto& tree : obs::StitchSpans(spans)) {
     if (tree.trace != id) {
       continue;
@@ -624,7 +629,7 @@ Status InvariantChecker::Check(std::chrono::milliseconds deadline) {
       break;
     }
     if (TimerWheel::Clock::now() >= until) {
-      DumpStuckTrace(s.error().message());
+      DumpStuckTrace(nodes_, s.error().message());
       return s;
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(25));

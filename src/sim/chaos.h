@@ -20,8 +20,8 @@
 // byte-for-byte from the seed its test prints: ScheduleText() renders the
 // canonical form, and Script(ScheduleText()) reproduces it exactly.
 //
-// Every fired event lands in the flight recorder (TraceKind::kChaos) and
-// bumps the chaos.sched.* counters; the engine is readable and drivable
+// Every fired event lands in the process root's flight recorder
+// (TraceKind::kChaos) and bumps the root's chaos.sched.* counters; the engine is readable and drivable
 // through /net/chaos in the usual ctl-file idiom (see devproto).
 //
 // The InvariantChecker closes the loop: after a chaos round (and at

@@ -1,7 +1,7 @@
 #include "src/sim/faults.h"
 
 #include "src/base/strings.h"
-#include "src/obs/trace.h"
+#include "src/obs/context.h"
 
 namespace plan9 {
 
@@ -30,25 +30,6 @@ FaultProfile FaultProfile::Hostile() {
   p.dup_rate = 0.02;
   p.corrupt_rate = 0.01;
   return p;
-}
-
-FaultStats::FaultStats() {
-  auto& r = obs::MetricsRegistry::Default();
-  drops_burst.BindParent(&r.CounterNamed("sim.fault.drops-burst"));
-  drops_partition.BindParent(&r.CounterNamed("sim.fault.drops-partition"));
-  dups.BindParent(&r.CounterNamed("sim.fault.dups"));
-  reorders.BindParent(&r.CounterNamed("sim.fault.reorders"));
-  corruptions.BindParent(&r.CounterNamed("sim.fault.corruptions"));
-  bad_state_entries.BindParent(&r.CounterNamed("sim.fault.bursts"));
-}
-
-void FaultStats::Reset() {
-  drops_burst.Reset();
-  drops_partition.Reset();
-  dups.Reset();
-  reorders.Reset();
-  corruptions.Reset();
-  bad_state_entries.Reset();
 }
 
 FaultInjector::FaultInjector(const FaultProfile& profile, uint64_t seed,
@@ -83,10 +64,12 @@ bool FaultInjector::ScriptedDown(TimerWheel::Clock::time_point now) const {
 
 FaultInjector::Decision FaultInjector::Evaluate(TimerWheel::Clock::time_point now,
                                                 size_t frame_size) {
+  // A medium belongs to no one node: its faults land in the root's ring.
+  obs::FlightRecorder& trace = obs::Context::Root().recorder();
   Decision d;
   if (down(now)) {
     stats_.drops_partition.Inc();
-    P9_TRACE(obs::TraceKind::kFault, "sim.fault", "drop partition", frame_size);
+    P9_TRACE(trace, obs::TraceKind::kFault, "sim.fault", "drop partition", frame_size);
     d.drop = true;
     return d;
   }
@@ -110,7 +93,7 @@ FaultInjector::Decision FaultInjector::Evaluate(TimerWheel::Clock::time_point no
   double loss = bad_state_ ? profile_.loss_bad : profile_.loss_good;
   if (loss > 0 && rng_.Chance(loss)) {
     stats_.drops_burst.Inc();
-    P9_TRACE(obs::TraceKind::kFault, "sim.fault", "drop burst", frame_size);
+    P9_TRACE(trace, obs::TraceKind::kFault, "sim.fault", "drop burst", frame_size);
     d.drop = true;
     return d;
   }
@@ -119,12 +102,12 @@ FaultInjector::Decision FaultInjector::Evaluate(TimerWheel::Clock::time_point no
     d.corrupt = true;
     d.corrupt_bit = rng_.Below(frame_size * 8);
     stats_.corruptions.Inc();
-    P9_TRACE(obs::TraceKind::kFault, "sim.fault", "corrupt bit", d.corrupt_bit);
+    P9_TRACE(trace, obs::TraceKind::kFault, "sim.fault", "corrupt bit", d.corrupt_bit);
   }
   if (profile_.dup_rate > 0 && rng_.Chance(profile_.dup_rate)) {
     d.duplicate = true;
     stats_.dups.Inc();
-    P9_TRACE(obs::TraceKind::kFault, "sim.fault", "duplicate", frame_size);
+    P9_TRACE(trace, obs::TraceKind::kFault, "sim.fault", "duplicate", frame_size);
   }
   if (profile_.reorder_rate > 0 && rng_.Chance(profile_.reorder_rate) &&
       profile_.reorder_jitter.count() > 0) {
@@ -132,7 +115,7 @@ FaultInjector::Decision FaultInjector::Evaluate(TimerWheel::Clock::time_point no
         std::chrono::microseconds(1 + rng_.Below(
             static_cast<uint64_t>(profile_.reorder_jitter.count())));
     stats_.reorders.Inc();
-    P9_TRACE(obs::TraceKind::kFault, "sim.fault", "reorder",
+    P9_TRACE(trace, obs::TraceKind::kFault, "sim.fault", "reorder",
              static_cast<uint64_t>(d.extra_delay.count()));
   }
   return d;

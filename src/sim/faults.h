@@ -83,19 +83,18 @@ struct FaultProfile {
 
 // Per-cause counters; media expose these next to MediaStats in their
 // `stats` files so tests and benches can assert on recovery behaviour.
-// Registry-backed: each increment also feeds the process-wide sim.fault.*
-// aggregate in /net/stats.  Atomic, so readable without the medium's lock.
-struct FaultStats {
-  FaultStats();
-
-  obs::Counter drops_burst;      // Gilbert–Elliott losses
-  obs::Counter drops_partition;  // scripted/forced outage losses
-  obs::Counter dups;             // frames delivered twice
-  obs::Counter reorders;         // frames held back by jitter
-  obs::Counter corruptions;      // frames with a flipped bit
-  obs::Counter bad_state_entries;  // Good->Bad transitions (burst count)
-
-  void Reset();  // this injector only; the aggregates keep counting
+// Each increment also feeds the process root's sim.fault.* entry.  Atomic,
+// so readable without the medium's lock.
+struct FaultStats : obs::MetricSet {
+  FaultStats() : MetricSet(obs::MetricsRegistry::Default()) {}
+  obs::Counter drops_burst{this, "sim.fault.drops-burst"};  // Gilbert–Elliott
+  // Scripted/forced outage losses.
+  obs::Counter drops_partition{this, "sim.fault.drops-partition"};
+  obs::Counter dups{this, "sim.fault.dups"};  // frames delivered twice
+  obs::Counter reorders{this, "sim.fault.reorders"};  // held back by jitter
+  obs::Counter corruptions{this, "sim.fault.corruptions"};  // a flipped bit
+  // Good->Bad transitions (burst count).
+  obs::Counter bad_state_entries{this, "sim.fault.bursts"};
 };
 
 class FaultInjector {

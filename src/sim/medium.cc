@@ -6,16 +6,6 @@
 
 namespace plan9 {
 
-MediaStats::MediaStats() {
-  auto& r = obs::MetricsRegistry::Default();
-  frames_sent.BindParent(&r.CounterNamed("sim.media.frames-sent"));
-  frames_delivered.BindParent(&r.CounterNamed("sim.media.frames-delivered"));
-  frames_dropped.BindParent(&r.CounterNamed("sim.media.frames-dropped"));
-  bytes_sent.BindParent(&r.CounterNamed("sim.media.bytes-sent"));
-  bytes_delivered.BindParent(&r.CounterNamed("sim.media.bytes-delivered"));
-  send_errors.BindParent(&r.CounterNamed("sim.media.send-errors"));
-}
-
 void MediumCore::Configure(const LinkParams& params, uint64_t seed,
                            TimerWheel::Clock::time_point now) {
   params_ = params;

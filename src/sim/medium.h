@@ -62,17 +62,16 @@ struct LinkParams {
 };
 
 // Counters every medium keeps; the ether device's `stats` file reports them.
-// Registry-backed: increments also feed the process-wide sim.media.*
-// aggregates in /net/stats.  Atomic, so readable without the medium's lock.
-struct MediaStats {
-  MediaStats();
-
-  obs::Counter frames_sent;
-  obs::Counter frames_delivered;
-  obs::Counter frames_dropped;
-  obs::Counter bytes_sent;
-  obs::Counter bytes_delivered;
-  obs::Counter send_errors;  // oversize etc.
+// A medium belongs to no one node, so increments feed the process root's
+// sim.media.* entries.  Atomic, so readable without the medium's lock.
+struct MediaStats : obs::MetricSet {
+  MediaStats() : MetricSet(obs::MetricsRegistry::Default()) {}
+  obs::Counter frames_sent{this, "sim.media.frames-sent"};
+  obs::Counter frames_delivered{this, "sim.media.frames-delivered"};
+  obs::Counter frames_dropped{this, "sim.media.frames-dropped"};
+  obs::Counter bytes_sent{this, "sim.media.bytes-sent"};
+  obs::Counter bytes_delivered{this, "sim.media.bytes-delivered"};
+  obs::Counter send_errors{this, "sim.media.send-errors"};  // oversize etc.
 };
 
 // One serialized transmission path — a Wire direction, an Ethernet cable —

@@ -5,8 +5,7 @@
 #include "src/dial/dial.h"
 #include "src/ninep/client.h"
 #include "src/ns/namespace.h"
-#include "src/obs/metrics.h"
-#include "src/obs/trace.h"
+#include "src/obs/context.h"
 #include "src/svc/listen.h"
 #include "src/task/rendez.h"
 
@@ -185,10 +184,9 @@ Result<std::unique_ptr<Service>> StartExportfs(std::shared_ptr<Proc> proc,
         // exportfs serves in the caller's name-space context; a private
         // proc sharing the node's namespace stands in for "the profile of
         // the user requesting the service".
-        auto serve_proc = std::make_shared<Proc>(p->ns_ref(), p->user());
-        serve_proc->set_host(p->host());
+        auto serve_proc = std::make_shared<Proc>(p->ns_ref(), p->user(), p->obs());
         ExportVfs vfs(serve_proc, ToString(*root));
-        NinepServer server(&vfs, std::move(transport), "exportfs", p->host());
+        NinepServer server(&vfs, std::move(transport), "exportfs", p->obs());
         server.Wait();  // until the importer hangs up
         (void)p->Close(dfd);
       },
@@ -228,7 +226,7 @@ Result<std::shared_ptr<NinepClient>> DialExport(Proc* proc, const std::string& d
     (void)proc->Close(dfd);
     return named.error();
   }
-  auto client = std::make_shared<NinepClient>(std::move(transport), proc->host());
+  auto client = std::make_shared<NinepClient>(std::move(transport), proc->obs());
   if (opts.rpc_timeout.count() > 0) {
     client->SetRpcTimeout(opts.rpc_timeout);
   }
@@ -306,8 +304,7 @@ Result<std::unique_ptr<Service>> ImportManaged(Proc* proc, const std::string& de
     state->kick.Wakeup();
   });
   svc->Spawn([proc, dest, remote_tree, local_mount, opts, state, arm]() {
-    auto& redials = obs::MetricsRegistry::Default().CounterNamed("recovery.ninep.redials");
-    auto& remounts = obs::MetricsRegistry::Default().CounterNamed("recovery.ninep.remounts");
+    obs::Context& ctx = proc->obs();
     bool stopping = false;
     while (!stopping) {
       {
@@ -325,10 +322,10 @@ Result<std::unique_ptr<Service>> ImportManaged(Proc* proc, const std::string& de
       // proc's table (as plain Import's does); the vnode underneath it was
       // closed by the client's transport, so the conversation recycles.
       Dismantle(proc, local_mount, state);
-      P9_TRACE(obs::TraceKind::kNinep, "import", StrFormat("%s dead; redialing %s",
-                                                      local_mount.c_str(), dest.c_str()));
+      P9_TRACE(ctx.recorder(), obs::TraceKind::kNinep, "import",
+               StrFormat("%s dead; redialing %s", local_mount.c_str(), dest.c_str()));
       while (!stopping) {
-        redials.Inc();
+        ctx.stats().import_redials.Inc();
         auto fresh = DialExport(proc, dest, remote_tree, opts);
         if (fresh.ok()) {
           arm(*fresh);
@@ -338,8 +335,8 @@ Result<std::unique_ptr<Service>> ImportManaged(Proc* proc, const std::string& de
               QLockGuard guard(state->lock);
               state->client = *fresh;
             }
-            remounts.Inc();
-            P9_TRACE(obs::TraceKind::kNinep, "import",
+            ctx.stats().import_remounts.Inc();
+            P9_TRACE(ctx.recorder(), obs::TraceKind::kNinep, "import",
                      StrFormat("%s remounted from %s", local_mount.c_str(), dest.c_str()));
             break;
           }

@@ -5,8 +5,7 @@
 #include <cstring>
 #include <new>
 
-#include "src/obs/metrics.h"
-#include "src/obs/trace.h"
+#include "src/obs/context.h"
 
 namespace plan9 {
 namespace hotcheck {
@@ -58,7 +57,7 @@ HotCounters& C() {
                bytes, tl.root != nullptr ? tl.root : "?",
                static_cast<unsigned long long>(tl.allocs),
                static_cast<unsigned long long>(tl.copies));
-  std::string dump = obs::FlightRecorder::Default().RenderText();
+  std::string dump = obs::Context::Root().recorder().RenderText();
   if (!dump.empty()) {
     std::fprintf(stderr, "hotcheck: flight recorder:\n%s", dump.c_str());
   }

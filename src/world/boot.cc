@@ -33,7 +33,7 @@ Status DoBootNetwork(Node* node, const std::shared_ptr<Ndb>& db,
 
   // Connection server.
   CsConfig config;
-  config.sysname = node->sysname();
+  config.obs = node->obs();
   config.self_ip = node->addr();
   config.dk_name = node->dk_name();
   config.db = db.get();

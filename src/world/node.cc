@@ -1,11 +1,11 @@
 #include "src/world/node.h"
 
-#include "src/obs/metrics.h"
-#include "src/obs/trace.h"
+#include "src/obs/context.h"
 
 namespace plan9 {
 
-Node::Kernel::Kernel(const std::string& sysname) {
+Node::Kernel::Kernel(const std::string& sysname, int generation)
+    : obs(sysname, static_cast<uint64_t>(generation)), ip(obs), cyclone(obs), netdir(obs) {
   // Conventional directories every Plan 9 name space provides.
   (void)rootfs.MkdirAll("net");
   (void)rootfs.MkdirAll("dev");
@@ -18,9 +18,6 @@ Node::Kernel::Kernel(const std::string& sysname) {
   tcp = std::make_unique<TcpProto>(&ip);
   udp = std::make_unique<UdpProto>(&ip);
   il = std::make_unique<IlProto>(&ip);
-  tcp->set_host(sysname);
-  udp->set_host(sysname);
-  il->set_host(sysname);
 
   base_ns = std::make_shared<Namespace>(&rootfs);
   // "By convention, the protocol and device driver file systems are mounted
@@ -29,7 +26,7 @@ Node::Kernel::Kernel(const std::string& sysname) {
 }
 
 Node::Node(std::string sysname) : sysname_(std::move(sysname)) {
-  k_ = std::make_shared<Kernel>(sysname_);
+  k_ = std::make_shared<Kernel>(sysname_, 0);
 }
 
 // Destruction is graceful (services stop, protos tear down politely); only
@@ -41,7 +38,8 @@ void Node::Crash() {
     return;
   }
   alive_ = false;
-  P9_TRACE(obs::TraceKind::kChaos, sysname_, "crash",
+  obs::Context& root = obs::Context::Root();
+  P9_TRACE(root.recorder(), obs::TraceKind::kChaos, sysname_, "crash",
            static_cast<uint64_t>(generation_));
 
   // 1. Unplug the media first: the node falls silent on the wire before any
@@ -73,7 +71,7 @@ void Node::Crash() {
   //    and channels into its objects.  Unplug above was idempotent, so the
   //    graveyard's destructors cannot detach a restarted kernel's media.
   graveyard_.push_back(std::move(k_));
-  obs::MetricsRegistry::Default().CounterNamed("chaos.node.crashes").Inc();
+  root.metrics().CounterNamed("chaos.node.crashes").Inc();
 }
 
 Status Node::Restart() {
@@ -81,7 +79,7 @@ Status Node::Restart() {
     return Error("node is alive");
   }
   generation_++;
-  k_ = std::make_shared<Kernel>(sysname_);
+  k_ = std::make_shared<Kernel>(sysname_, generation_);
   // Replay the machine spec in boot order: hardware, boot steps, services.
   replaying_ = true;
   for (auto& hw : hw_spec_) {
@@ -104,9 +102,10 @@ Status Node::Restart() {
   }
   replaying_ = false;
   alive_ = true;
-  P9_TRACE(obs::TraceKind::kChaos, sysname_, "restart",
+  obs::Context& root = obs::Context::Root();
+  P9_TRACE(root.recorder(), obs::TraceKind::kChaos, sysname_, "restart",
            static_cast<uint64_t>(generation_));
-  obs::MetricsRegistry::Default().CounterNamed("chaos.node.restarts").Inc();
+  root.metrics().CounterNamed("chaos.node.restarts").Inc();
   return Status::Ok();
 }
 
@@ -128,7 +127,8 @@ void Node::DoAddEther(EtherSegment* segment, MacAddr mac, Ipv4Addr addr,
   k_->ip.AddEtherInterface(segment, mac, addr, mask);
   auto ether = std::make_unique<EtherProto>(
       segment, mac,
-      k_->ethers.empty() ? "ether0" : "ether" + std::to_string(k_->ethers.size()));
+      k_->ethers.empty() ? "ether0" : "ether" + std::to_string(k_->ethers.size()),
+      k_->obs);
   k_->netdir.Add(ether.get(), ether.get());
   k_->ethers.push_back(std::move(ether));
 }
@@ -145,7 +145,7 @@ void Node::AddEther(EtherSegment* segment, MacAddr mac, Ipv4Addr addr,
 
 void Node::DoAddDatakit(DatakitSwitch* dk, const std::string& dk_name) {
   k_->dk_name = dk_name;
-  k_->dk = std::make_unique<DkProto>(dk, dk_name);
+  k_->dk = std::make_unique<DkProto>(dk, dk_name, k_->obs);
   k_->netdir.Add(k_->dk.get());
 }
 
@@ -233,18 +233,14 @@ std::unique_ptr<Proc> Node::NewProc(const std::string& user) {
   if (k_ == nullptr) {
     return nullptr;
   }
-  auto p = std::make_unique<Proc>(k_->base_ns, user);
-  p->set_host(sysname_);
-  return p;
+  return std::make_unique<Proc>(k_->base_ns, user, k_->obs);
 }
 
 std::unique_ptr<Proc> Node::NewProcPrivate(const std::string& user) {
   if (k_ == nullptr) {
     return nullptr;
   }
-  auto p = std::make_unique<Proc>(k_->base_ns->Fork(), user);
-  p->set_host(sysname_);
-  return p;
+  return std::make_unique<Proc>(k_->base_ns->Fork(), user, k_->obs);
 }
 
 }  // namespace plan9

@@ -36,6 +36,13 @@
 //     channels point into kernel objects.  Unplug() is idempotent, so the
 //     graveyard's eventual destruction cannot rip out the successor
 //     kernel's registrations (switch host names, segment stations).
+//
+// Observability.  Each Kernel owns the machine's obs::Context (its
+// /net/stats, /net/trace and /net/ctl), so a restart starts with fresh
+// counters, an empty ring and sampling off, as a rebooted machine would.
+// A Proc that outlives its kernel keeps the graveyard kernel's context.
+// The machine's crashes and restarts are counted and recorded on the
+// process root: a machine cannot count its own power failures.
 #ifndef SRC_WORLD_NODE_H_
 #define SRC_WORLD_NODE_H_
 
@@ -144,16 +151,19 @@ class Node {
   }
   CycloneProto* cyclone() { return k_ ? &k_->cyclone : nullptr; }
   Namespace* base_ns() { return k_ ? k_->base_ns.get() : nullptr; }
+  obs::Context* obs() { return k_ ? &k_->obs : nullptr; }
   Ipv4Addr addr() { return k_ ? k_->ip.PrimaryAddr() : Ipv4Addr{}; }
   const std::string& dk_name() const;
 
  private:
   // Everything that dies in a crash and is rebuilt by a restart.
   // Declaration order is destruction-critical: services stop first (their
-  // kprocs use the stack), protocol devices before the IP stack they ride.
+  // kprocs use the stack), protocol devices before the IP stack they ride,
+  // and the observability context after everything that counts into it.
   struct Kernel {
-    explicit Kernel(const std::string& sysname);
+    Kernel(const std::string& sysname, int generation);
 
+    obs::Context obs;
     RamFs rootfs;
     IpStack ip;
     std::unique_ptr<TcpProto> tcp;

@@ -21,9 +21,7 @@
 #include "src/base/strings.h"
 #include "src/dial/dial.h"
 #include "src/ndb/ndb.h"
-#include "src/obs/metrics.h"
-#include "src/obs/span.h"
-#include "src/obs/trace.h"
+#include "src/obs/context.h"
 #include "src/sim/chaos.h"
 #include "src/sim/datakit.h"
 #include "src/sim/ether_segment.h"
@@ -455,11 +453,14 @@ class SeededChaosTest : public ChaosNetTest {
 TEST_F(SeededChaosTest, SeededScheduleRunsAndTheWorldRecovers) {
   // CI's traced-scenario job sets PLAN9NET_TRACE_SAMPLE=1 so every dial and
   // 9P RPC in the scenario emits spans; the dump below then feeds
-  // trace9 --stitch-file, which fails the job on orphan spans.
-  if (const char* sample = std::getenv("PLAN9NET_TRACE_SAMPLE")) {
-    ASSERT_TRUE(obs::FlightRecorder::Default()
-                    .Ctl(std::string("trace sample ") + sample)
-                    .ok());
+  // trace9 --stitch-file, which fails the job on orphan spans.  Sampling is
+  // per node, set through each node's /net/ctl.
+  const char* sample = std::getenv("PLAN9NET_TRACE_SAMPLE");
+  if (sample != nullptr) {
+    for (Node* n : {helix_.get(), musca_.get()}) {
+      ASSERT_TRUE(
+          n->NewProc()->WriteFile("/net/ctl", std::string("trace sample ") + sample).ok());
+    }
   }
   ASSERT_TRUE(musca_->StartService("exportfs", [](Node* n) {
     return StartExportfs(std::shared_ptr<Proc>(n->NewProc().release()),
@@ -518,14 +519,25 @@ TEST_F(SeededChaosTest, SeededScheduleRunsAndTheWorldRecovers) {
   stop = true;
   toucher.join();
 
+  // The dump stitches the root's ring (chaos events, crashes, restarts)
+  // with each machine's own.
   if (const char* dump = std::getenv("PLAN9NET_CHAOS_DUMP")) {
     std::ofstream out(dump);
     out << "# chaos seed=" << seed << "\n"
         << engine.ScheduleText() << "\n"
-        << obs::FlightRecorder::Default().RenderText();
+        << obs::Context::Root().recorder().RenderText();
+    for (Node* n : {helix_.get(), musca_.get()}) {
+      if (n->obs() != nullptr) {
+        out << n->obs()->recorder().RenderText();
+      }
+    }
   }
-  if (std::getenv("PLAN9NET_TRACE_SAMPLE") != nullptr) {
-    obs::Tracer::Default().SetSampleInterval(0);
+  if (sample != nullptr) {
+    for (Node* n : {helix_.get(), musca_.get()}) {
+      if (auto p = n->NewProc(); p != nullptr) {
+        (void)p->WriteFile("/net/ctl", "trace sample 0");
+      }
+    }
   }
   EXPECT_TRUE(recovered.ok()) << recovered.error().message();
 

@@ -16,9 +16,8 @@
 #include "src/ninep/ramfs.h"
 #include "src/ninep/server.h"
 #include "src/ninep/transport.h"
-#include "src/obs/span.h"
+#include "src/obs/context.h"
 #include "src/obs/stitch.h"
-#include "src/obs/trace.h"
 
 namespace plan9 {
 namespace {
@@ -358,15 +357,13 @@ TEST_F(ServerAnswerTest, IllegalMessagesGetNoAnswer) {
 TEST(NinepSpans, EveryRequestNamesItsClientAndServerSpan) {
   RamFs fs;
   ASSERT_TRUE(fs.WriteFile("f", "contents").ok());
-  auto& recorder = obs::FlightRecorder::Default();
-  uint32_t saved_mask = recorder.mask();
-  recorder.Clear();
-  recorder.Enable(static_cast<uint32_t>(obs::TraceKind::kSpan));
-  obs::Tracer::Default().SetSampleInterval(1);
+  // One context stands in for the one machine both ends run on.
+  obs::Context ctx("wire", 0);
+  ASSERT_TRUE(ctx.Ctl("trace sample 1").ok());
   {
     auto [server_end, client_end] = PipeTransport::Make();
-    NinepServer server(&fs, std::move(server_end));
-    NinepClient client(std::move(client_end));
+    NinepServer server(&fs, std::move(server_end), "9p.server", ctx);
+    NinepClient client(std::move(client_end), ctx);
     Dir d;
     d.name = "f";
     for (Fcall req : {TnopMsg(), TsessionMsg(), TflushMsg(1), TattachMsg(1, "philw", ""),
@@ -379,13 +376,9 @@ TEST(NinepSpans, EveryRequestNamesItsClientAndServerSpan) {
   }
   std::set<std::string> ops;
   for (const auto& span : obs::ParseSpans(
-           recorder.RenderText(static_cast<uint32_t>(obs::TraceKind::kSpan)))) {
+           ctx.recorder().RenderText(static_cast<uint32_t>(obs::TraceKind::kSpan)))) {
     ops.insert(span.op);
   }
-  obs::Tracer::Default().SetSampleInterval(0);
-  recorder.Disable(~0u);
-  recorder.Enable(saved_mask);
-  recorder.Clear();
 
   std::set<std::string> want;
   for (const char* op : {"nop", "session", "flush", "attach", "clone", "walk", "clwalk",

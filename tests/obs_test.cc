@@ -1,17 +1,18 @@
-// Observability layer: metrics registry, flight recorder, and the /net
-// surface (stats, trace, log, ctl) — locally and through a 9P import.
+// Observability layer: metrics registry, flight recorder, the /net surface
+// (stats, trace, ctl) — locally and through a 9P import — and the per-node
+// contexts behind it: each machine's /net describes that machine.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
+#include <sstream>
 #include <thread>
 #include <vector>
 
-#include "src/base/logging.h"
 #include "src/base/strings.h"
 #include "src/dial/dial.h"
 #include "src/ndb/ndb.h"
-#include "src/obs/metrics.h"
-#include "src/obs/trace.h"
+#include "src/obs/context.h"
 #include "src/sim/ether_segment.h"
 #include "src/svc/exportfs.h"
 #include "src/svc/listen.h"
@@ -204,24 +205,50 @@ TEST(FlightRecorderTest, RingOverwritesOldestFirst) {
 }
 
 TEST(FlightRecorderTest, CtlGrammar) {
-  FlightRecorder fr(8);
-  ASSERT_TRUE(fr.Ctl("trace on il 9p").ok());
+  obs::Context ctx("t", 0);
+  FlightRecorder& fr = ctx.recorder();
+  ASSERT_TRUE(ctx.Ctl("trace on il 9p").ok());
   EXPECT_TRUE(fr.enabled(TraceKind::kIl));
   EXPECT_TRUE(fr.enabled(TraceKind::kNinep));
   EXPECT_FALSE(fr.enabled(TraceKind::kDial));
-  ASSERT_TRUE(fr.Ctl("trace off il").ok());
+  ASSERT_TRUE(ctx.Ctl("trace off il").ok());
   EXPECT_FALSE(fr.enabled(TraceKind::kIl));
   EXPECT_TRUE(fr.enabled(TraceKind::kNinep));
-  ASSERT_TRUE(fr.Ctl("trace on").ok());
+  ASSERT_TRUE(ctx.Ctl("trace on").ok());
   EXPECT_TRUE(fr.enabled(TraceKind::kFault));
-  ASSERT_TRUE(fr.Ctl("trace off").ok());
+  ASSERT_TRUE(ctx.Ctl("trace off").ok());
   EXPECT_EQ(fr.mask(), 0u);
-  EXPECT_FALSE(fr.Ctl("trace sideways").ok());
-  EXPECT_FALSE(fr.Ctl("trace on nosuchkind").ok());
+  EXPECT_FALSE(ctx.Ctl("trace sideways").ok());
+  EXPECT_FALSE(ctx.Ctl("trace on nosuchkind").ok());
+  // The kinds no ring is filled with are not in the grammar.
+  EXPECT_FALSE(ctx.Ctl("trace on log").ok());
+  EXPECT_FALSE(ctx.Ctl("trace on block").ok());
   fr.Enable(static_cast<uint32_t>(TraceKind::kAll));
   fr.Record(TraceKind::kIl, "t", "x");
-  ASSERT_TRUE(fr.Ctl("clear").ok());
+  ASSERT_TRUE(ctx.Ctl("clear").ok());
   EXPECT_EQ(fr.EventCount(), 0u);
+}
+
+// A stats struct declares each counter once; Reset clears every member and
+// leaves the registry's aggregate counting.
+TEST(MetricSetTest, ResetClearsEveryMemberButNotTheRegistry) {
+  MetricsRegistry registry;
+  struct Stats : obs::MetricSet {
+    using MetricSet::MetricSet;
+    obs::Counter sent{this, "obs.test.sent"};
+    obs::Counter rcvd{this, "obs.test.rcvd"};
+    obs::Histogram rtt{this, "obs.test.rtt"};
+  } stats(registry);
+  stats.sent.Inc(3);
+  stats.rcvd.Inc();
+  stats.rtt.Record(40);
+  stats.Reset();
+  EXPECT_EQ(stats.sent.value(), 0u);
+  EXPECT_EQ(stats.rcvd.value(), 0u);
+  EXPECT_EQ(stats.rtt.count(), 0u);
+  EXPECT_EQ(registry.CounterNamed("obs.test.sent").value(), 3u);
+  EXPECT_EQ(registry.CounterNamed("obs.test.rcvd").value(), 1u);
+  EXPECT_EQ(registry.HistogramNamed("obs.test.rtt").count(), 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -239,6 +266,28 @@ il=echo port=56789
 il=exportfs port=17007
 )";
 
+// Every `key value` line of a stats file whose value is a count.
+std::map<std::string, uint64_t> ParseStats(const std::string& text) {
+  std::map<std::string, uint64_t> out;
+  std::istringstream lines(text);
+  for (std::string line; std::getline(lines, line);) {
+    auto f = Tokenize(line);
+    if (f.size() == 2) {
+      if (auto v = ParseU64(f[1]); v.has_value()) {
+        out[f[0]] = *v;
+      }
+    }
+  }
+  return out;
+}
+
+// The value of `key` in a stats file; 0 when absent.
+uint64_t StatValue(const std::string& text, const std::string& key) {
+  auto stats = ParseStats(text);
+  auto it = stats.find(key);
+  return it == stats.end() ? 0 : it->second;
+}
+
 class ObsNetTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -253,11 +302,6 @@ class ObsNetTest : public ::testing::Test {
                      Ipv4Addr{0xffffff00});
     ASSERT_TRUE(BootNetwork(helix_.get(), db_, kNdb).ok());
     ASSERT_TRUE(BootNetwork(musca_.get(), db_, kNdb).ok());
-  }
-
-  void TearDown() override {
-    (void)FlightRecorder::Default().Ctl("trace off");
-    (void)FlightRecorder::Default().Ctl("clear");
   }
 
   // Run one echo round trip over IL so the counters move.
@@ -288,7 +332,7 @@ TEST_F(ObsNetTest, NetRootListsObservabilityFiles) {
   for (auto& d : *entries) {
     names.insert(d.name);
   }
-  for (const char* want : {"stats", "trace", "log", "ctl"}) {
+  for (const char* want : {"stats", "trace", "ctl"}) {
     EXPECT_TRUE(names.count(want)) << "missing /net/" << want;
   }
 }
@@ -298,11 +342,19 @@ TEST_F(ObsNetTest, NetStatsRendersRegistryInKeyValueFormat) {
   auto proc = helix_->NewProc();
   auto stats = proc->ReadFile("/net/stats");
   ASSERT_TRUE(stats.ok());
-  // The paper's stats format: one `key value` pair per line.
-  for (const char* key : {"net.il.msgs-sent", "sim.media.frames-sent",
-                          "net.dial.attempts", "stream.q.depth-hiwat"}) {
+  // The paper's stats format: one `key value` pair per line, for the
+  // families helix owns.
+  for (const char* key : {"net.il.msgs-sent", "net.ip.packets-sent",
+                          "net.dial.attempts", "net.il.rtt-count",
+                          "ninep.srv.rpcs"}) {
     auto pos = stats->find(std::string(key) + " ");
     EXPECT_NE(pos, std::string::npos) << "missing " << key << " in\n" << *stats;
+  }
+  // The shared wire and the process's streams belong to no one machine.
+  std::istringstream lines(*stats);
+  for (std::string line; std::getline(lines, line);) {
+    EXPECT_FALSE(HasPrefix(line, "sim.") || HasPrefix(line, "stream."))
+        << "helix's /net/stats carries " << line;
   }
   // The echo moved real traffic, so the IL aggregates are nonzero.
   auto pos = stats->find("net.il.msgs-sent ");
@@ -329,20 +381,6 @@ TEST_F(ObsNetTest, TraceCtlEnablesFlightRecorder) {
   auto cleared = proc->ReadFile("/net/trace");
   ASSERT_TRUE(cleared.ok());
   EXPECT_EQ(*cleared, "");
-}
-
-TEST_F(ObsNetTest, NetLogCarriesLogLinesWhenEnabled) {
-  auto proc = helix_->NewProc();
-  ASSERT_TRUE(proc->WriteFile("/net/ctl", "trace on log").ok());
-  LogLevel saved = GetLogLevel();
-  SetLogLevel(LogLevel::kInfo);
-  P9_LOG(kInfo) << "obs-test log marker";
-  SetLogLevel(saved);
-  auto log = proc->ReadFile("/net/log");
-  ASSERT_TRUE(log.ok());
-  EXPECT_NE(log->find("obs-test log marker"), std::string::npos);
-  // Only kLog events render in /net/log.
-  EXPECT_EQ(log->find(" il "), std::string::npos);
 }
 
 TEST_F(ObsNetTest, PerConversationStatusHasPaperShape) {
@@ -385,9 +423,196 @@ TEST_F(ObsNetTest, NetStatsReadableThroughNinepImport) {
   auto stats = proc->ReadFile("/n/helixnet/stats");
   ASSERT_TRUE(stats.ok());
   EXPECT_NE(stats->find("net.il.msgs-sent "), std::string::npos);
-  EXPECT_NE(stats->find("ninep.rpc.count "), std::string::npos);
-  // The 9P latency histogram is live: this very import issued RPCs.
-  EXPECT_NE(stats->find("ninep.rpc.latency-count "), std::string::npos);
+  // helix served this very import's RPCs.
+  EXPECT_GT(StatValue(*stats, "ninep.srv.rpcs"), 0u) << *stats;
+  // The client side of those RPCs is musca's, in musca's own /net/stats.
+  auto own = proc->ReadFile("/net/stats");
+  ASSERT_TRUE(own.ok());
+  EXPECT_GT(StatValue(*own, "ninep.rpc.count"), 0u) << *own;
+  EXPECT_GT(StatValue(*own, "ninep.rpc.latency-count"), 0u) << *own;
+}
+
+// ---------------------------------------------------------------------------
+// Per-node views: each machine's /net describes that machine
+// ---------------------------------------------------------------------------
+
+constexpr char kThreeNodeNdb[] = R"(sys=helix
+	ip=135.104.9.31
+sys=musca
+	ip=135.104.9.6
+sys=tern
+	ip=135.104.9.42
+il=echo port=56789
+il=exportfs port=17007
+)";
+
+// Three machines on one Ethernet; musca serves echo.
+class PerNodeObsTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    db_ = std::make_shared<Ndb>();
+    ASSERT_TRUE(db_->Load(kThreeNodeNdb).ok());
+    helix_ = std::make_unique<Node>("helix");
+    musca_ = std::make_unique<Node>("musca");
+    tern_ = std::make_unique<Node>("tern");
+    uint8_t octet[] = {31, 6, 42};
+    uint8_t last = 0;
+    for (Node* n : {helix_.get(), musca_.get(), tern_.get()}) {
+      n->AddEther(&ether_, MacAddr{8, 0, 0x69, 2, 0x22, static_cast<uint8_t>(last + 1)},
+                  Ipv4Addr::FromOctets(135, 104, 9, octet[last]), Ipv4Addr{0xffffff00});
+      last++;
+      ASSERT_TRUE(BootNetwork(n, db_, kThreeNodeNdb).ok());
+    }
+    auto echo = StartEchoService(
+        std::shared_ptr<Proc>(musca_->NewProc().release()), "il!*!echo");
+    ASSERT_TRUE(echo.ok());
+    echo_ = std::move(*echo);
+  }
+
+  // helix dials musca's echo service and makes one round trip.
+  void EchoHelixThroughMusca() {
+    auto client = helix_->NewProc();
+    auto fd = Dial(client.get(), "il!musca!echo");
+    ASSERT_TRUE(fd.ok()) << fd.error().message();
+    ASSERT_TRUE(client->WriteString(*fd, "ping").ok());
+    auto reply = client->ReadString(*fd, 16);
+    ASSERT_TRUE(reply.ok());
+    EXPECT_EQ(*reply, "ping");
+    ASSERT_TRUE(client->Close(*fd).ok());
+  }
+
+  static std::string ReadNet(Node* n, const std::string& file) {
+    auto text = n->NewProc()->ReadFile("/net/" + file);
+    EXPECT_TRUE(text.ok()) << n->sysname() << " /net/" << file;
+    return text.ok() ? *text : "";
+  }
+
+  static std::map<std::string, uint64_t> Stats(Node* n) {
+    return ParseStats(ReadNet(n, "stats"));
+  }
+
+  EtherSegment ether_{LinkParams::Ether10()};
+  std::shared_ptr<Ndb> db_;
+  std::unique_ptr<Node> helix_, musca_, tern_;
+  std::unique_ptr<Service> echo_;
+};
+
+TEST_F(PerNodeObsTest, BystanderStatsShowNoTraffic) {
+  EchoHelixThroughMusca();
+  for (const auto& [key, value] : Stats(tern_.get())) {
+    if (HasPrefix(key, "net.il.") || HasPrefix(key, "net.dial.")) {
+      EXPECT_EQ(value, 0u) << "tern's /net/stats counts " << key;
+    }
+  }
+  // Not vacuous: the traffic shows on the machines that carried it.
+  auto helix = Stats(helix_.get());
+  EXPECT_GT(helix["net.il.msgs-sent"], 0u);
+  EXPECT_GT(helix["net.dial.attempts"], 0u);
+  EXPECT_GT(Stats(musca_.get())["net.il.msgs-rcvd"], 0u);
+}
+
+TEST_F(PerNodeObsTest, RestartStartsWithEmptyStatsAndTrace) {
+  ASSERT_TRUE(musca_->NewProc()->WriteFile("/net/ctl", "trace on il").ok());
+  EchoHelixThroughMusca();
+  echo_.reset();
+  auto& root_rcvd = MetricsRegistry::Default().CounterNamed("net.il.msgs-rcvd");
+  uint64_t root_before = root_rcvd.value();
+  ASSERT_GT(Stats(musca_.get())["net.il.msgs-rcvd"], 0u);
+  ASSERT_NE(ReadNet(musca_.get(), "trace"), "");
+
+  musca_->Crash();
+  ASSERT_TRUE(musca_->Restart().ok());
+  for (const auto& [key, value] : Stats(musca_.get())) {
+    EXPECT_EQ(value, 0u) << "musca's " << key << " survived the restart";
+  }
+  EXPECT_EQ(ReadNet(musca_.get(), "trace"), "");
+  EXPECT_EQ(ReadNet(musca_.get(), "ctl"), "trace mask 0\ntrace sample 0\n");
+  // The process totals keep what the crashed kernel counted.
+  EXPECT_EQ(root_rcvd.value(), root_before);
+}
+
+TEST_F(PerNodeObsTest, TraceSampleIsPerNode) {
+  ASSERT_TRUE(helix_->NewProc()->WriteFile("/net/ctl", "trace sample 1").ok());
+  EXPECT_NE(ReadNet(helix_.get(), "ctl").find("trace sample 1\n"), std::string::npos);
+  std::string tern_ctl = ReadNet(tern_.get(), "ctl");
+  EXPECT_NE(tern_ctl.find("trace sample 0\n"), std::string::npos) << tern_ctl;
+}
+
+TEST_F(PerNodeObsTest, RootTotalsAreTheSumOfTheNodes) {
+  std::vector<Node*> nodes = {helix_.get(), musca_.get(), tern_.get()};
+  auto snapshot = [&nodes] {
+    std::vector<std::map<std::string, uint64_t>> out;
+    for (Node* n : nodes) {
+      out.push_back(Stats(n));
+    }
+    return out;
+  };
+  auto root_before = ParseStats(MetricsRegistry::Default().RenderText());
+  auto nodes_before = snapshot();
+
+  // One run: an echo over IL and a 9P import, so net.* and ninep.* move.
+  EchoHelixThroughMusca();
+  {
+    auto exportsvc = StartExportfs(
+        std::shared_ptr<Proc>(musca_->NewProc().release()), "il!*!exportfs");
+    ASSERT_TRUE(exportsvc.ok());
+    auto importer = helix_->NewProcPrivate();
+    ASSERT_TRUE(
+        Import(importer.get(), "il!musca!exportfs", "/net", "/n/muscanet", kMRepl).ok());
+    ASSERT_TRUE(importer->ReadFile("/n/muscanet/stats").ok());
+  }
+
+  // Read the nodes on both sides of the root, until nothing moved between.
+  std::map<std::string, uint64_t> root_after;
+  std::vector<std::map<std::string, uint64_t>> nodes_after;
+  for (int tries = 0; tries < 50; tries++) {
+    nodes_after = snapshot();
+    root_after = ParseStats(MetricsRegistry::Default().RenderText());
+    if (snapshot() == nodes_after) {
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  auto at = [](const std::map<std::string, uint64_t>& m, const std::string& key) {
+    auto it = m.find(key);
+    return it == m.end() ? uint64_t{0} : it->second;
+  };
+  std::set<std::string> keys;
+  for (const auto& stats : nodes_after) {
+    for (const auto& [key, value] : stats) {
+      // Means, maxima and percentiles do not add up across machines.
+      bool additive = !key.ends_with("-mean") && !key.ends_with("-max") &&
+                      !key.ends_with("-p50") && !key.ends_with("-p99");
+      if (additive) {
+        keys.insert(key);
+      }
+    }
+  }
+  ASSERT_TRUE(keys.count("net.il.msgs-sent") && keys.count("ninep.rpc.count"));
+  for (const auto& key : keys) {
+    uint64_t sum = 0;
+    for (size_t i = 0; i < nodes.size(); i++) {
+      sum += at(nodes_after[i], key) - at(nodes_before[i], key);
+    }
+    EXPECT_EQ(at(root_after, key) - at(root_before, key), sum) << key;
+  }
+  EXPECT_GT(at(root_after, "ninep.rpc.count") - at(root_before, "ninep.rpc.count"), 0u);
+}
+
+TEST(PerNodeIds, SpanIdsAreDistinctAcrossNodesAndRestarts) {
+  Node helix("helix"), musca("musca");
+  std::set<uint64_t> ids;
+  auto draw = [&ids](Node& n) {
+    for (int i = 0; i < 1000; i++) {
+      ids.insert(n.obs()->tracer().NextId());
+    }
+  };
+  draw(helix);
+  draw(musca);
+  musca.Crash();
+  ASSERT_TRUE(musca.Restart().ok());
+  draw(musca);
+  EXPECT_EQ(ids.size(), 3000u);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // Causal tracing (DESIGN.md §12): context propagation across 9P hops,
 // head sampling, the wire trailer, span stitching, and the recorder's
-// dropped-event accounting.
+// dropped-event accounting.  Every test owns its contexts (a bare
+// obs::Context or its nodes'), so none needs to restore shared state.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -11,10 +12,8 @@
 #include "src/dial/dial.h"
 #include "src/ndb/ndb.h"
 #include "src/ninep/fcall.h"
-#include "src/obs/metrics.h"
-#include "src/obs/span.h"
+#include "src/obs/context.h"
 #include "src/obs/stitch.h"
-#include "src/obs/trace.h"
 #include "src/svc/exportfs.h"
 #include "src/world/boot.h"
 #include "src/world/node.h"
@@ -22,28 +21,11 @@
 namespace plan9 {
 namespace {
 
-// Every test here mutates process-wide tracing state; scope it.
-class TraceTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    saved_mask_ = obs::FlightRecorder::Default().mask();
-    obs::FlightRecorder::Default().Clear();
-  }
-  void TearDown() override {
-    obs::Tracer::Default().SetSampleInterval(0);
-    obs::FlightRecorder::Default().Disable(~0u);
-    obs::FlightRecorder::Default().Enable(saved_mask_);
-    obs::FlightRecorder::Default().Clear();
-  }
-
-  uint32_t saved_mask_ = 0;
-};
-
 // ---------------------------------------------------------------------------
 // Wire trailer
 // ---------------------------------------------------------------------------
 
-TEST_F(TraceTest, SampledContextSurvivesPackUnpack) {
+TEST(TraceTest, SampledContextSurvivesPackUnpack) {
   Fcall tx = TwalkMsg(7, "net");
   tx.tag = 3;
   tx.trace.trace_hi = 0x1122334455667788ull;
@@ -62,7 +44,7 @@ TEST_F(TraceTest, SampledContextSurvivesPackUnpack) {
   EXPECT_EQ(rx->trace.span_id, tx.trace.span_id);
 }
 
-TEST_F(TraceTest, UnsampledMessageCarriesNoTrailer) {
+TEST(TraceTest, UnsampledMessageCarriesNoTrailer) {
   Fcall plain = TwalkMsg(7, "net");
   plain.tag = 3;
   auto packed_plain = plain.Pack();
@@ -86,14 +68,12 @@ TEST_F(TraceTest, UnsampledMessageCarriesNoTrailer) {
 // Head sampler
 // ---------------------------------------------------------------------------
 
-TEST_F(TraceTest, SampleIntervalIsHonored) {
-  obs::FlightRecorder::Default().Enable(
-      static_cast<uint32_t>(obs::TraceKind::kSpan));
-  obs::Tracer::Default().SetSampleInterval(4);
+TEST(TraceTest, SampleIntervalIsHonored) {
+  obs::Context ctx("testhost", 0);
+  ASSERT_TRUE(ctx.Ctl("trace sample 4").ok());
   int sampled = 0;
   for (int i = 0; i < 8; i++) {
-    obs::ScopedSpan span("dial.call", "testhost",
-                         obs::ScopedSpan::kRootAtEntry);
+    obs::ScopedSpan span("dial.call", ctx, obs::ScopedSpan::kRootAtEntry);
     if (span.active()) {
       sampled++;
     }
@@ -103,42 +83,39 @@ TEST_F(TraceTest, SampleIntervalIsHonored) {
   EXPECT_EQ(sampled, 2);
 }
 
-TEST_F(TraceTest, UnsampledPathEmitsNothing) {
-  obs::FlightRecorder::Default().Enable(
-      static_cast<uint32_t>(obs::TraceKind::kSpan));
-  obs::Tracer::Default().SetSampleInterval(0);
+TEST(TraceTest, UnsampledPathEmitsNothing) {
+  obs::Context ctx("testhost", 0);
+  ctx.recorder().Enable(static_cast<uint32_t>(obs::TraceKind::kSpan));
+  ctx.tracer().SetSampleInterval(0);
   for (int i = 0; i < 16; i++) {
-    obs::ScopedSpan span("dial.call", "testhost",
-                         obs::ScopedSpan::kRootAtEntry);
+    obs::ScopedSpan span("dial.call", ctx, obs::ScopedSpan::kRootAtEntry);
     EXPECT_FALSE(span.active());
-    obs::ScopedSpan child("dial.cs", "testhost");
+    obs::ScopedSpan child("dial.cs", ctx);
     EXPECT_FALSE(child.active());
   }
-  EXPECT_EQ(obs::FlightRecorder::Default().RenderText(
-                static_cast<uint32_t>(obs::TraceKind::kSpan)),
+  EXPECT_EQ(ctx.recorder().RenderText(static_cast<uint32_t>(obs::TraceKind::kSpan)),
             "");
 }
 
-TEST_F(TraceTest, ChildSpansInheritTheRootContext) {
-  obs::FlightRecorder::Default().Enable(
-      static_cast<uint32_t>(obs::TraceKind::kSpan));
-  obs::Tracer::Default().SetSampleInterval(1);
+TEST(TraceTest, ChildSpansInheritTheRootContext) {
+  obs::Context ctx("a", 0);
+  ASSERT_TRUE(ctx.Ctl("trace sample 1").ok());
   {
-    obs::ScopedSpan root("dial.call", "a", obs::ScopedSpan::kRootAtEntry);
+    obs::ScopedSpan root("dial.call", ctx, obs::ScopedSpan::kRootAtEntry);
     ASSERT_TRUE(root.active());
-    obs::ScopedSpan child("dial.cs", "a");
+    obs::ScopedSpan child("dial.cs", ctx);
     ASSERT_TRUE(child.active());
     EXPECT_EQ(child.context().trace_hi, root.context().trace_hi);
     EXPECT_EQ(child.context().trace_lo, root.context().trace_lo);
     EXPECT_NE(child.context().span_id, root.context().span_id);
   }
   // Context restored: a kChildOnly span outside is inactive again.
-  obs::Tracer::Default().SetSampleInterval(0);
-  obs::ScopedSpan after("dial.cs", "a");
+  ctx.tracer().SetSampleInterval(0);
+  obs::ScopedSpan after("dial.cs", ctx);
   EXPECT_FALSE(after.active());
 
-  auto spans = obs::ParseSpans(obs::FlightRecorder::Default().RenderText(
-      static_cast<uint32_t>(obs::TraceKind::kSpan)));
+  auto spans = obs::ParseSpans(
+      ctx.recorder().RenderText(static_cast<uint32_t>(obs::TraceKind::kSpan)));
   auto trees = obs::StitchSpans(spans);
   ASSERT_EQ(trees.size(), 1u);
   EXPECT_EQ(trees[0].spans.size(), 2u);
@@ -152,7 +129,7 @@ TEST_F(TraceTest, ChildSpansInheritTheRootContext) {
 // Stitching
 // ---------------------------------------------------------------------------
 
-TEST_F(TraceTest, StitchFlagsOrphansAndUnfinishedAndDedupes) {
+TEST(TraceTest, StitchFlagsOrphansAndUnfinishedAndDedupes) {
   const char* text =
       "  0.000001 span  helix B dial.call trace=000000000000000000000000000000aa span=0000000000000001 parent=0000000000000000\n"
       "  0.000002 span  helix B dial.cs trace=000000000000000000000000000000aa span=0000000000000002 parent=0000000000000001\n"
@@ -182,11 +159,10 @@ TEST_F(TraceTest, StitchFlagsOrphansAndUnfinishedAndDedupes) {
 // Dropped-event accounting (the recorder satellite)
 // ---------------------------------------------------------------------------
 
-TEST_F(TraceTest, OverwritingUnreadEventsBumpsDroppedCounter) {
-  auto& dropped =
-      obs::MetricsRegistry::Default().CounterNamed("obs.trace.dropped");
+TEST(TraceTest, OverwritingUnreadEventsBumpsDroppedCounter) {
+  obs::Counter dropped;
   uint64_t before = dropped.value();
-  obs::FlightRecorder fr(4);
+  obs::FlightRecorder fr(4, &dropped);
   fr.Enable(static_cast<uint32_t>(obs::TraceKind::kDial));
   for (int i = 0; i < 10; i++) {
     fr.Record(obs::TraceKind::kDial, "t", StrFormat("ev%d", i));
@@ -212,7 +188,7 @@ constexpr char kNdb[] =
     "sys=musca\n\tip=135.104.9.6\n\til=exportfs port=17008\n"
     "sys=tern\n\tip=135.104.9.42\n\til=9fs port=17007\n";
 
-TEST_F(TraceTest, ImportChainStitchesIntoOneTreeAcrossThreeHops) {
+TEST(TraceTest, ImportChainStitchesIntoOneTreeAcrossThreeHops) {
   EtherSegment ether(LinkParams::Ether10());
   auto db = std::make_shared<Ndb>();
   ASSERT_TRUE(db->Load(kNdb).ok());
@@ -250,9 +226,9 @@ TEST_F(TraceTest, ImportChainStitchesIntoOneTreeAcrossThreeHops) {
       ImportManaged(helixproc.get(), "il!musca!exportfs", "/", "/n/gw", iopts);
   ASSERT_TRUE(gw_import.ok());
 
-  // Sample everything through the file interface, then cross both hops.
+  // Sample everything helix starts through its file interface, then cross
+  // both hops: musca and tern record the spans that reach them.
   ASSERT_TRUE(helixproc->WriteFile("/net/ctl", "trace sample 1").ok());
-  obs::FlightRecorder::Default().Clear();
   auto remote = helixproc->ReadFile("/n/gw/n/tern/net/stats");
   ASSERT_TRUE(remote.ok()) << remote.error().message();
   EXPECT_NE(remote->find("ninep.srv.rpcs"), std::string::npos);
@@ -295,7 +271,7 @@ TEST_F(TraceTest, ImportChainStitchesIntoOneTreeAcrossThreeHops) {
 
 // The conversation a traced dial created carries the trace id in its status
 // line (how chaos ties a stuck conv back to its causal history).
-TEST_F(TraceTest, TracedDialAnnotatesTheConversationStatus) {
+TEST(TraceTest, TracedDialAnnotatesTheConversationStatus) {
   EtherSegment ether(LinkParams::Ether10());
   auto db = std::make_shared<Ndb>();
   ASSERT_TRUE(db->Load(kNdb).ok());
@@ -310,22 +286,21 @@ TEST_F(TraceTest, TracedDialAnnotatesTheConversationStatus) {
       std::shared_ptr<Proc>(musca.NewProc().release()), "il!*!exportfs");
   ASSERT_TRUE(svc.ok());
 
-  obs::Tracer::Default().SetSampleInterval(1);
-  obs::FlightRecorder::Default().Enable(
-      static_cast<uint32_t>(obs::TraceKind::kSpan));
   auto proc = helix.NewProc();
+  ASSERT_TRUE(proc->WriteFile("/net/ctl", "trace sample 1").ok());
   std::string dir;
   auto fd = Dial(proc.get(), "il!musca!exportfs", &dir);
-  obs::Tracer::Default().SetSampleInterval(0);
+  ASSERT_TRUE(proc->WriteFile("/net/ctl", "trace sample 0").ok());
   ASSERT_TRUE(fd.ok());
   auto status = proc->ReadFile(dir + "/status");
   ASSERT_TRUE(status.ok());
   auto pos = status->find(" trace ");
   ASSERT_NE(pos, std::string::npos) << *status;
-  // The id in the status line names a trace the recorder actually holds.
+  // The id in the status line names a trace helix's recorder actually holds.
   std::string id = status->substr(pos + 7, 32);
-  auto spans = obs::ParseSpans(obs::FlightRecorder::Default().RenderText(
-      static_cast<uint32_t>(obs::TraceKind::kSpan)));
+  auto trace = proc->ReadFile("/net/trace");
+  ASSERT_TRUE(trace.ok());
+  auto spans = obs::ParseSpans(*trace);
   bool found = false;
   for (const auto& s : spans) {
     found = found || s.trace == id;

@@ -290,20 +290,42 @@ _METRIC_RE = re.compile(
                                config.METRIC_SEGMENT))
 
 
+def _metric_name_index(toks, i: int) -> int:
+    """Index of the name literal a metric declaration at toks[i] names, or
+    -1.  Two forms: a registry lookup, `CounterNamed("net.il.rtt")`, and a
+    stats-struct member declared once with its name,
+    `obs::Counter msgs_sent{this, "net.il.msgs-sent"};`."""
+    n = len(toks)
+    t = toks[i]
+    if t.kind != "id":
+        return -1
+    if t.text in config.METRIC_FACTORIES:
+        j = i + 2
+        if not (j < n and toks[i + 1].text == "("):
+            return -1
+    elif t.text in config.METRIC_MEMBER_TYPES:
+        j = i + 5
+        if not (j < n and toks[i + 1].kind == "id" and toks[i + 2].text == "{"
+                and toks[i + 3].text == "this" and toks[i + 4].text == ","):
+            return -1
+    else:
+        return -1
+    if toks[j].kind != "str":
+        return -1  # declaration or computed name
+    if j + 1 < n and toks[j + 1].kind == "str":
+        return -1  # concatenated literals: dynamic enough to skip
+    return j
+
+
 def check_metric_names(files: List[FileIndex]) -> List[Finding]:
     out: List[Finding] = []
     for fi in files:
         toks = fi.tokens
-        n = len(toks)
         for i, t in enumerate(toks):
-            if not (t.kind == "id" and t.text in config.METRIC_FACTORIES
-                    and i + 1 < n and toks[i + 1].text == "("):
+            j = _metric_name_index(toks, i)
+            if j < 0:
                 continue
-            if i + 2 >= n or toks[i + 2].kind != "str":
-                continue  # declaration or computed name
-            name = toks[i + 2].text
-            if i + 3 < n and toks[i + 3].kind == "str":
-                continue  # concatenated literals: dynamic enough to skip
+            name = toks[j].text
             if not _METRIC_RE.match(name):
                 out.append(Finding(
                     check="metric-name",

@@ -77,6 +77,9 @@ SLEEP_METHODS = {"Sleep", "SleepFor", "SleepUntil"}
 # Registry factory functions whose first argument must satisfy the metric
 # grammar (DESIGN.md section 9).
 METRIC_FACTORIES = {"CounterNamed", "GaugeNamed", "HistogramNamed"}
+# Metric types declared once, with their names, as stats-struct members:
+# `obs::Counter msgs_sent{this, "net.il.msgs-sent"};` (obs::MetricSet).
+METRIC_MEMBER_TYPES = {"Counter", "Histogram"}
 
 # Dotted, lowercase, dash-separated words; at least family.subsystem.name.
 METRIC_FAMILIES = ("net", "ninep", "stream", "sim", "chaos", "recovery", "obs")
@@ -162,8 +165,6 @@ HOT_PATH_SAFE = {
     "Stream::Hangup",
     # Leak-singleton accessors: the `new` runs once per process, under the
     # first caller, never per message.
-    "MetricsRegistry::Default",
-    "Tracer::Default",
-    "FlightRecorder::Default",
+    "Context::Root",
     "TimerWheel::Default",
 }

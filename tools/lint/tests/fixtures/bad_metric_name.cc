@@ -4,6 +4,9 @@
 namespace plan9 {
 
 class MetricsRegistry;
+class MetricSet;
+class Counter;
+class Histogram;
 
 void Register(MetricsRegistry& r) {
   r.CounterNamed("net.il.rexmits");        // fine
@@ -12,5 +15,13 @@ void Register(MetricsRegistry& r) {
   r.CounterNamed("foo.bar.baz");           // BAD: unknown family
   r.HistogramNamed("ninep.rpc.latency-us");  // fine
 }
+
+// Stats-struct members, each declared once with its name.
+struct ConvStats : MetricSet {
+  Counter msgs_sent{this, "net.il.msgs-sent"};  // fine
+  Histogram rtt{this, "net.il.rtt"};            // fine
+  Counter resends{this, "net.il.Resends"};      // BAD: uppercase
+  Histogram lag{this, "il.lag"};                // BAD: no family, two segments
+};
 
 }  // namespace plan9

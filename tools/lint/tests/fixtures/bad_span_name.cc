@@ -3,16 +3,17 @@
 // lowercase dash-separated segments.
 namespace plan9 {
 namespace obs {
+class Context;
 class ScopedSpan;
 }  // namespace obs
 
-void Traced(const char* computed) {
-  obs::ScopedSpan span("dial.cs", "helix");           // fine
-  obs::ScopedSpan shouty("Dial.CS", "helix");         // BAD: uppercase
-  obs::ScopedSpan lost("frobnicate.walk", "helix");   // BAD: unknown family
-  obs::ScopedSpan dynamic(computed, "helix");         // computed: skipped
-  obs::EmitPointSpan("il.rtt");                       // fine
-  obs::EmitPointSpan("il");                           // BAD: family alone
+void Traced(const char* computed, obs::Context& ctx) {
+  obs::ScopedSpan span("dial.cs", ctx);           // fine
+  obs::ScopedSpan shouty("Dial.CS", ctx);         // BAD: uppercase
+  obs::ScopedSpan lost("frobnicate.walk", ctx);   // BAD: unknown family
+  obs::ScopedSpan dynamic(computed, ctx);         // computed: skipped
+  obs::EmitPointSpan("il.rtt", ctx);              // fine
+  obs::EmitPointSpan("il", ctx);                  // BAD: family alone
 }
 
 }  // namespace plan9

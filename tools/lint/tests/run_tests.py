@@ -114,7 +114,9 @@ class MetricName(unittest.TestCase):
         keys = lint("bad_metric_name.cc")
         self.assertEqual(sorted(keys), [
             "metric-name|bad_metric_name.cc||name=foo.bar.baz",
+            "metric-name|bad_metric_name.cc||name=il.lag",
             "metric-name|bad_metric_name.cc||name=net.badUpper",
+            "metric-name|bad_metric_name.cc||name=net.il.Resends",
         ])
 
 

@@ -6,7 +6,9 @@
 //
 // With --chaos, musca is crashed and restarted between the echo traffic and
 // the export, so the final counter section shows the chaos.* / recovery.*
-// families moving.
+// families moving.  With --trace, helix traces through its /net/ctl and the
+// walk ends with helix's /net/trace and the process root's ring, which holds
+// the wire's fault events.
 //
 //   netstat [--profile=burst-loss|reorder|hostile] [--rounds=N] [--trace]
 //           [--chaos]
@@ -19,8 +21,7 @@
 #include "src/dial/dial.h"
 #include "src/ndb/ndb.h"
 #include "src/ns/proc.h"
-#include "src/obs/metrics.h"
-#include "src/obs/trace.h"
+#include "src/obs/context.h"
 #include "src/sim/faults.h"
 #include "src/svc/exportfs.h"
 #include "src/svc/listen.h"
@@ -69,10 +70,11 @@ void WalkNet(Proc* proc, const std::string& net, const char* heading) {
   }
 }
 
-// The lifecycle, recovery, and recorder-health counters live in the
-// process-wide registry, not any one node's /net/stats; print just those
-// families (obs.trace.dropped says whether the flight recorder overwrote
-// events nobody had read yet).
+// The process root's registry holds the lifecycle counters (a machine
+// cannot count its own crashes) and the sum over both nodes of the recovery
+// and recorder-health counters each /net/stats showed above; print just
+// those families (obs.trace.dropped says whether a flight recorder
+// overwrote events nobody had read yet).
 void PrintChaosCounters() {
   std::istringstream all(obs::MetricsRegistry::Default().RenderText());
   std::printf("\n-- chaos/recovery/obs counters --\n");
@@ -140,8 +142,10 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  auto hp = helix.NewProc();
   if (trace) {
-    (void)obs::FlightRecorder::Default().Ctl("trace on il dial 9p fault");
+    (void)hp->WriteFile("/net/ctl", "trace on il dial 9p", /*create=*/false);
+    obs::Context::Root().recorder().Enable(static_cast<uint32_t>(obs::TraceKind::kFault));
   }
 
   // Traffic source 1: IL echo round trips.  Serve echo on helix, dial from
@@ -195,7 +199,6 @@ int main(int argc, char** argv) {
 
   std::printf("netstat: profile=%s rounds=%d\n\n", profile_name.c_str(),
               rounds);
-  auto hp = helix.NewProc();
   WalkNet(hp.get(), "/net", "helix local");
   auto mp = musca.NewProc();
   std::printf("\n");
@@ -212,9 +215,12 @@ int main(int argc, char** argv) {
   if (trace) {
     auto tr = hp->ReadFile("/net/trace");
     if (tr.ok()) {
-      std::printf("\n-- /net/trace --\n%s", tr->c_str());
+      std::printf("\n-- helix /net/trace --\n%s", tr->c_str());
     }
-    (void)obs::FlightRecorder::Default().Ctl("trace off");
+    std::printf("\n-- root trace (the wire) --\n%s",
+                obs::Context::Root().recorder().RenderText().c_str());
+    (void)hp->WriteFile("/net/ctl", "trace off", /*create=*/false);
+    obs::Context::Root().recorder().Disable(static_cast<uint32_t>(obs::TraceKind::kFault));
   }
   (void)client->Close(*fd);
   return 0;

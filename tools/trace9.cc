@@ -7,12 +7,13 @@
 //
 // where tern exports its root over IL, musca imports it at /n/tern and
 // re-exports its own root, and helix imports musca at /n/gw.  With
-// `trace sample 1` written to /net/ctl, a helix read of
+// `trace sample 1` written to each node's /net/ctl, a helix read of
 // /n/gw/n/tern/net/stats fans out spans on every hop: helix's 9p.client.*,
 // musca's 9p.server.* relaying into its own 9p.client.*, tern's
-// 9p.server.*.  trace9 then walks the local and imported /net/trace files,
-// stitches the span records into per-trace trees, and prints each tree with
-// per-hop latency attribution plus a critical-path summary.
+// 9p.server.*, each recorded in its own node's ring.  trace9 then walks the
+// local and imported /net/trace files, stitches the span records into
+// per-trace trees, and prints each tree with per-hop latency attribution
+// plus a critical-path summary.
 //
 // Stitch mode: `trace9 --stitch-file=PATH` parses span records out of any
 // flight-recorder dump (e.g. the chaos CI artifact), prints the trees, and
@@ -138,11 +139,14 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // Head sampling on, through the file interface like any other program.
-  auto ctl = helix.NewProc();
-  if (!ctl->WriteFile("/net/ctl", "trace sample 1").ok()) {
-    std::fprintf(stderr, "trace sample ctl failed\n");
-    return 1;
+  // Head sampling on every node, through the file interface like any other
+  // program: each node samples the roots it starts.
+  Node* nodes[] = {&helix, &musca, &tern};
+  for (Node* n : nodes) {
+    if (!n->NewProc()->WriteFile("/net/ctl", "trace sample 1").ok()) {
+      std::fprintf(stderr, "trace sample ctl failed on %s\n", n->sysname().c_str());
+      return 1;
+    }
   }
 
   // tern exports its root; musca imports it into the *base* namespace (so
@@ -190,12 +194,14 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  (void)ctl->WriteFile("/net/ctl", "trace sample 0", /*create=*/false);
+  // Sampling off everywhere before the harvest, so reading the traces
+  // starts no new ones.
+  for (Node* n : nodes) {
+    (void)n->NewProc()->WriteFile("/net/ctl", "trace sample 0", /*create=*/false);
+  }
 
   // Harvest the span records the way an operator would: this node's
-  // /net/trace plus the imported ones.  (In the simulator all nodes share
-  // one recorder, so these reads overlap; ParseSpans dedupes by span id —
-  // exactly what a real multi-machine stitch must do anyway.)
+  // /net/trace plus the imported ones.
   std::string text;
   for (const char* path :
        {"/net/trace", "/n/gw/net/trace", "/n/gw/n/tern/net/trace"}) {
