@@ -120,6 +120,8 @@ class ObsFileVnode : public Vnode {
 
 // ---------------------------------------------------------------------------
 
+// A conversation's file, or the protocol's clone file (conv null until it is
+// opened, then the reserved conversation's ctl file).
 class ConvFileVnode : public Vnode {
  public:
   ConvFileVnode(const NetDirVfs::Entry& entry, size_t proto_idx, NetConv* conv,
@@ -133,14 +135,19 @@ class ConvFileVnode : public Vnode {
   ~ConvFileVnode() override { ReleaseRef(); }
 
   Qid qid() override {
+    if (conv_ == nullptr) {
+      return Qid{QidClone(proto_idx_), 0};
+    }
     return Qid{QidFile(proto_idx_, static_cast<size_t>(conv_->index()), file_kind_), 0};
   }
 
   Result<Dir> Stat() override {
     Dir d;
     d.name = file_name_;
-    d.uid = conv_->owner();
-    d.gid = conv_->owner();
+    if (conv_ != nullptr) {
+      d.uid = conv_->owner();
+      d.gid = conv_->owner();
+    }
     d.qid = qid();
     d.mode = 0666;
     d.type = 'I';
@@ -152,7 +159,14 @@ class ConvFileVnode : public Vnode {
   }
 
   Status Open(uint8_t mode, const std::string& user) override {
-    if (file_name_ == "listen") {
+    if (file_name_ == "clone") {
+      // Opening the clone file reserves a conversation and, as §2.3 has it,
+      // returns a file descriptor pointing to its ctl file.  Whoever opens
+      // it owns the conversation.
+      P9_ASSIGN_OR_RETURN(conv_, entry_.proto->Clone());
+      conv_->set_owner(user.empty() ? "network" : user);
+      file_name_ = "ctl";
+    } else if (file_name_ == "listen") {
       // "If the process opens the listen file it blocks until an incoming
       // call is received. ... the open completes and returns a file
       // descriptor pointing to the ctl file of the new connection."
@@ -238,79 +252,6 @@ class ConvFileVnode : public Vnode {
   bool holds_ref_ = false;
 };
 
-// The clone file: opening it reserves a conversation and the open fd behaves
-// as that conversation's ctl file.
-class CloneVnode : public Vnode {
- public:
-  CloneVnode(const NetDirVfs::Entry& entry, size_t proto_idx)
-      : entry_(entry), proto_idx_(proto_idx) {}
-
-  ~CloneVnode() override { ReleaseRef(); }
-
-  Qid qid() override {
-    if (conv_ != nullptr) {
-      return Qid{QidFile(proto_idx_, static_cast<size_t>(conv_->index()), 0), 0};
-    }
-    return Qid{QidClone(proto_idx_), 0};
-  }
-
-  Result<Dir> Stat() override {
-    Dir d;
-    d.name = "clone";
-    d.qid = qid();
-    d.mode = 0666;
-    d.type = 'I';
-    return d;
-  }
-
-  Result<std::shared_ptr<Vnode>> Walk(const std::string& name) override {
-    return Error(kErrNotDir);
-  }
-
-  Status Open(uint8_t mode, const std::string& user) override {
-    auto conv = entry_.proto->Clone();
-    if (!conv.ok()) {
-      return conv.error();
-    }
-    conv_ = *conv;
-    conv_->refs.fetch_add(1);
-    conv_->set_owner(user.empty() ? "network" : user);
-    return Status::Ok();
-  }
-
-  Result<Bytes> Read(uint64_t offset, uint32_t count) override {
-    if (conv_ == nullptr) {
-      return Error("clone not open");
-    }
-    auto text = SliceText(StrFormat("%d", conv_->index()), offset, count);
-    return ToBytes(*text);
-  }
-
-  Result<uint32_t> Write(uint64_t offset, const Bytes& data) override {
-    if (conv_ == nullptr) {
-      return Error("clone not open");
-    }
-    const std::string msg = ToString(data);
-    MaybeCaptureTrace(conv_, msg);
-    P9_RETURN_IF_ERROR(conv_->Ctl(msg));
-    return static_cast<uint32_t>(data.size());
-  }
-
-  void Close(uint8_t mode) override { ReleaseRef(); }
-
- private:
-  void ReleaseRef() {
-    if (conv_ != nullptr && conv_->refs.fetch_sub(1) == 1) {
-      conv_->CloseUser();
-    }
-    conv_ = nullptr;
-  }
-
-  NetDirVfs::Entry entry_;
-  size_t proto_idx_;
-  NetConv* conv_ = nullptr;
-};
-
 class ConvDirVnode : public Vnode {
  public:
   ConvDirVnode(const NetDirVfs::Entry& entry, size_t proto_idx, NetConv* conv,
@@ -388,7 +329,8 @@ class ProtoDirVnode : public Vnode,
                                 : std::shared_ptr<Vnode>(shared_from_this());
     }
     if (name == "clone") {
-      return std::shared_ptr<Vnode>(std::make_shared<CloneVnode>(entry_, proto_idx_));
+      return std::shared_ptr<Vnode>(
+          std::make_shared<ConvFileVnode>(entry_, proto_idx_, nullptr, 0, "clone"));
     }
     auto num = ParseU64(name);
     if (num.has_value()) {

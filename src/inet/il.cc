@@ -50,6 +50,14 @@ void SealPacket(Bytes& pkt, IlType type, uint16_t sport, uint16_t dport, uint32_
   Put16(h, InetChecksum(pkt.data(), pkt.size()));
 }
 
+// A close for a packet no conversation wants, acking its id.
+void SendReset(IpStack* ip, Ipv4Addr laddr, Ipv4Addr raddr, uint16_t lport, uint16_t rport,
+               uint32_t id, uint32_t ack) {
+  Bytes pkt(kIlHeaderSize);
+  SealPacket(pkt, IlType::kClose, lport, rport, id, ack);
+  (void)ip->Send(kIpProtoIl, laddr, raddr, pkt);
+}
+
 const char* StateName(IlConv::State s) {
   switch (s) {
     case IlConv::State::kClosed:
@@ -70,9 +78,8 @@ const char* StateName(IlConv::State s) {
 
 }  // namespace
 
-IlConv::IlConv(IlProto* proto, int index)
-    : IpConv(proto, proto->ip(), index, "il.conv", "il"),
-      proto_(proto),
+IlConv::IlConv(IpConvTable<IlConv>* proto, int index)
+    : IpConv(proto, index, "il.conv", "il"),
       rtt_(kRttBounds),
       metrics_(proto->obs().metrics()) {}
 
@@ -90,32 +97,7 @@ void IlConv::ResetLocked() {
   metrics_.Reset();
 }
 
-Status IlConv::AnnounceLocked(uint16_t port) {
-  if (state_ != State::kClosed || ClosedLocked()) {
-    return Error(kErrConvInUse);
-  }
-  lport_ = port;
-  state_ = State::kListening;
-  return Status::Ok();
-}
-
-Status IlConv::Connect(const HostPort& dest) {
-  P9_ASSIGN_OR_RETURN(Ipv4Addr laddr, ip_->SourceFor(dest.addr));
-  uint16_t ephemeral;
-  uint32_t isn;
-  {
-    QLockGuard pguard(proto_->lock_);
-    ephemeral = proto_->ports_.Next();
-    isn = static_cast<uint32_t>(proto_->isn_rng_.Next());
-  }
-  QLockGuard guard(lock_);
-  if (state_ != State::kClosed || ClosedLocked()) {
-    return Error(kErrConvInUse);
-  }
-  laddr_ = laddr;
-  raddr_ = dest.addr;
-  lport_ = ephemeral;
-  rport_ = dest.port;
+Status IlConv::ConnectLocked(uint32_t isn) {
   // "Connection setup uses a two way handshake to generate initial
   // sequence numbers at each end of the connection."
   start_ = isn;
@@ -125,6 +107,18 @@ Status IlConv::Connect(const HostPort& dest) {
   Status emit = EmitLocked(IlType::kSync, start_, 0, {});
   ArmTimerLocked(rtt_.Rto());
   return emit;
+}
+
+bool IlConv::AcceptLocked(IlConv* listener, uint32_t isn, uint32_t peer_id) {
+  state_ = State::kSyncee;
+  rstart_ = peer_id;
+  recvd_ = peer_id;
+  start_ = isn;
+  next_ = isn + 1;
+  // Answer the sync: our initial id, acking theirs.
+  (void)EmitLocked(IlType::kSync, start_, recvd_, {});
+  ArmTimerLocked(rtt_.Rto());
+  return true;
 }
 
 Status IlConv::WaitReady() {
@@ -389,6 +383,10 @@ void IlConv::Input(IlType type, uint32_t id, uint32_t ack, Bytes payload) {
           sync_tries_ = 0;
           (void)EmitLocked(IlType::kAck, next_ - 1, recvd_, {});
           wake_ready = true;
+        } else if (type == IlType::kClose && ack == start_) {
+          // Nobody listens on the port: the peer refused our sync.
+          CloseLocked(kErrConnRefused);
+          wake_ready = true;
         }
         break;
       case State::kSyncee:
@@ -520,15 +518,8 @@ void IlConv::Input(IlType type, uint32_t id, uint32_t ack, Bytes payload) {
   window_.Wakeup();
 }
 
-IlProto::IlProto(IpStack* ip) : ConvTable("il.proto", ip->obs()), ip_(ip) {
-  ip_->RegisterProtocol(kIpProtoIl,
-                        [this](IpPacket&& pkt) { Input(std::move(pkt)); });
-}
-
-IlProto::~IlProto() {
-  ip_->UnregisterProtocol(kIpProtoIl);
-  Quiesce();
-}
+IlProto::IlProto(IpStack* ip)
+    : IpConvTable(ip, kIpProtoIl, "il.proto", 0xc0ffee, &IlProto::Input) {}
 
 Result<std::string> IlProto::InfoText(NetConv* conv, const std::string& file) {
   if (file == "stats") {
@@ -555,37 +546,7 @@ Result<std::string> IlProto::InfoText(NetConv* conv, const std::string& file) {
   return ProtoFiles::InfoText(conv, file);
 }
 
-void IlProto::SpawnFromSync(Ipv4Addr dst, Ipv4Addr src, uint16_t dport, uint16_t sport,
-                            uint32_t peer_id, IlConv* listener) {
-  auto spawned = Alloc();
-  if (!spawned.ok()) {
-    return;
-  }
-  IlConv* nc = *spawned;
-  uint32_t isn;
-  {
-    QLockGuard guard(lock_);
-    isn = static_cast<uint32_t>(isn_rng_.Next());
-  }
-  {
-    QLockGuard guard(nc->lock_);
-    nc->state_ = IlConv::State::kSyncee;
-    nc->laddr_ = dst;
-    nc->lport_ = dport;
-    nc->raddr_ = src;
-    nc->rport_ = sport;
-    nc->rstart_ = peer_id;
-    nc->recvd_ = peer_id;
-    nc->start_ = isn;
-    nc->next_ = isn + 1;
-    // Answer the sync: our initial id, acking theirs.
-    (void)nc->EmitLocked(IlType::kSync, nc->start_, nc->recvd_, {});
-    nc->ArmTimerLocked(nc->rtt_.Rto());
-  }
-  listener->QueueCall(nc);
-}
-
-void IlProto::Input(IpPacket&& pkt) {
+void IlProto::Input(IpConvTable<IlConv>& il, IpPacket&& pkt) {
   P9_HOT_ROOT("il.input");
   if (pkt.payload.size() < kIlHeaderSize) {
     return;
@@ -610,56 +571,20 @@ void IlProto::Input(IpPacket&& pkt) {
   payload.resize(len);
   payload.erase(payload.begin(), payload.begin() + kIlHeaderSize);
 
-  // Demultiplex: exact conversation first, listener for Syncs second.
-  IlConv* conv = nullptr;
-  IlConv* listener = nullptr;
-  {
-    QLockGuard guard(lock_);
-    for (auto& slot : slots_) {
-      IlConv* c = slot.get();
-      QLockGuard cguard(c->lock_);
-      if (c->state_ != IlConv::State::kClosed &&
-          c->state_ != IlConv::State::kListening && c->lport_ == dport &&
-          c->rport_ == sport && c->raddr_ == pkt.src) {
-        conv = c;
-        break;
-      }
-    }
-    if (conv == nullptr && type == IlType::kSync) {
-      for (auto& slot : slots_) {
-        IlConv* c = slot.get();
-        QLockGuard cguard(c->lock_);
-        if (c->state_ == IlConv::State::kListening && c->lport_ == dport) {
-          listener = c;
-          break;
-        }
-      }
-    }
-  }
+  auto [conv, listener] = il.Demux(pkt.src, dport, sport);
   if (conv != nullptr) {
     conv->Input(type, id, ack, std::move(payload));
-    return;
+  } else if (listener != nullptr && type == IlType::kSync) {
+    il.Spawn(pkt, dport, sport, listener, id);
+  } else if (type != IlType::kClose) {
+    // Nobody is home.  Like Plan 9's ilreject, answer with a close acking
+    // the packet's id: a sync to a port nobody listens on is refused at once
+    // instead of riding out its retry ladder, and a peer probing a
+    // conversation we have no record of (its keep-alive, a query across our
+    // deadman kill) learns fast instead of probing a black hole.  Never a
+    // close for a close: that would ping-pong between two dead ends.
+    SendReset(il.ip(), pkt.dst, pkt.src, dport, sport, ack, id);
   }
-  if (listener != nullptr) {
-    SpawnFromSync(pkt.dst, pkt.src, dport, sport, id, listener);
-    return;
-  }
-  // No conversation wants this packet.  Real IL resets traffic for
-  // conversations it has no record of, so a peer probing a dead one (its
-  // keep-alive, a query across our deadman kill) learns fast instead of
-  // probing a black hole.  Syncs to closed ports stay silently ignored
-  // (connection attempts ride their own retry ladder), and we never answer
-  // a kClose with a kClose — that would ping-pong between two dead ends.
-  if (type != IlType::kSync && type != IlType::kClose) {
-    SendReset(pkt.dst, pkt.src, dport, sport, ack, id);
-  }
-}
-
-void IlProto::SendReset(Ipv4Addr laddr, Ipv4Addr raddr, uint16_t lport, uint16_t rport,
-                        uint32_t id, uint32_t ack) {
-  Bytes pkt(kIlHeaderSize);
-  SealPacket(pkt, IlType::kClose, lport, rport, id, ack);
-  (void)ip_->Send(kIpProtoIl, laddr, raddr, pkt);
 }
 
 }  // namespace plan9

@@ -26,12 +26,10 @@
 #include <memory>
 #include <vector>
 
-#include "src/base/rand.h"
 #include "src/base/thread_annotations.h"
 #include "src/dev/devproto.h"
 #include "src/inet/ip.h"
 #include "src/inet/ipconv.h"
-#include "src/inet/portutil.h"
 #include "src/obs/metrics.h"
 #include "src/task/qlock.h"
 #include "src/task/timers.h"
@@ -66,9 +64,8 @@ struct IlConvMetrics : obs::MetricSet {
   obs::Counter deadman_closes{this, "net.il.deadman"};
 };
 
-class IlProto;
 
-class IlConv : public IpConv {
+class IlConv final : public IpConv<IlConv> {
  public:
   enum class State {
     kClosed,
@@ -83,7 +80,7 @@ class IlConv : public IpConv {
   // from being buffered."
   static constexpr uint32_t kWindow = 20;
 
-  IlConv(IlProto* proto, int index);
+  IlConv(IpConvTable<IlConv>* proto, int index);
 
   Status WaitReady() override;
   std::string StatusText() override;
@@ -95,6 +92,7 @@ class IlConv : public IpConv {
 
  private:
   friend class IlProto;
+  friend class IpConvTable<IlConv>;
   struct Unacked {
     uint32_t id;
     Bytes payload;
@@ -110,8 +108,10 @@ class IlConv : public IpConv {
   void Close() override;
   void Abandon(const std::string& why) override;
   void TimerLocked() override REQUIRES(lock_);
-  Status Connect(const HostPort& dest) override;
-  Status AnnounceLocked(uint16_t port) override REQUIRES(lock_);
+  bool IdleLocked() const override REQUIRES(lock_) { return state_ == State::kClosed; }
+  Status ConnectLocked(uint32_t isn) override REQUIRES(lock_);
+  void AnnounceLocked() override REQUIRES(lock_) { state_ = State::kListening; }
+  bool AcceptLocked(IlConv* listener, uint32_t isn, uint32_t peer_id) override REQUIRES(lock_);
 
   void Input(IlType type, uint32_t id, uint32_t ack, Bytes payload) P9_HOT_PATH;
   void HandleAckLocked(uint32_t ack) REQUIRES(lock_);
@@ -122,7 +122,6 @@ class IlConv : public IpConv {
   void RttSampleLocked(std::chrono::microseconds sample) REQUIRES(lock_);
   void CloseLocked(std::string_view why) REQUIRES(lock_);
 
-  IlProto* proto_;
   State state_ GUARDED_BY(lock_) = State::kClosed;
 
   // Send side.
@@ -150,10 +149,9 @@ class IlConv : public IpConv {
   IlConvMetrics metrics_;  // atomic counters; no lock needed
 };
 
-class IlProto : public ConvTable<IlConv>, public ProtoFiles {
+class IlProto : public IpConvTable<IlConv>, public ProtoFiles {
  public:
   explicit IlProto(IpStack* ip);
-  ~IlProto() override;
 
   std::string name() override { return "il"; }
 
@@ -164,23 +162,8 @@ class IlProto : public ConvTable<IlConv>, public ProtoFiles {
   }
   Result<std::string> InfoText(NetConv* conv, const std::string& file) override;
 
-  IpStack* ip() { return ip_; }
-
  private:
-  friend class IlConv;
-
-  std::unique_ptr<IlConv> NewConv(int index) override {
-    return std::make_unique<IlConv>(this, index);
-  }
-  void Input(IpPacket&& pkt) P9_HOT_PATH;
-  void SpawnFromSync(Ipv4Addr dst, Ipv4Addr src, uint16_t dport, uint16_t sport,
-                     uint32_t peer_id, IlConv* listener);
-  void SendReset(Ipv4Addr laddr, Ipv4Addr raddr, uint16_t lport, uint16_t rport,
-                 uint32_t id, uint32_t ack);
-
-  IpStack* ip_;
-  PortAlloc ports_ GUARDED_BY(lock_);
-  Rng isn_rng_ GUARDED_BY(lock_){0xc0ffee};
+  static void Input(IpConvTable<IlConv>& il, IpPacket&& pkt) P9_HOT_PATH;
 };
 
 }  // namespace plan9

@@ -455,10 +455,11 @@ void IpStack::IpInput(size_t ifc_index, const Bytes& raw) {
     re.dst = pkt.dst;
     re.proto = pkt.proto;
     re.ttl = pkt.ttl;
-    re.fragments[frag_off] = pkt.payload;
+    size_t frag_len = pkt.payload.size();
+    re.fragments[frag_off] = std::move(pkt.payload);
     if (!more_frags) {
       re.have_last = true;
-      re.total_len = frag_off + pkt.payload.size();
+      re.total_len = frag_off + frag_len;
     }
     if (!re.have_last) {
       return;

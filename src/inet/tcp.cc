@@ -32,6 +32,23 @@ constexpr int kMaxHandshakeTries = 8;
 bool SeqLt(uint32_t a, uint32_t b) { return static_cast<int32_t>(a - b) < 0; }
 bool SeqLeq(uint32_t a, uint32_t b) { return static_cast<int32_t>(a - b) <= 0; }
 
+// A reset for a segment no conversation wants.
+void SendRst(IpStack* ip, Ipv4Addr src, Ipv4Addr dst, uint16_t sport, uint16_t dport,
+             uint32_t ack) {
+  Bytes pkt(kTcpHeaderSize);
+  uint8_t* h = pkt.data();
+  Put16(h, sport);
+  Put16(h + 2, dport);
+  Put32(h + 4, 0);
+  Put32(h + 8, ack);
+  Put16(h + 12, static_cast<uint16_t>(5 << 12 | kRst | kAck));
+  Put16(h + 14, 0);
+  Put16(h + 16, 0);
+  Put16(h + 18, 0);
+  Put16(h + 16, InetChecksum(pkt.data(), pkt.size()));
+  (void)ip->Send(kIpProtoTcp, src, dst, pkt);
+}
+
 }  // namespace
 
 // Stream device module: TCP is a byte stream, so block and delimiter
@@ -57,9 +74,8 @@ class TcpConv::Module : public StreamModule {
   TcpConv* conv_;
 };
 
-TcpConv::TcpConv(TcpProto* proto, int index)
-    : IpConv(proto, proto->ip(), index, "tcp.conv", "tcp"),
-      proto_(proto),
+TcpConv::TcpConv(IpConvTable<TcpConv>* proto, int index)
+    : IpConv(proto, index, "tcp.conv", "tcp"),
       rtt_(kRttBounds),
       metrics_(proto->obs().metrics()) {}
 
@@ -110,32 +126,7 @@ const char* TcpConv::StateNameLocked() const {
   return "?";
 }
 
-Status TcpConv::AnnounceLocked(uint16_t port) {
-  if (state_ != State::kClosed || ClosedLocked()) {
-    return Error(kErrConvInUse);
-  }
-  lport_ = port;
-  state_ = State::kListen;
-  return Status::Ok();
-}
-
-Status TcpConv::Connect(const HostPort& dest) {
-  P9_ASSIGN_OR_RETURN(Ipv4Addr laddr, ip_->SourceFor(dest.addr));
-  uint16_t ephemeral;
-  uint32_t isn;
-  {
-    QLockGuard pguard(proto_->lock_);
-    ephemeral = proto_->ports_.Next();
-    isn = static_cast<uint32_t>(proto_->isn_rng_.Next());
-  }
-  QLockGuard guard(lock_);
-  if (state_ != State::kClosed || ClosedLocked()) {
-    return Error(kErrConvInUse);
-  }
-  laddr_ = laddr;
-  raddr_ = dest.addr;
-  lport_ = ephemeral;
-  rport_ = dest.port;
+Status TcpConv::ConnectLocked(uint32_t isn) {
   iss_ = isn;
   snd_una_ = iss_;
   snd_nxt_ = iss_ + 1;  // SYN consumes one sequence number
@@ -144,6 +135,19 @@ Status TcpConv::Connect(const HostPort& dest) {
   EmitLocked(kSyn, iss_, 0, 0);
   ArmTimerLocked(rtt_.Rto());
   return Status::Ok();
+}
+
+bool TcpConv::AcceptLocked(TcpConv* listener, uint32_t isn, uint32_t peer_seq) {
+  state_ = State::kSynRcvd;
+  irs_ = peer_seq;
+  rcv_nxt_ = peer_seq + 1;
+  iss_ = isn;
+  snd_una_ = isn;
+  snd_nxt_ = isn + 1;
+  listener_backref_ = listener;  // queued for Listen once established
+  EmitLocked(kSyn | kAck, isn, 0, 0);
+  ArmTimerLocked(rtt_.Rto());
+  return false;
 }
 
 Status TcpConv::WaitReady() {
@@ -587,15 +591,8 @@ void TcpConv::Input(uint32_t seq, uint32_t ack, uint16_t flags, uint16_t wnd,
   window_.Wakeup();
 }
 
-TcpProto::TcpProto(IpStack* ip) : ConvTable("tcp.proto", ip->obs()), ip_(ip) {
-  ip_->RegisterProtocol(kIpProtoTcp,
-                        [this](IpPacket&& pkt) { Input(std::move(pkt)); });
-}
-
-TcpProto::~TcpProto() {
-  ip_->UnregisterProtocol(kIpProtoTcp);
-  Quiesce();
-}
+TcpProto::TcpProto(IpStack* ip)
+    : IpConvTable(ip, kIpProtoTcp, "tcp.proto", 0xfeedface, &TcpProto::Input) {}
 
 Result<std::string> TcpProto::InfoText(NetConv* conv, const std::string& file) {
   if (file == "stats") {
@@ -618,53 +615,7 @@ Result<std::string> TcpProto::InfoText(NetConv* conv, const std::string& file) {
   return ProtoFiles::InfoText(conv, file);
 }
 
-void TcpProto::SpawnFromSyn(Ipv4Addr dst, Ipv4Addr src, uint16_t dport, uint16_t sport,
-                            uint32_t peer_seq, TcpConv* listener) {
-  auto spawned = Alloc();
-  if (!spawned.ok()) {
-    return;
-  }
-  TcpConv* nc = *spawned;
-  uint32_t isn;
-  {
-    QLockGuard guard(lock_);
-    isn = static_cast<uint32_t>(isn_rng_.Next());
-  }
-  {
-    QLockGuard guard(nc->lock_);
-    nc->state_ = TcpConv::State::kSynRcvd;
-    nc->laddr_ = dst;
-    nc->lport_ = dport;
-    nc->raddr_ = src;
-    nc->rport_ = sport;
-    nc->irs_ = peer_seq;
-    nc->rcv_nxt_ = peer_seq + 1;
-    nc->iss_ = isn;
-    nc->snd_una_ = isn;
-    nc->snd_nxt_ = isn + 1;
-    nc->listener_backref_ = listener;
-    nc->EmitLocked(kSyn | kAck, isn, 0, 0);
-    nc->ArmTimerLocked(nc->rtt_.Rto());
-  }
-}
-
-void TcpProto::SendRst(Ipv4Addr src, Ipv4Addr dst, uint16_t sport, uint16_t dport,
-                       uint32_t ack) {
-  Bytes pkt(kTcpHeaderSize);
-  uint8_t* h = pkt.data();
-  Put16(h, sport);
-  Put16(h + 2, dport);
-  Put32(h + 4, 0);
-  Put32(h + 8, ack);
-  Put16(h + 12, static_cast<uint16_t>(5 << 12 | kRst | kAck));
-  Put16(h + 14, 0);
-  Put16(h + 16, 0);
-  Put16(h + 18, 0);
-  Put16(h + 16, InetChecksum(pkt.data(), pkt.size()));
-  (void)ip_->Send(kIpProtoTcp, src, dst, pkt);
-}
-
-void TcpProto::Input(IpPacket&& pkt) {
+void TcpProto::Input(IpConvTable<TcpConv>& tcp, IpPacket&& pkt) {
   P9_HOT_ROOT("tcp.input");
   if (pkt.payload.size() < kTcpHeaderSize) {
     return;
@@ -689,42 +640,15 @@ void TcpProto::Input(IpPacket&& pkt) {
   Bytes payload = std::move(pkt.payload);
   payload.erase(payload.begin(), payload.begin() + static_cast<long>(header_len));
 
-  TcpConv* conv = nullptr;
-  TcpConv* listener = nullptr;
-  {
-    QLockGuard guard(lock_);
-    for (auto& slot : slots_) {
-      TcpConv* c = slot.get();
-      QLockGuard cguard(c->lock_);
-      if (c->state_ != TcpConv::State::kClosed && c->state_ != TcpConv::State::kListen &&
-          c->lport_ == dport && c->rport_ == sport && c->raddr_ == pkt.src) {
-        conv = c;
-        break;
-      }
-    }
-    if (conv == nullptr && (flags & kSyn) && !(flags & kAck)) {
-      for (auto& slot : slots_) {
-        TcpConv* c = slot.get();
-        QLockGuard cguard(c->lock_);
-        if (c->state_ == TcpConv::State::kListen && c->lport_ == dport) {
-          listener = c;
-          break;
-        }
-      }
-    }
-  }
+  auto [conv, listener] = tcp.Demux(pkt.src, dport, sport);
   if (conv != nullptr) {
     conv->Input(seq, ack, flags, wnd, std::move(payload));
-    return;
-  }
-  if (listener != nullptr) {
-    SpawnFromSyn(pkt.dst, pkt.src, dport, sport, seq, listener);
-    return;
-  }
-  // No one home: answer with RST so connects fail fast ("connection
-  // refused") instead of timing out.
-  if (!(flags & kRst)) {
-    SendRst(pkt.dst, pkt.src, dport, sport, seq + 1);
+  } else if (listener != nullptr && (flags & kSyn) && !(flags & kAck)) {
+    tcp.Spawn(pkt, dport, sport, listener, seq);
+  } else if (!(flags & kRst)) {
+    // No one home: answer with RST so connects fail fast ("connection
+    // refused") instead of timing out.
+    SendRst(tcp.ip(), pkt.dst, pkt.src, dport, sport, seq + 1);
   }
 }
 

@@ -20,12 +20,10 @@
 #include <memory>
 #include <vector>
 
-#include "src/base/rand.h"
 #include "src/base/thread_annotations.h"
 #include "src/dev/devproto.h"
 #include "src/inet/ip.h"
 #include "src/inet/ipconv.h"
-#include "src/inet/portutil.h"
 #include "src/obs/metrics.h"
 #include "src/task/qlock.h"
 #include "src/task/timers.h"
@@ -45,9 +43,8 @@ struct TcpConvMetrics : obs::MetricSet {
   obs::Counter dup_segs{this, "net.tcp.dups"};
 };
 
-class TcpProto;
 
-class TcpConv : public IpConv {
+class TcpConv final : public IpConv<TcpConv> {
  public:
   enum class State {
     kClosed,
@@ -67,7 +64,7 @@ class TcpConv : public IpConv {
   static constexpr size_t kSendWindow = 16 * 1024;   // fixed cwnd, 1993-style
   static constexpr size_t kSendBufMax = 64 * 1024;   // user write backpressure
 
-  TcpConv(TcpProto* proto, int index);
+  TcpConv(IpConvTable<TcpConv>* proto, int index);
 
   Status WaitReady() override;
   std::string StatusText() override;
@@ -81,6 +78,7 @@ class TcpConv : public IpConv {
 
  private:
   friend class TcpProto;
+  friend class IpConvTable<TcpConv>;
   class Module;
 
   // Conversation-core hooks (conv.h, ipconv.h).
@@ -90,8 +88,11 @@ class TcpConv : public IpConv {
   void Abandon(const std::string& why) override;
   void TimerLocked() override REQUIRES(lock_);
   std::unique_ptr<StreamModule> NewModule() override;
-  Status Connect(const HostPort& dest) override;
-  Status AnnounceLocked(uint16_t port) override REQUIRES(lock_);
+  bool IdleLocked() const override REQUIRES(lock_) { return state_ == State::kClosed; }
+  Status ConnectLocked(uint32_t isn) override REQUIRES(lock_);
+  void AnnounceLocked() override REQUIRES(lock_) { state_ = State::kListen; }
+  bool AcceptLocked(TcpConv* listener, uint32_t isn, uint32_t peer_seq) override
+      REQUIRES(lock_);
 
   Status QueueBytes(const uint8_t* data, size_t n) P9_HOT_PATH MAY_BLOCK;  // user data path; sndbuf sleep
   void Input(uint32_t seq, uint32_t ack, uint16_t flags, uint16_t wnd,
@@ -111,7 +112,6 @@ class TcpConv : public IpConv {
   void MaybeSendFinLocked() REQUIRES(lock_);
   const char* StateNameLocked() const REQUIRES(lock_);
 
-  TcpProto* proto_;
   State state_ GUARDED_BY(lock_) = State::kClosed;
 
   // Send sequence space.  send_buf_ holds bytes [snd_una, snd_una+size).
@@ -139,10 +139,9 @@ class TcpConv : public IpConv {
   TcpConvMetrics metrics_;  // atomic counters; no lock needed
 };
 
-class TcpProto : public ConvTable<TcpConv>, public ProtoFiles {
+class TcpProto : public IpConvTable<TcpConv>, public ProtoFiles {
  public:
   explicit TcpProto(IpStack* ip);
-  ~TcpProto() override;
 
   std::string name() override { return "tcp"; }
 
@@ -153,22 +152,8 @@ class TcpProto : public ConvTable<TcpConv>, public ProtoFiles {
   }
   Result<std::string> InfoText(NetConv* conv, const std::string& file) override;
 
-  IpStack* ip() { return ip_; }
-
  private:
-  friend class TcpConv;
-
-  std::unique_ptr<TcpConv> NewConv(int index) override {
-    return std::make_unique<TcpConv>(this, index);
-  }
-  void Input(IpPacket&& pkt) P9_HOT_PATH;
-  void SpawnFromSyn(Ipv4Addr dst, Ipv4Addr src, uint16_t dport, uint16_t sport,
-                    uint32_t peer_seq, TcpConv* listener);
-  void SendRst(Ipv4Addr src, Ipv4Addr dst, uint16_t sport, uint16_t dport, uint32_t ack);
-
-  IpStack* ip_;
-  PortAlloc ports_ GUARDED_BY(lock_);
-  Rng isn_rng_ GUARDED_BY(lock_){0xfeedface};
+  static void Input(IpConvTable<TcpConv>& tcp, IpPacket&& pkt) P9_HOT_PATH;
 };
 
 }  // namespace plan9

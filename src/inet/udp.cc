@@ -15,9 +15,8 @@ constexpr size_t kUdpHeaderSize = 8;
 
 // User writes become datagrams through the core's MessageModule: one write,
 // one datagram, however the stream split it.
-UdpConv::UdpConv(UdpProto* proto, int index)
-    : IpConv(proto, proto->ip(), index, "udp.conv", "udp"),
-      proto_(proto),
+UdpConv::UdpConv(IpConvTable<UdpConv>* proto, int index)
+    : IpConv(proto, index, "udp.conv", "udp"),
       metrics_(proto->obs().metrics()) {}
 
 void UdpConv::ResetLocked() {
@@ -25,38 +24,6 @@ void UdpConv::ResetLocked() {
   laddr_ = raddr_ = Ipv4Addr{};
   lport_ = rport_ = 0;
   metrics_.Reset();
-}
-
-Status UdpConv::Connect(const HostPort& dest) {
-  P9_ASSIGN_OR_RETURN(Ipv4Addr laddr, ip_->SourceFor(dest.addr));
-  uint16_t ephemeral;
-  {
-    // proto lock before conv lock, always.
-    QLockGuard pguard(proto_->lock_);
-    ephemeral = proto_->ports_.Next();
-  }
-  QLockGuard guard(lock_);
-  if (state_ != State::kIdle || ClosedLocked()) {
-    return Error(kErrConvInUse);
-  }
-  laddr_ = laddr;
-  raddr_ = dest.addr;
-  rport_ = dest.port;
-  if (lport_ == 0) {
-    lport_ = ephemeral;
-  }
-  state_ = State::kConnected;
-  return Status::Ok();
-}
-
-Status UdpConv::AnnounceLocked(uint16_t port) {
-  if (state_ != State::kIdle || ClosedLocked()) {
-    return Error(kErrConvInUse);
-  }
-  lport_ = port;
-  laddr_ = Ipv4Addr{};  // any local address
-  state_ = State::kAnnounced;
-  return Status::Ok();
 }
 
 Status UdpConv::CtlVerb(const std::vector<std::string>& words) {
@@ -158,17 +125,11 @@ void UdpConv::Input(const IpPacket& pkt, uint16_t sport, Bytes payload) {
   stream->DeliverUp(AllocDataBlock(std::move(payload), /*delim=*/true));
 }
 
-UdpProto::UdpProto(IpStack* ip) : ConvTable("udp.proto", ip->obs()), ip_(ip) {
-  ip_->RegisterProtocol(kIpProtoUdp,
-                        [this](IpPacket&& pkt) { Input(std::move(pkt)); });
-}
+// UDP numbers nothing: the ISNs the shared layer draws for it go unused.
+UdpProto::UdpProto(IpStack* ip)
+    : IpConvTable(ip, kIpProtoUdp, "udp.proto", 0, &UdpProto::Input) {}
 
-UdpProto::~UdpProto() {
-  ip_->UnregisterProtocol(kIpProtoUdp);
-  Quiesce();
-}
-
-void UdpProto::Input(IpPacket&& pkt) {
+void UdpProto::Input(IpConvTable<UdpConv>& udp, IpPacket&& pkt) {
   P9_HOT_ROOT("udp.input");
   if (pkt.payload.size() < kUdpHeaderSize) {
     return;
@@ -180,61 +141,19 @@ void UdpProto::Input(IpPacket&& pkt) {
   if (len < kUdpHeaderSize || len > pkt.payload.size()) {
     return;
   }
-  UdpConv* conv = FindOrSpawn(pkt, sport, dport);
+  auto [conv, listener] = udp.Demux(pkt.src, dport, sport);
+  if (conv == nullptr && listener != nullptr) {
+    // Unseen source on an announced port: a new call for Listen.
+    conv = udp.Spawn(pkt, dport, sport, listener, 0);
+  }
   if (conv == nullptr) {
-    return;
+    return;  // nobody is home: UDP stays silent
   }
   // Reuse the packet's buffer for the datagram payload.
   Bytes payload = std::move(pkt.payload);
   payload.resize(len);
   payload.erase(payload.begin(), payload.begin() + kUdpHeaderSize);
   conv->Input(pkt, sport, std::move(payload));
-}
-
-UdpConv* UdpProto::FindOrSpawn(const IpPacket& pkt, uint16_t sport, uint16_t dport) {
-  UdpConv* announced = nullptr;
-  {
-    QLockGuard guard(lock_);
-    // Exact 4-tuple match first.
-    for (auto& slot : slots_) {
-      UdpConv* c = slot.get();
-      QLockGuard cguard(c->lock_);
-      if (c->state_ == UdpConv::State::kConnected && c->lport_ == dport &&
-          c->rport_ == sport && c->raddr_ == pkt.src) {
-        return c;
-      }
-    }
-    for (auto& slot : slots_) {
-      UdpConv* c = slot.get();
-      QLockGuard cguard(c->lock_);
-      if (c->state_ == UdpConv::State::kAnnounced && c->lport_ == dport) {
-        announced = c;
-        break;
-      }
-    }
-  }
-  if (announced == nullptr) {
-    return nullptr;
-  }
-  // Unseen source on an announced port: spawn a connected conversation and
-  // hand it to Listen().
-  auto spawned = Alloc();
-  if (!spawned.ok()) {
-    return nullptr;
-  }
-  UdpConv* nc = *spawned;
-  {
-    QLockGuard guard(nc->lock_);
-    nc->state_ = UdpConv::State::kConnected;
-    nc->laddr_ = pkt.dst;
-    nc->lport_ = dport;
-    nc->raddr_ = pkt.src;
-    nc->rport_ = sport;
-    // state kConnected keeps the slot from being re-cloned while it waits in
-    // the pending-call queue.
-  }
-  announced->QueueCall(nc);
-  return nc;
 }
 
 }  // namespace plan9

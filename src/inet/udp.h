@@ -18,13 +18,11 @@
 #include "src/base/thread_annotations.h"
 #include "src/inet/ip.h"
 #include "src/inet/ipconv.h"
-#include "src/inet/portutil.h"
 #include "src/obs/metrics.h"
 #include "src/task/qlock.h"
 
 namespace plan9 {
 
-class UdpProto;
 
 // Datagram/byte counters (net.udp.* in the node's /net/stats).
 struct UdpConvMetrics : obs::MetricSet {
@@ -35,11 +33,11 @@ struct UdpConvMetrics : obs::MetricSet {
   obs::Counter bytes_received{this, "net.udp.bytes-rcvd"};
 };
 
-class UdpConv : public IpConv {
+class UdpConv final : public IpConv<UdpConv> {
  public:
   enum class State { kIdle, kConnected, kAnnounced, kClosed };
 
-  UdpConv(UdpProto* proto, int index);
+  UdpConv(IpConvTable<UdpConv>* proto, int index);
 
   Status WaitReady() override;
   std::string StatusText() override;
@@ -50,6 +48,7 @@ class UdpConv : public IpConv {
 
  private:
   friend class UdpProto;
+  friend class IpConvTable<UdpConv>;
 
   // Conversation-core hooks (conv.h, ipconv.h).
   void ResetLocked() override REQUIRES(lock_);
@@ -58,38 +57,34 @@ class UdpConv : public IpConv {
   }
   void Close() override;
   void Abandon(const std::string& why) override;
-  Status Connect(const HostPort& dest) override;
-  Status AnnounceLocked(uint16_t port) override REQUIRES(lock_);
+  bool IdleLocked() const override REQUIRES(lock_) { return state_ == State::kIdle; }
+  Status ConnectLocked(uint32_t isn) override REQUIRES(lock_) {
+    state_ = State::kConnected;
+    return Status::Ok();
+  }
+  void AnnounceLocked() override REQUIRES(lock_) { state_ = State::kAnnounced; }
+  bool AcceptLocked(UdpConv* listener, uint32_t isn, uint32_t peer_isn) override
+      REQUIRES(lock_) {
+    state_ = State::kConnected;
+    return true;
+  }
   // "bind <port>": fix the local port before connect.
   Status CtlVerb(const std::vector<std::string>& words) override;
 
   void Input(const IpPacket& pkt, uint16_t sport, Bytes payload) P9_HOT_PATH;
 
-  UdpProto* proto_;
   State state_ GUARDED_BY(lock_) = State::kIdle;
   UdpConvMetrics metrics_;  // atomic counters; no lock needed
 };
 
-class UdpProto : public ConvTable<UdpConv> {
+class UdpProto : public IpConvTable<UdpConv> {
  public:
   explicit UdpProto(IpStack* ip);
-  ~UdpProto() override;
 
   std::string name() override { return "udp"; }
 
-  IpStack* ip() { return ip_; }
-
  private:
-  friend class UdpConv;
-
-  std::unique_ptr<UdpConv> NewConv(int index) override {
-    return std::make_unique<UdpConv>(this, index);
-  }
-  void Input(IpPacket&& pkt) P9_HOT_PATH;
-  UdpConv* FindOrSpawn(const IpPacket& pkt, uint16_t sport, uint16_t dport);
-
-  IpStack* ip_;
-  PortAlloc ports_ GUARDED_BY(lock_);
+  static void Input(IpConvTable<UdpConv>& udp, IpPacket&& pkt) P9_HOT_PATH;
 };
 
 }  // namespace plan9

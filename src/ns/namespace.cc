@@ -97,115 +97,57 @@ Result<ChanPtr> Namespace::ResolveParent(const std::string& path, std::string* l
 
 Status Namespace::Bind(const std::string& newpath, const std::string& oldpath,
                        int flags) {
-  // Both resolutions run unlocked (they may block in a mounted tree); the
-  // lock protects only the table mutation below.
-  auto from = Resolve(newpath);
-  if (!from.ok()) {
-    return from.error();
-  }
-  auto onto = Resolve(oldpath);
-  if (!onto.ok()) {
-    return onto.error();
-  }
-  // Entries displaced by kMRepl are destroyed only after the guard drops:
-  // their chans can clunk 9P fids (blocking RPCs).
-  std::vector<MountEntry> displaced;
-  QLockGuard guard(lock_);
-  MountKey key{(*onto)->dev_id, (*onto)->qid.path};
-  auto& stack = mounts_[key];
-  if (stack.empty() && (flags & 3) != kMRepl) {
-    // First union mount: the mounted-on directory itself stays visible.
-    stack.push_back(MountEntry{(*onto)->CloneUnopened(), /*create=*/true});
-  }
-  MountEntry entry{(*from)->CloneUnopened(), (flags & kMCreate) != 0};
-  switch (flags & 3) {
-    case kMRepl:
-      displaced.swap(stack);
-      entry.create = true;
-      stack.push_back(std::move(entry));
-      break;
-    case kMBefore:
-      stack.insert(stack.begin(), std::move(entry));
-      break;
-    case kMAfter:
-      stack.push_back(std::move(entry));
-      break;
-    default:
-      return Error(kErrBadArg);
-  }
-  return Status::Ok();
+  P9_ASSIGN_OR_RETURN(ChanPtr from, Resolve(newpath));
+  return Mount(from->CloneUnopened(), oldpath, flags, nullptr);
 }
 
 Status Namespace::MountVfs(Vfs* fs, const std::string& oldpath, int flags,
                            const std::string& aname) {
-  auto root = fs->Attach("sys", aname);
-  if (!root.ok()) {
-    return root.error();
-  }
-  auto onto = Resolve(oldpath);
-  if (!onto.ok()) {
-    return onto.error();
-  }
-  std::vector<MountEntry> displaced;  // destroyed after the guard (fid clunks)
-  QLockGuard guard(lock_);
-  ChanPtr from = Chan::Make(root.take(), next_dev_id_++, oldpath);
-  MountKey key{(*onto)->dev_id, (*onto)->qid.path};
-  auto& stack = mounts_[key];
-  if (stack.empty() && (flags & 3) != kMRepl) {
-    stack.push_back(MountEntry{(*onto)->CloneUnopened(), true});
-  }
-  MountEntry entry{from, (flags & kMCreate) != 0 || (flags & 3) == kMRepl};
-  switch (flags & 3) {
-    case kMRepl:
-      displaced.swap(stack);
-      stack.push_back(std::move(entry));
-      break;
-    case kMBefore:
-      stack.insert(stack.begin(), std::move(entry));
-      break;
-    case kMAfter:
-      stack.push_back(std::move(entry));
-      break;
-    default:
-      return Error(kErrBadArg);
-  }
-  return Status::Ok();
+  P9_ASSIGN_OR_RETURN(auto root, fs->Attach("sys", aname));
+  return Mount(NewDevice(std::move(root), oldpath), oldpath, flags, nullptr);
 }
 
 Status Namespace::MountClient(std::shared_ptr<NinepClient> client,
                               const std::string& oldpath, int flags,
                               const std::string& aname, const std::string& uname) {
-  auto root = MntAttach(client, uname, aname);
-  if (!root.ok()) {
-    return root.error();
-  }
-  auto onto = Resolve(oldpath);
-  if (!onto.ok()) {
-    return onto.error();
-  }
-  std::vector<MountEntry> displaced;  // destroyed after the guard (fid clunks)
+  P9_ASSIGN_OR_RETURN(auto root, MntAttach(client, uname, aname));
+  return Mount(NewDevice(std::move(root), oldpath), oldpath, flags, std::move(client));
+}
+
+ChanPtr Namespace::NewDevice(std::shared_ptr<Vnode> root, const std::string& path) {
   QLockGuard guard(lock_);
-  sessions_.push_back(client);
-  ChanPtr from = Chan::Make(root.take(), next_dev_id_++, oldpath);
-  MountKey key{(*onto)->dev_id, (*onto)->qid.path};
-  auto& stack = mounts_[key];
-  if (stack.empty() && (flags & 3) != kMRepl) {
-    stack.push_back(MountEntry{(*onto)->CloneUnopened(), true});
+  return Chan::Make(std::move(root), next_dev_id_++, path);
+}
+
+Status Namespace::Mount(ChanPtr from, const std::string& oldpath, int flags,
+                        std::shared_ptr<NinepClient> session) {
+  int how = flags & 3;
+  if (how != kMRepl && how != kMBefore && how != kMAfter) {
+    return Error(kErrBadArg);
   }
-  MountEntry entry{from, (flags & kMCreate) != 0 || (flags & 3) == kMRepl};
-  switch (flags & 3) {
-    case kMRepl:
-      displaced.swap(stack);
-      stack.push_back(std::move(entry));
-      break;
-    case kMBefore:
-      stack.insert(stack.begin(), std::move(entry));
-      break;
-    case kMAfter:
-      stack.push_back(std::move(entry));
-      break;
-    default:
-      return Error(kErrBadArg);
+  // Resolution runs unlocked (it may block in a mounted tree); the lock
+  // protects only the table mutation below.
+  P9_ASSIGN_OR_RETURN(ChanPtr onto, Resolve(oldpath));
+  // Entries displaced by kMRepl are destroyed only after the guard drops:
+  // their chans can clunk 9P fids (blocking RPCs).
+  std::vector<MountEntry> displaced;
+  QLockGuard guard(lock_);
+  if (session != nullptr) {
+    sessions_.push_back(std::move(session));
+  }
+  auto& stack = mounts_[MountKey{onto->dev_id, onto->qid.path}];
+  if (stack.empty() && how != kMRepl) {
+    // First union mount: the mounted-on directory itself stays visible.
+    stack.push_back(MountEntry{onto->CloneUnopened(), /*create=*/true});
+  }
+  MountEntry entry{std::move(from), (flags & kMCreate) != 0 || how == kMRepl};
+  if (how == kMRepl) {
+    displaced.swap(stack);
+    stack.push_back(std::move(entry));
+  } else if (how == kMBefore) {
+    stack.insert(stack.begin(), std::move(entry));
+  } else {
+    stack.push_back(std::move(entry));
   }
   return Status::Ok();
 }

@@ -93,6 +93,13 @@ class Namespace {
 
   // If c names a mount point, return it with union_stack populated.
   ChanPtr TranslateLocked(ChanPtr c) REQUIRES(lock_);
+  // A mounted tree's root, as a chan on a device of its own.
+  ChanPtr NewDevice(std::shared_ptr<Vnode> root, const std::string& path);
+  // The one mount-table insertion under Bind, MountVfs and MountClient:
+  // `from` joins the union at `oldpath` as `flags` say, and a mounted 9P
+  // `session`, if any, is kept alive with it.
+  Status Mount(ChanPtr from, const std::string& oldpath, int flags,
+               std::shared_ptr<NinepClient> session) MAY_BLOCK;
   Result<ChanPtr> WalkOne(const ChanPtr& from, const std::string& elem) MAY_BLOCK;
 
   QLock lock_{"namespace"};

@@ -44,5 +44,30 @@ INSTANTIATE_TEST_SUITE_P(Devices, CloneCycle,
                            return std::string(info.param);
                          });
 
+// Before it is opened the clone file is itself; once opened it is the
+// reserved conversation's ctl file, owned by whoever opened it.
+TEST(CloneFile, OpenCloneIsTheConversationsCtlFile) {
+  EtherSegment ether(LinkParams::Ether10());
+  Node helix("helix");
+  helix.AddEther(&ether, MacAddr{8, 0, 0x69, 2, 0x22, 1},
+                 Ipv4Addr::FromOctets(135, 104, 9, 31), Ipv4Addr{0xffffff00});
+  auto clone = helix.base_ns()->Resolve("/net/il/clone");
+  ASSERT_TRUE(clone.ok());
+  Vnode* file = (*clone)->node.get();
+  auto before = file->Stat();
+  ASSERT_TRUE(before.ok());
+  EXPECT_EQ(before->name, "clone");
+  ASSERT_TRUE(file->Open(kORdWr, "glenda").ok());
+  auto ctl = helix.base_ns()->Resolve("/net/il/0/ctl");
+  ASSERT_TRUE(ctl.ok());
+  auto after = file->Stat();
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(after->name, "ctl");
+  EXPECT_EQ(after->uid, "glenda");
+  EXPECT_EQ(after->qid.path, (*ctl)->node->qid().path);
+  EXPECT_NE(after->qid.path, before->qid.path);
+  file->Close(kORdWr);
+}
+
 }  // namespace
 }  // namespace plan9

@@ -103,6 +103,24 @@ TEST(Udp, DatagramRoundTripPreservesBoundaries) {
   EXPECT_EQ(ReadSome(*client), "yes?");
 }
 
+TEST(Udp, BindFixesTheLocalPort) {
+  TwoHosts net;
+  UdpProto audp(&net.alice), budp(&net.bob);
+  NetConv* server = budp.Clone().take();
+  ASSERT_TRUE(server->Ctl("announce 7").ok());
+  NetConv* client = audp.Clone().take();
+  ASSERT_TRUE(client->Ctl("bind 7777").ok());
+  ASSERT_TRUE(client->Ctl("connect 135.104.9.6!7").ok());
+  EXPECT_EQ(client->Local(), "135.104.9.31 7777\n");
+  ASSERT_TRUE(client->Write(reinterpret_cast<const uint8_t*>("from 7777"), 9).ok());
+  auto idx = server->Listen();
+  ASSERT_TRUE(idx.ok());
+  NetConv* call = budp.Conv(static_cast<size_t>(*idx));
+  ASSERT_NE(call, nullptr);
+  EXPECT_EQ(call->Remote(), "135.104.9.31 7777\n");
+  EXPECT_EQ(ReadSome(call), "from 7777");
+}
+
 TEST(Udp, LossyNetworkDropsDatagrams) {
   TwoHosts net{LinkParams{.latency = std::chrono::microseconds(10),
                           .seed = 42,
@@ -232,11 +250,13 @@ TEST_F(IlTest, LargeMessagesFragmentAndReassemble) {
       << "16K exceeds the ether MTU";
 }
 
-TEST_F(IlTest, ConnectToUnannouncedPortTimesOut) {
+TEST_F(IlTest, ConnectToUnannouncedPortIsRefused) {
   Build(LinkParams{.latency = std::chrono::microseconds(20)});
   auto conv = ail_->Clone().take();
   ASSERT_TRUE(conv->Ctl("connect 135.104.9.6!999").ok());
-  EXPECT_FALSE(conv->WaitReady().ok());
+  auto status = conv->WaitReady();
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.error().message(), kErrConnRefused);
 }
 
 TEST_F(IlTest, AdaptiveRttConverges) {
@@ -443,6 +463,89 @@ TEST(TeardownTest, TcpWorldsDieWithTrafficInFlight) {
     TearDownWithTrafficInFlight<TcpProto>(seed);
   }
 }
+
+// Two calls from one host to one announced port differ only in their source
+// port: the demultiplexer must land each on its own conversation, so each
+// end reads back only its own peer's bytes.
+class TwoCallsOnePort : public ::testing::TestWithParam<std::string> {
+ protected:
+  static std::unique_ptr<NetProto> Make(IpStack* ip) {
+    if (GetParam() == "il") {
+      return std::make_unique<IlProto>(ip);
+    }
+    if (GetParam() == "tcp") {
+      return std::make_unique<TcpProto>(ip);
+    }
+    return std::make_unique<UdpProto>(ip);
+  }
+
+  // TCP may split a write across reads.
+  static std::string ReadExactly(NetConv* conv, size_t n) {
+    std::string got;
+    while (got.size() < n) {
+      std::string more = ReadSome(conv, n - got.size());
+      if (more.empty()) {
+        break;
+      }
+      got += more;
+    }
+    return got;
+  }
+
+  static void Send(NetConv* conv, const std::string& msg) {
+    ASSERT_TRUE(conv->Write(reinterpret_cast<const uint8_t*>(msg.data()), msg.size()).ok());
+  }
+};
+
+TEST_P(TwoCallsOnePort, EachCallReadsOnlyItsOwnBytes) {
+  TwoHosts net;
+  std::unique_ptr<NetProto> client = Make(&net.alice);
+  std::unique_ptr<NetProto> server = Make(&net.bob);
+  NetConv* listener = server->Clone().take();
+  ASSERT_TRUE(listener->Ctl("announce 7070").ok());
+  NetConv* calls[2];
+  NetConv* answers[2];
+  for (int i = 0; i < 2; i++) {
+    calls[i] = client->Clone().take();
+    ASSERT_TRUE(calls[i]->Ctl("connect 135.104.9.6!7070").ok());
+    ASSERT_TRUE(calls[i]->WaitReady().ok());
+    Send(calls[i], "call " + std::to_string(i));  // a UDP call starts here
+    // The call has a conversation of its own (the listener's is slot 0).
+    // Listen would wait forever for one that landed on an earlier call.
+    auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (server->ConvCount() < static_cast<size_t>(i) + 2 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_EQ(server->ConvCount(), static_cast<size_t>(i) + 2);
+    auto idx = listener->Listen();
+    ASSERT_TRUE(idx.ok());
+    answers[i] = server->Conv(static_cast<size_t>(*idx));
+    ASSERT_NE(answers[i], nullptr);
+    ASSERT_TRUE(answers[i]->WaitReady().ok());
+  }
+  // One quadruple apart from the caller's port.
+  EXPECT_EQ(calls[0]->Remote(), calls[1]->Remote());
+  EXPECT_NE(calls[0]->Local(), calls[1]->Local());
+  EXPECT_NE(answers[0], answers[1]);
+  for (int i = 0; i < 2; i++) {
+    EXPECT_EQ(answers[i]->Local(), "135.104.9.6 7070\n");
+    EXPECT_EQ(answers[i]->Remote(), calls[i]->Local());
+  }
+  // Interleaved, so a call that reached the wrong conversation shows.
+  Send(calls[1], "more 1");
+  Send(calls[0], "more 0");
+  Send(answers[0], "answer 0");
+  Send(answers[1], "answer 1");
+  for (int i = 0; i < 2; i++) {
+    EXPECT_EQ(ReadExactly(answers[i], 6), "call " + std::to_string(i));
+    EXPECT_EQ(ReadExactly(answers[i], 6), "more " + std::to_string(i));
+    EXPECT_EQ(ReadExactly(calls[i], 8), "answer " + std::to_string(i));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Transports, TwoCallsOnePort, ::testing::Values("il", "tcp", "udp"),
+                         [](const auto& info) { return info.param; });
 
 }  // namespace
 }  // namespace plan9

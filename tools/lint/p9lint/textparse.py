@@ -194,6 +194,23 @@ def _match_forward(toks: List[Token], i: int, open_t: str, close_t: str) -> int:
     return n
 
 
+def _init_name(toks: List[Token], k: int) -> Optional[str]:
+    """The mem-initializer name ending at toks[k]: `Base` of `Base(...)`, and
+    of `Base<C>(...)`, the spelling a class template needs for its base."""
+    if toks[k].text == ">":
+        depth = 0
+        while k >= 0:
+            if toks[k].text == ">":
+                depth += 1
+            elif toks[k].text == "<":
+                depth -= 1
+                if depth == 0:
+                    break
+            k -= 1
+        k -= 1
+    return toks[k].text if k >= 0 and toks[k].kind == "id" else None
+
+
 class _Parser:
     def __init__(self, program: Program, path: str, toks: List[Token]):
         self.program = program
@@ -315,6 +332,9 @@ class _Parser:
             t = self._tok()
             if t.kind == "id":
                 nxt = self._tok(1)
+                if t.text == "final" and name is not None:
+                    self.i += 1  # `class Name final : ...`
+                    continue
                 if t.text.isupper() is False and nxt and nxt.text in ("{", ":", ";", "<"):
                     name = t.text
                     self.i += 1
@@ -514,8 +534,9 @@ class _Parser:
                 if u.text == "(" or (u.text == "{" and prev.kind == "id"):
                     close = ")" if u.text == "(" else "}"
                     end = _match_forward(self.toks, self.i, u.text, close)
-                    if prev.kind == "id":  # member(init) / Base(args)
-                        inits.append((prev.text, _split_args(self.toks[self.i + 1 : end - 1])))
+                    init = _init_name(self.toks, self.i - 1)
+                    if init is not None:  # member(init) / Base(args) / Base<T>(args)
+                        inits.append((init, _split_args(self.toks[self.i + 1 : end - 1])))
                     self.i = end
                 elif u.text == "{":
                     break  # the body

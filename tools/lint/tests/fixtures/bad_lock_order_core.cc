@@ -1,7 +1,8 @@
 // plan9lint fixture: lock order through shared code.  The conversation core
 // declares its locks unnamed; each protocol names them through its
 // constructors, and the core's bodies take their classes (and the element
-// type of the table) from the protocol that derives from it.
+// type of the table) from the protocol that derives from it, through a
+// shared template layer between the core's table and the protocol.
 #include <memory>
 #include <vector>
 
@@ -50,15 +51,43 @@ class Table {
   std::vector<std::unique_ptr<C>> slots_;
 };
 
-class IlConv : public Layer {
+// The shared layer: a template that constructs its base with template
+// arguments and scans the slots in one pass, table before conversation.
+template <class C>
+class IpTable : public Table<C> {
+ public:
+  C* Demux(int port) {
+    QLockGuard guard(lock_);
+    for (auto& slot : slots_) {
+      C* c = slot.get();
+      QLockGuard cguard(c->lock_);
+      if (c->port_ == port) {
+        return c;
+      }
+    }
+    return nullptr;
+  }
+
+ protected:
+  IpTable(int unused, const char* lock_class) : Table<C>(lock_class) {}
+
+  using Table<C>::lock_;
+  using Table<C>::slots_;
+};
+
+class IlConv final : public Layer {
  public:
   IlConv() : Layer(0, "il.conv") {}
   friend class IlProto;
+  friend class IpTable<IlConv>;
+
+ private:
+  int port_ = 0;
 };
 
-class IlProto : public Table<IlConv> {
+class IlProto : public IpTable<IlConv> {
  public:
-  IlProto() : Table("il.proto") {}
+  IlProto() : IpTable(0, "il.proto") {}
 };
 
 }  // namespace plan9

@@ -87,6 +87,9 @@ class LockOrder(unittest.TestCase):
                 for a in fn.acquisitions}
         self.assertIn(("IlConv::Use", "il.conv"), seen)
         self.assertIn(("IlProto::GoodScan", "il.conv"), seen)
+        # The shared layer's one-pass scan, two template levels down.
+        self.assertIn(("IlProto::Demux", "il.proto"), seen)
+        self.assertIn(("IlProto::Demux", "il.conv"), seen)
         self.assertNotIn(None, {cls for _q, cls in seen})
         self.assertNotIn("", {cls for _q, cls in seen})
 
