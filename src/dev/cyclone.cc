@@ -217,7 +217,7 @@ Result<std::string> CycloneProto::InfoText(NetConv* conv, const std::string& fil
     out += FormatFaultStats(wire->fault_stats(rx_end), "rx-fault-");
     return out;
   }
-  return ProtoFiles::InfoText(conv, file);
+  return NetProto::InfoText(conv, file);
 }
 
 }  // namespace plan9

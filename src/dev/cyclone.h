@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "src/base/thread_annotations.h"
-#include "src/dev/devproto.h"
 #include "src/inet/conv.h"
 #include "src/sim/wire.h"
 #include "src/task/qlock.h"
@@ -60,7 +59,7 @@ class CycloneConv : public ConvCore {
   size_t outstanding_ GUARDED_BY(lock_) = 0;
 };
 
-class CycloneProto : public ConvTable<CycloneConv>, public ProtoFiles {
+class CycloneProto : public ConvTable<CycloneConv> {
  public:
   explicit CycloneProto(obs::Context& obs = obs::Context::Root())
       : ConvTable("cyclone.proto", obs) {}
@@ -71,7 +70,7 @@ class CycloneProto : public ConvTable<CycloneConv>, public ProtoFiles {
 
   std::string name() override { return "cyclone"; }
 
-  // ProtoFiles: no listen (point-to-point), plus a stats file reporting the
+  // No listen file (point-to-point), plus a stats file reporting the
   // bound fiber's media and fault counters in each direction.
   std::vector<std::string> ConvFileNames() override {
     return {"ctl", "data", "local", "remote", "status", "stats"};

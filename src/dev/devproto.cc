@@ -124,9 +124,9 @@ class ObsFileVnode : public Vnode {
 // opened, then the reserved conversation's ctl file).
 class ConvFileVnode : public Vnode {
  public:
-  ConvFileVnode(const NetDirVfs::Entry& entry, size_t proto_idx, NetConv* conv,
-                size_t file_kind, std::string file_name)
-      : entry_(entry),
+  ConvFileVnode(NetProto* proto, size_t proto_idx, NetConv* conv, size_t file_kind,
+                std::string file_name)
+      : proto_(proto),
         proto_idx_(proto_idx),
         conv_(conv),
         file_kind_(file_kind),
@@ -163,7 +163,7 @@ class ConvFileVnode : public Vnode {
       // Opening the clone file reserves a conversation and, as §2.3 has it,
       // returns a file descriptor pointing to its ctl file.  Whoever opens
       // it owns the conversation.
-      P9_ASSIGN_OR_RETURN(conv_, entry_.proto->Clone());
+      P9_ASSIGN_OR_RETURN(conv_, proto_->Clone());
       conv_->set_owner(user.empty() ? "network" : user);
       file_name_ = "ctl";
     } else if (file_name_ == "listen") {
@@ -174,7 +174,7 @@ class ConvFileVnode : public Vnode {
       if (!idx.ok()) {
         return idx.error();
       }
-      NetConv* accepted = entry_.proto->Conv(static_cast<size_t>(*idx));
+      NetConv* accepted = proto_->Conv(static_cast<size_t>(*idx));
       if (accepted == nullptr) {
         return Error("listen lost the call");
       }
@@ -207,7 +207,7 @@ class ConvFileVnode : public Vnode {
       buf.resize(*n);
       return buf;
     }
-    auto text = entry_.files->InfoText(conv_, file_name_);
+    auto text = proto_->InfoText(conv_, file_name_);
     if (!text.ok()) {
       return text.error();
     }
@@ -244,7 +244,7 @@ class ConvFileVnode : public Vnode {
     holds_ref_ = false;
   }
 
-  NetDirVfs::Entry entry_;
+  NetProto* proto_;
   size_t proto_idx_;
   NetConv* conv_;
   size_t file_kind_;
@@ -254,9 +254,9 @@ class ConvFileVnode : public Vnode {
 
 class ConvDirVnode : public Vnode {
  public:
-  ConvDirVnode(const NetDirVfs::Entry& entry, size_t proto_idx, NetConv* conv,
+  ConvDirVnode(NetProto* proto, size_t proto_idx, NetConv* conv,
                std::shared_ptr<Vnode> parent)
-      : entry_(entry), proto_idx_(proto_idx), conv_(conv), parent_(std::move(parent)) {}
+      : proto_(proto), proto_idx_(proto_idx), conv_(conv), parent_(std::move(parent)) {}
 
   Qid qid() override {
     return Qid{QidConv(proto_idx_, static_cast<size_t>(conv_->index())) | kQidDirBit, 0};
@@ -276,27 +276,27 @@ class ConvDirVnode : public Vnode {
   Result<std::shared_ptr<Vnode>> Walk(const std::string& name) override {
     if (name == ".") {
       return std::shared_ptr<Vnode>(
-          std::make_shared<ConvDirVnode>(entry_, proto_idx_, conv_, parent_));
+          std::make_shared<ConvDirVnode>(proto_, proto_idx_, conv_, parent_));
     }
     if (name == "..") {
       return parent_;
     }
-    auto names = entry_.files->ConvFileNames();
+    auto names = proto_->ConvFileNames();
     for (size_t k = 0; k < names.size(); k++) {
       if (names[k] == name) {
         return std::shared_ptr<Vnode>(
-            std::make_shared<ConvFileVnode>(entry_, proto_idx_, conv_, k, name));
+            std::make_shared<ConvFileVnode>(proto_, proto_idx_, conv_, k, name));
       }
     }
     return Error(kErrNotExist);
   }
 
   Result<Bytes> Read(uint64_t offset, uint32_t count) override {
-    return ListDir(this, entry_.files->ConvFileNames(), offset, count);
+    return ListDir(this, proto_->ConvFileNames(), offset, count);
   }
 
  private:
-  NetDirVfs::Entry entry_;
+  NetProto* proto_;
   size_t proto_idx_;
   NetConv* conv_;
   std::shared_ptr<Vnode> parent_;
@@ -305,15 +305,14 @@ class ConvDirVnode : public Vnode {
 class ProtoDirVnode : public Vnode,
                       public std::enable_shared_from_this<ProtoDirVnode> {
  public:
-  ProtoDirVnode(const NetDirVfs::Entry& entry, size_t proto_idx,
-                std::shared_ptr<Vnode> parent)
-      : entry_(entry), proto_idx_(proto_idx), parent_(std::move(parent)) {}
+  ProtoDirVnode(NetProto* proto, size_t proto_idx, std::shared_ptr<Vnode> parent)
+      : proto_(proto), proto_idx_(proto_idx), parent_(std::move(parent)) {}
 
   Qid qid() override { return Qid{QidProto(proto_idx_) | kQidDirBit, 0}; }
 
   Result<Dir> Stat() override {
     Dir d;
-    d.name = entry_.proto->name();
+    d.name = proto_->name();
     d.qid = qid();
     d.mode = kDmDir | 0555;
     d.type = 'I';
@@ -330,14 +329,14 @@ class ProtoDirVnode : public Vnode,
     }
     if (name == "clone") {
       return std::shared_ptr<Vnode>(
-          std::make_shared<ConvFileVnode>(entry_, proto_idx_, nullptr, 0, "clone"));
+          std::make_shared<ConvFileVnode>(proto_, proto_idx_, nullptr, 0, "clone"));
     }
     auto num = ParseU64(name);
     if (num.has_value()) {
-      NetConv* conv = entry_.proto->Conv(*num);
+      NetConv* conv = proto_->Conv(*num);
       if (conv != nullptr) {
         return std::shared_ptr<Vnode>(std::make_shared<ConvDirVnode>(
-            entry_, proto_idx_, conv, shared_from_this()));
+            proto_, proto_idx_, conv, shared_from_this()));
       }
     }
     return Error(kErrNotExist);
@@ -345,22 +344,22 @@ class ProtoDirVnode : public Vnode,
 
   Result<Bytes> Read(uint64_t offset, uint32_t count) override {
     std::vector<std::string> names = {"clone"};
-    for (size_t c = 0; c < entry_.proto->ConvCount(); c++) {
+    for (size_t c = 0; c < proto_->ConvCount(); c++) {
       names.push_back(StrFormat("%zu", c));
     }
     return ListDir(this, names, offset, count);
   }
 
  private:
-  NetDirVfs::Entry entry_;
+  NetProto* proto_;
   size_t proto_idx_;
   std::shared_ptr<Vnode> parent_;
 };
 
 class NetRootVnode : public Vnode, public std::enable_shared_from_this<NetRootVnode> {
  public:
-  NetRootVnode(obs::Context& obs, const std::vector<NetDirVfs::Entry>* entries)
-      : obs_(obs), entries_(entries) {}
+  NetRootVnode(obs::Context& obs, const std::vector<NetProto*>* protos)
+      : obs_(obs), protos_(protos) {}
 
   Qid qid() override { return Qid{QidRoot() | kQidDirBit, 0}; }
 
@@ -382,10 +381,10 @@ class NetRootVnode : public Vnode, public std::enable_shared_from_this<NetRootVn
         return std::shared_ptr<Vnode>(std::make_shared<ObsFileVnode>(obs_, k));
       }
     }
-    for (size_t p = 0; p < entries_->size(); p++) {
-      if ((*entries_)[p].proto->name() == name) {
+    for (size_t p = 0; p < protos_->size(); p++) {
+      if ((*protos_)[p]->name() == name) {
         return std::shared_ptr<Vnode>(std::make_shared<ProtoDirVnode>(
-            (*entries_)[p], p, shared_from_this()));
+            (*protos_)[p], p, shared_from_this()));
       }
     }
     return Error(kErrNotExist);
@@ -393,44 +392,28 @@ class NetRootVnode : public Vnode, public std::enable_shared_from_this<NetRootVn
 
   Result<Bytes> Read(uint64_t offset, uint32_t count) override {
     std::vector<std::string> names(kObsFiles, kObsFiles + kObsFileCount);
-    for (const auto& entry : *entries_) {
-      names.push_back(entry.proto->name());
+    for (NetProto* proto : *protos_) {
+      names.push_back(proto->name());
     }
     return ListDir(this, names, offset, count);
   }
 
  private:
   obs::Context& obs_;
-  const std::vector<NetDirVfs::Entry>* entries_;
+  const std::vector<NetProto*>* protos_;
 };
 
 }  // namespace
 
-Result<std::string> ProtoFiles::InfoText(NetConv* conv, const std::string& file) {
-  if (file == "local") {
-    return conv->Local();
-  }
-  if (file == "remote") {
-    return conv->Remote();
-  }
-  if (file == "status") {
-    return conv->StatusText();
-  }
-  return Error(kErrNotExist);
-}
-
-NetDirVfs::NetDirVfs(obs::Context& obs)
-    : obs_(obs), default_files_(std::make_unique<ProtoFiles>()) {}
+NetDirVfs::NetDirVfs(obs::Context& obs) : obs_(obs) {}
 
 NetDirVfs::~NetDirVfs() = default;
 
-void NetDirVfs::Add(NetProto* proto, ProtoFiles* files) {
-  entries_.push_back(Entry{proto, files != nullptr ? files : default_files_.get()});
-}
+void NetDirVfs::Add(NetProto* proto) { protos_.push_back(proto); }
 
 Result<std::shared_ptr<Vnode>> NetDirVfs::Attach(const std::string& uname,
                                                  const std::string& aname) {
-  return std::shared_ptr<Vnode>(std::make_shared<NetRootVnode>(obs_, &entries_));
+  return std::shared_ptr<Vnode>(std::make_shared<NetRootVnode>(obs_, &protos_));
 }
 
 }  // namespace plan9

@@ -31,34 +31,15 @@
 
 namespace plan9 {
 
-// Extra per-protocol file surface beyond the NetConv basics.
-// Protocols may override the conversation file list (the ether driver has
-// ctl/data/stats/type instead of ctl/data/listen/local/remote/status) and
-// provide the text of info files.
-class ProtoFiles {
- public:
-  virtual ~ProtoFiles() = default;
-  virtual std::vector<std::string> ConvFileNames() {
-    return {"ctl", "data", "listen", "local", "remote", "status"};
-  }
-  // Contents of an info file (local/remote/status/stats/type...).
-  virtual Result<std::string> InfoText(NetConv* conv, const std::string& file);
-};
-
 class NetDirVfs : public Vfs {
  public:
-  struct Entry {
-    NetProto* proto;
-    ProtoFiles* files;  // nullptr -> default ProtoFiles
-  };
-
   // `obs` is the node's context, which /net/stats, /net/trace and /net/ctl
   // describe.
   explicit NetDirVfs(obs::Context& obs);
   ~NetDirVfs() override;
 
-  // Add a protocol directory (not owned).  files may be nullptr.
-  void Add(NetProto* proto, ProtoFiles* files = nullptr);
+  // Add a protocol directory (not owned).
+  void Add(NetProto* proto);
 
   Result<std::shared_ptr<Vnode>> Attach(const std::string& uname,
                                         const std::string& aname) override;
@@ -66,8 +47,7 @@ class NetDirVfs : public Vfs {
  private:
   friend class NetRootVnode;
   obs::Context& obs_;
-  std::vector<Entry> entries_;
-  std::unique_ptr<ProtoFiles> default_files_;
+  std::vector<NetProto*> protos_;
 };
 
 }  // namespace plan9

@@ -135,12 +135,14 @@ EtherProto::~EtherProto() {
   Unplug();
 }
 
+void EtherProto::Hook(EtherSegment::RecvFn fn) {
+  QLockGuard guard(lock_);
+  hook_ = std::move(fn);
+}
+
 void EtherProto::Unplug() {
-  {
-    QLockGuard guard(lock_);
-    if (std::exchange(unplugged_, true)) {
-      return;
-    }
+  if (unplugged_.exchange(true)) {
+    return;
   }
   segment_->Detach(station_);
   Abort("");
@@ -172,16 +174,14 @@ Result<std::string> EtherProto::InfoText(NetConv* conv, const std::string& file)
     out += ec->StatusText();
     return out;
   }
-  return ProtoFiles::InfoText(conv, file);
+  return NetProto::InfoText(conv, file);
 }
 
 Status EtherProto::Transmit(MacAddr dst, uint16_t type, Bytes payload) {
-  EtherFrame frame;
-  frame.dst = dst;
-  frame.src = mac_;
-  frame.type = type;
-  frame.payload = std::move(payload);
-  return segment_->Send(frame);
+  if (unplugged_.load()) {
+    return Error("interface unplugged");
+  }
+  return segment_->Send(EtherFrame{dst, mac_, type, std::move(payload)});
 }
 
 void EtherProto::UpdatePromiscuity() {
@@ -199,6 +199,17 @@ void EtherProto::UpdatePromiscuity() {
 }
 
 void EtherProto::Input(const EtherFrame& frame) {
+  EtherSegment::RecvFn ip;
+  {
+    QLockGuard guard(lock_);
+    if (frame.dst == mac_ || frame.dst == kEtherBroadcast) {
+      ip = hook_;
+    }
+  }
+  // IP's input is its protocols' to account for, not the driver's.
+  if (ip) {
+    ip(frame);
+  }
   P9_HOT_ROOT("ether.input");
   // The multiplexing module of §2.4.3, hand coded: "If several connections
   // on an interface are configured for a particular packet type, each

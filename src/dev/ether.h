@@ -16,16 +16,19 @@
 //     input/output counts.
 //
 // EtherProto plugs into the generic devproto driver, giving the
-// clone/numbered-directory tree of Figure 1.
+// clone/numbered-directory tree of Figure 1.  It is the only station a node
+// puts on the cable: the kernel's IP is one more user of the driver, hooked
+// in for the frames sent to the station, and transmits through it like a
+// data write.
 #ifndef SRC_DEV_ETHER_H_
 #define SRC_DEV_ETHER_H_
 
+#include <atomic>
 #include <memory>
 #include <optional>
 #include <vector>
 
 #include "src/base/thread_annotations.h"
-#include "src/dev/devproto.h"
 #include "src/inet/conv.h"
 #include "src/obs/metrics.h"
 #include "src/sim/ether_segment.h"
@@ -76,7 +79,7 @@ class EtherConv : public ConvCore {
   EtherConvMetrics metrics_;  // atomic counters; no lock needed
 };
 
-class EtherProto : public ConvTable<EtherConv>, public ProtoFiles {
+class EtherProto : public ConvTable<EtherConv> {
  public:
   // Attaches a station on `segment` with address `mac`.  `name` is the
   // directory name under /net (ether0).
@@ -87,28 +90,36 @@ class EtherProto : public ConvTable<EtherConv>, public ProtoFiles {
   // NetProto:
   std::string name() override { return name_; }
 
-  // ProtoFiles: Figure 1's per-connection files.
+  // Figure 1's per-connection files.
   std::vector<std::string> ConvFileNames() override {
     return {"ctl", "data", "stats", "status", "type"};
   }
   Result<std::string> InfoText(NetConv* conv, const std::string& file) override;
 
   MacAddr mac() const { return mac_; }
-  EtherSegment* segment() { return segment_; }
+
+  // The kernel's IP attaches here, as `connect 2048` does from user level:
+  // `fn` hears every frame addressed to this station or broadcast, never
+  // the foreign frames promiscuity brings in.  It runs with no driver lock
+  // held.  Its owner unhooks (Hook(nullptr)), then drains the timer wheel,
+  // before it dies.
+  void Hook(EtherSegment::RecvFn fn);
 
   // Crash semantics (node lifecycle): detach the station from the cable and
-  // hang up every in-use conversation's stream.  Idempotent; the destructor
-  // must not detach again (the restarted kernel may own a new station on the
-  // same segment).
+  // hang up every in-use conversation's stream; Transmit fails from then
+  // on.  Idempotent; the destructor must not detach again (the restarted
+  // kernel may own a new station on the same segment).
   void Unplug();
 
-  // Transmit payload to dst with the given type (driver adds src).
+  // Transmit payload to dst with the given type; the driver adds the
+  // source address.  Takes no driver lock: IP calls it under ip.stack.
   Status Transmit(MacAddr dst, uint16_t type, Bytes payload) P9_HOT_PATH;
 
   void UpdatePromiscuity();
 
-  // Demultiplex one received frame to matching conversations (called from
-  // the segment callback; public for the demux benchmarks).
+  // Hand one received frame to the hooked IP, then demultiplex it to the
+  // matching conversations (called from the segment callback; public for
+  // the demux benchmarks).
   void Input(const EtherFrame& frame);
 
  private:
@@ -122,7 +133,8 @@ class EtherProto : public ConvTable<EtherConv>, public ProtoFiles {
   EtherSegment* segment_;
   MacAddr mac_;
   EtherSegment::StationId station_;
-  bool unplugged_ GUARDED_BY(lock_) = false;
+  EtherSegment::RecvFn hook_ GUARDED_BY(lock_);
+  std::atomic<bool> unplugged_{false};
 };
 
 }  // namespace plan9

@@ -543,7 +543,7 @@ Result<std::string> IlProto::InfoText(NetConv* conv, const std::string& file) {
     out += StrFormat("rtt: %lld us\n", static_cast<long long>(c->Srtt().count()));
     return out;
   }
-  return ProtoFiles::InfoText(conv, file);
+  return NetProto::InfoText(conv, file);
 }
 
 void IlProto::Input(IpConvTable<IlConv>& il, IpPacket&& pkt) {

@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "src/base/thread_annotations.h"
-#include "src/dev/devproto.h"
 #include "src/inet/ip.h"
 #include "src/inet/ipconv.h"
 #include "src/obs/metrics.h"
@@ -149,13 +148,13 @@ class IlConv final : public IpConv<IlConv> {
   IlConvMetrics metrics_;  // atomic counters; no lock needed
 };
 
-class IlProto : public IpConvTable<IlConv>, public ProtoFiles {
+class IlProto : public IpConvTable<IlConv> {
  public:
   explicit IlProto(IpStack* ip);
 
   std::string name() override { return "il"; }
 
-  // ProtoFiles: the standard six plus a stats file with the per-conversation
+  // The standard six files plus a stats file with the per-conversation
   // counters (retransmits, queries, deadman kills) tests assert on.
   std::vector<std::string> ConvFileNames() override {
     return {"ctl", "data", "listen", "local", "remote", "status", "stats"};

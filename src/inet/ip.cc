@@ -5,6 +5,8 @@
 
 #include "src/base/logging.h"
 #include "src/base/strings.h"
+#include "src/dev/ether.h"
+#include "src/task/timers.h"
 
 namespace plan9 {
 namespace {
@@ -12,6 +14,27 @@ namespace {
 constexpr size_t kIpHeaderSize = 20;
 constexpr uint8_t kDefaultTtl = 64;
 constexpr auto kReassemblyTimeout = std::chrono::seconds(5);
+
+// ARP for IPv4 over Ethernet (RFC 826).
+constexpr size_t kArpSize = 28;
+constexpr uint16_t kArpRequest = 1;
+constexpr uint16_t kArpReply = 2;
+
+Bytes ArpPacket(uint16_t op, const MacAddr& sender_mac, Ipv4Addr sender_ip,
+                const MacAddr& target_mac, Ipv4Addr target_ip) {
+  Bytes arp(kArpSize);
+  uint8_t* a = arp.data();
+  Put16(a, 1);                 // htype ethernet
+  Put16(a + 2, kEtherTypeIp);  // ptype
+  a[4] = 6;
+  a[5] = 4;
+  Put16(a + 6, op);
+  std::memcpy(a + 8, sender_mac.data(), 6);
+  Put32(a + 14, sender_ip.v);
+  std::memcpy(a + 18, target_mac.data(), 6);
+  Put32(a + 24, target_ip.v);
+  return arp;
+}
 
 }  // namespace
 
@@ -31,12 +54,10 @@ uint16_t InetChecksum(const uint8_t* data, size_t len, uint32_t seed) {
 }
 
 struct IpStack::Interface {
+  EtherProto* ether = nullptr;
   Ipv4Addr addr;
   Ipv4Addr mask;
   size_t mtu = 1500;
-  EtherSegment* segment = nullptr;
-  EtherSegment::StationId station = 0;
-  MacAddr mac{};
   std::map<uint32_t, MacAddr> arp_table;
   std::map<uint32_t, std::vector<Bytes>> arp_pending;  // packets awaiting resolution
 };
@@ -48,108 +69,49 @@ struct IpStack::Route {
   int ifc_index;
 };
 
+// A datagram's fragments so far; the fragment completing it lends the whole
+// its header fields.
 struct IpStack::Reassembly {
   TimerWheel::Clock::time_point deadline;
   std::map<uint16_t, Bytes> fragments;  // offset(bytes) -> data
   bool have_last = false;
   size_t total_len = 0;
-  Ipv4Addr src, dst;
-  uint8_t proto = 0, ttl = 0;
 };
 
-IpStack::IpStack(obs::Context& obs)
-    : obs_(obs), alive_(std::make_shared<std::atomic<bool>>(true)) {
-  auto alive = alive_;
-  // Periodic reassembly-buffer sweep.
-  std::function<void()> arm = [this, alive]() {
-    if (!alive->load()) {
-      return;
-    }
-    SweepReassembly();
-  };
-  sweep_timer_ = TimerWheel::Default().Schedule(kReassemblyTimeout, arm);
-}
+IpStack::IpStack(obs::Context& obs) : obs_(obs) {}
 
-IpStack::~IpStack() { Unplug(); }
-
-void IpStack::Unplug() {
-  alive_->store(false);
-  TimerId sweep;
-  {
-    QLockGuard guard(lock_);
-    sweep = sweep_timer_;
-    sweep_timer_ = kNoTimer;
-  }
-  if (sweep != kNoTimer) {
-    TimerWheel::Default().Cancel(sweep);
-  }
+IpStack::~IpStack() {
+  std::vector<EtherProto*> ethers;
   {
     QLockGuard guard(lock_);
     for (auto& ifc : interfaces_) {
-      if (ifc->segment != nullptr) {
-        ifc->segment->Detach(ifc->station);
-        // Null the medium so a later Unplug (or the destructor) cannot detach
-        // again — after a crashed kernel is graveyarded, the same station id
-        // may belong to the restarted kernel.
-        ifc->segment = nullptr;
-      }
+      ethers.push_back(ifc->ether);
     }
   }
-  // Wait out any delivery callback that copied our receive hook before the
-  // detach above; after Drain nothing can re-enter this stack.
+  for (EtherProto* ether : ethers) {
+    ether->Hook(nullptr);
+  }
+  // Wait out any delivery that copied our hook before the unhook above;
+  // after Drain nothing can re-enter this stack.
   TimerWheel::Default().Drain();
 }
 
-void IpStack::SweepReassembly() {
-  {
-    QLockGuard guard(lock_);
-    auto now = TimerWheel::Clock::now();
-    for (auto it = reassembly_.begin(); it != reassembly_.end();) {
-      if (it->second.deadline < now) {
-        stats_.reassembly_drops.Inc();
-        it = reassembly_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
-  auto alive = alive_;
-  TimerId next = TimerWheel::Default().Schedule(kReassemblyTimeout, [this, alive] {
-    if (alive->load()) {
-      SweepReassembly();
-    }
-  });
-  QLockGuard guard(lock_);
-  sweep_timer_ = next;
-}
-
-int IpStack::AddEtherInterface(EtherSegment* segment, MacAddr mac, Ipv4Addr addr,
-                               Ipv4Addr mask) {
+int IpStack::AddEtherInterface(EtherProto* ether, Ipv4Addr addr, Ipv4Addr mask) {
   auto ifc = std::make_unique<Interface>();
-  ifc->segment = segment;
-  ifc->mac = mac;
+  ifc->ether = ether;
   ifc->addr = addr;
   ifc->mask = mask.IsUnspecified() ? ClassMask(addr) : mask;
-  ifc->mtu = 1500;
   int index;
   {
     QLockGuard guard(lock_);
     index = static_cast<int>(interfaces_.size());
-    interfaces_.push_back(std::move(ifc));
     // Connected route for the interface's subnet.
-    routes_.push_back(Route{Ipv4Addr{addr.v & interfaces_.back()->mask.v},
-                            interfaces_.back()->mask, Ipv4Addr{}, index});
+    routes_.push_back(Route{Ipv4Addr{addr.v & ifc->mask.v}, ifc->mask, Ipv4Addr{}, index});
+    interfaces_.push_back(std::move(ifc));
   }
-  auto alive = alive_;
-  auto station = segment->Attach(mac, [this, alive, index](const EtherFrame& frame) {
-    if (*alive) {
-      EtherInput(static_cast<size_t>(index), frame);
-    }
+  ether->Hook([this, index](const EtherFrame& frame) {
+    EtherInput(static_cast<size_t>(index), frame);
   });
-  {
-    QLockGuard guard(lock_);
-    interfaces_[static_cast<size_t>(index)]->station = station;
-  }
   return index;
 }
 
@@ -258,65 +220,38 @@ Status IpStack::Output(Ipv4Addr src, Ipv4Addr dst, uint8_t proto, uint8_t ttl,
     if (more || offset != 0) {
       stats_.fragments_sent.Inc();
     }
-    P9_RETURN_IF_ERROR(SendOnInterface(ifc, next_hop, pkt));
+    P9_RETURN_IF_ERROR(SendOnInterface(ifc, next_hop, std::move(pkt)));
     offset += chunk;
   } while (offset < payload.size());
   stats_.packets_sent.Inc();
   return Status::Ok();
 }
 
-Status IpStack::SendOnInterface(Interface& ifc, Ipv4Addr next_hop, const Bytes& ip_packet) {
-  // Caller holds lock_.
-  if (ifc.segment == nullptr) {
-    // Unplugged (crashed node): the packet silently dies at the dead NIC.
-    return Error("interface unplugged");
-  }
-  // Resolve next_hop via ARP.
+Status IpStack::SendOnInterface(Interface& ifc, Ipv4Addr next_hop, Bytes ip_packet) {
   auto arp = ifc.arp_table.find(next_hop.v);
   if (arp != ifc.arp_table.end()) {
-    EtherFrame frame;
-    frame.dst = arp->second;
-    frame.src = ifc.mac;
-    frame.type = kEtherTypeIp;
-    frame.payload = ip_packet;
-    return ifc.segment->Send(frame);
+    return ifc.ether->Transmit(arp->second, kEtherTypeIp, std::move(ip_packet));
   }
   // Queue the packet and broadcast an ARP request.
   auto& pending = ifc.arp_pending[next_hop.v];
   if (pending.size() < 16) {
-    pending.push_back(ip_packet);
+    pending.push_back(std::move(ip_packet));
   }
-  Bytes arp_req(28);
-  uint8_t* a = arp_req.data();
-  Put16(a, 1);                 // htype ethernet
-  Put16(a + 2, kEtherTypeIp);  // ptype
-  a[4] = 6;
-  a[5] = 4;
-  Put16(a + 6, 1);  // op: request
-  std::memcpy(a + 8, ifc.mac.data(), 6);
-  Put32(a + 14, ifc.addr.v);
-  std::memset(a + 18, 0, 6);
-  Put32(a + 24, next_hop.v);
-  EtherFrame frame;
-  frame.dst = kEtherBroadcast;
-  frame.src = ifc.mac;
-  frame.type = kEtherTypeArp;
-  frame.payload = std::move(arp_req);
-  return ifc.segment->Send(frame);
+  return ifc.ether->Transmit(
+      kEtherBroadcast, kEtherTypeArp,
+      ArpPacket(kArpRequest, ifc.ether->mac(), ifc.addr, MacAddr{}, next_hop));
 }
 
 void IpStack::EtherInput(size_t ifc_index, const EtherFrame& frame) {
   if (frame.type == kEtherTypeArp) {
     ArpInput(ifc_index, frame);
-    return;
-  }
-  if (frame.type == kEtherTypeIp) {
-    IpInput(ifc_index, frame.payload);
+  } else if (frame.type == kEtherTypeIp) {
+    IpInput(frame.payload);
   }
 }
 
 void IpStack::ArpInput(size_t ifc_index, const EtherFrame& frame) {
-  if (frame.payload.size() < 28) {
+  if (frame.payload.size() < kArpSize) {
     return;
   }
   const uint8_t* a = frame.payload.data();
@@ -326,76 +261,31 @@ void IpStack::ArpInput(size_t ifc_index, const EtherFrame& frame) {
   Ipv4Addr sender_ip{Get32(a + 14)};
   Ipv4Addr target_ip{Get32(a + 24)};
 
-  std::vector<Bytes> flush;
-  EtherSegment* segment = nullptr;
-  EtherFrame reply;
-  bool send_reply = false;
-  {
-    QLockGuard guard(lock_);
-    Interface& ifc = *interfaces_[ifc_index];
-    // Learn the sender's binding and flush anything queued on it.
-    ifc.arp_table[sender_ip.v] = sender_mac;
-    auto pend = ifc.arp_pending.find(sender_ip.v);
-    if (pend != ifc.arp_pending.end()) {
-      flush = std::move(pend->second);
-      ifc.arp_pending.erase(pend);
+  QLockGuard guard(lock_);
+  Interface& ifc = *interfaces_[ifc_index];
+  // Learn the sender's binding and flush anything queued on it.
+  ifc.arp_table[sender_ip.v] = sender_mac;
+  auto pend = ifc.arp_pending.find(sender_ip.v);
+  if (pend != ifc.arp_pending.end()) {
+    for (auto& pkt : pend->second) {
+      (void)ifc.ether->Transmit(sender_mac, kEtherTypeIp, std::move(pkt));
     }
-    if (op == 1 && target_ip == ifc.addr) {
-      Bytes arp_rep(28);
-      uint8_t* r = arp_rep.data();
-      Put16(r, 1);
-      Put16(r + 2, kEtherTypeIp);
-      r[4] = 6;
-      r[5] = 4;
-      Put16(r + 6, 2);  // reply
-      std::memcpy(r + 8, ifc.mac.data(), 6);
-      Put32(r + 14, ifc.addr.v);
-      std::memcpy(r + 18, sender_mac.data(), 6);
-      Put32(r + 24, sender_ip.v);
-      reply.dst = sender_mac;
-      reply.src = ifc.mac;
-      reply.type = kEtherTypeArp;
-      reply.payload = std::move(arp_rep);
-      segment = ifc.segment;
-      send_reply = true;
-    }
-    if (!flush.empty()) {
-      EtherFrame out;
-      out.src = ifc.mac;
-      out.dst = sender_mac;
-      out.type = kEtherTypeIp;
-      for (auto& pkt : flush) {
-        out.payload = std::move(pkt);
-        (void)ifc.segment->Send(out);
-      }
-      flush.clear();
-    }
+    ifc.arp_pending.erase(pend);
   }
-  if (send_reply && segment != nullptr) {
-    (void)segment->Send(reply);
+  if (op == kArpRequest && target_ip == ifc.addr) {
+    (void)ifc.ether->Transmit(
+        sender_mac, kEtherTypeArp,
+        ArpPacket(kArpReply, ifc.ether->mac(), ifc.addr, sender_mac, sender_ip));
   }
 }
 
-void IpStack::IpInput(size_t ifc_index, const Bytes& raw) {
-  if (raw.size() < kIpHeaderSize) {
-    QLockGuard guard(lock_);
-    stats_.bad_header.Inc();
-    return;
-  }
+void IpStack::IpInput(const Bytes& raw) {
   const uint8_t* h = raw.data();
-  if ((h[0] >> 4) != 4 || (h[0] & 0xf) != 5) {
-    QLockGuard guard(lock_);
-    stats_.bad_header.Inc();
-    return;
-  }
-  uint16_t total_len = Get16(h + 2);
-  if (total_len < kIpHeaderSize || total_len > raw.size()) {
-    QLockGuard guard(lock_);
-    stats_.bad_header.Inc();
-    return;
-  }
-  if (InetChecksum(h, kIpHeaderSize) != 0) {
-    QLockGuard guard(lock_);
+  uint16_t total_len = raw.size() < kIpHeaderSize ? 0 : Get16(h + 2);
+  // Version 4 with a bare 20-byte header, a length that fits the frame, and
+  // a sound checksum.
+  if (total_len < kIpHeaderSize || total_len > raw.size() || h[0] != 0x45 ||
+      InetChecksum(h, kIpHeaderSize) != 0) {
     stats_.bad_header.Inc();
     return;
   }
@@ -411,32 +301,16 @@ void IpStack::IpInput(size_t ifc_index, const Bytes& raw) {
   pkt.dst = Ipv4Addr{Get32(h + 16)};
   pkt.payload.assign(raw.begin() + kIpHeaderSize, raw.begin() + total_len);
 
-  bool for_us = false;
-  {
-    QLockGuard guard(lock_);
-    for (auto& ifc : interfaces_) {
-      if (ifc->addr == pkt.dst) {
-        for_us = true;
-        break;
-      }
-    }
-    if (pkt.dst.IsBroadcast()) {
-      for_us = true;
-    }
-  }
-
+  QLockGuard guard(lock_);
+  bool for_us = pkt.dst.IsBroadcast() ||
+                std::any_of(interfaces_.begin(), interfaces_.end(),
+                            [&pkt](const auto& ifc) { return ifc->addr == pkt.dst; });
   if (!for_us) {
     // Forward if we're a gateway.
-    bool fwd;
-    {
-      QLockGuard guard(lock_);
-      fwd = forwarding_;
-    }
-    if (fwd && pkt.ttl > 1) {
-      {
-        QLockGuard guard(lock_);
-        stats_.packets_forwarded.Inc();
-      }
+    bool forward = forwarding_ && pkt.ttl > 1;
+    guard.Unlock();
+    if (forward) {
+      stats_.packets_forwarded.Inc();
       (void)Output(pkt.src, pkt.dst, pkt.proto, static_cast<uint8_t>(pkt.ttl - 1),
                    pkt.payload);
     }
@@ -444,23 +318,21 @@ void IpStack::IpInput(size_t ifc_index, const Bytes& raw) {
   }
 
   if (more_frags || frag_off != 0) {
-    // Reassemble.
-    QLockGuard guard(lock_);
+    // Reassemble.  Stale reassemblies age out as new fragments arrive, as
+    // Plan 9's ipreassemble does.
     stats_.fragments_received.Inc();
+    auto now = TimerWheel::Clock::now();
+    stats_.reassembly_drops.Inc(std::erase_if(
+        reassembly_, [now](const auto& entry) { return entry.second.deadline < now; }));
     uint64_t key = static_cast<uint64_t>(pkt.src.v) << 32 |
                    static_cast<uint64_t>(ident) << 8 | pkt.proto;
     Reassembly& re = reassembly_[key];
-    re.deadline = TimerWheel::Clock::now() + kReassemblyTimeout;
-    re.src = pkt.src;
-    re.dst = pkt.dst;
-    re.proto = pkt.proto;
-    re.ttl = pkt.ttl;
-    size_t frag_len = pkt.payload.size();
-    re.fragments[frag_off] = std::move(pkt.payload);
+    re.deadline = now + kReassemblyTimeout;
     if (!more_frags) {
       re.have_last = true;
-      re.total_len = frag_off + frag_len;
+      re.total_len = frag_off + pkt.payload.size();
     }
+    re.fragments[frag_off] = std::move(pkt.payload);
     if (!re.have_last) {
       return;
     }
@@ -475,35 +347,21 @@ void IpStack::IpInput(size_t ifc_index, const Bytes& raw) {
     if (next != re.total_len) {
       return;
     }
-    IpPacket whole;
-    whole.src = re.src;
-    whole.dst = re.dst;
-    whole.proto = re.proto;
-    whole.ttl = re.ttl;
-    whole.payload.reserve(re.total_len);
+    pkt.payload.clear();
+    pkt.payload.reserve(re.total_len);
     for (auto& [off, data] : re.fragments) {
-      whole.payload.insert(whole.payload.end(), data.begin(), data.end());
+      pkt.payload.insert(pkt.payload.end(), data.begin(), data.end());
     }
     reassembly_.erase(key);
-    guard.Unlock();
-    Deliver(std::move(whole));
-    return;
   }
 
-  Deliver(std::move(pkt));
-}
-
-void IpStack::Deliver(IpPacket&& pkt) {
-  ProtoHandler handler;
-  {
-    QLockGuard guard(lock_);
-    stats_.packets_received.Inc();
-    auto it = protocols_.find(pkt.proto);
-    if (it == protocols_.end()) {
-      stats_.unknown_proto.Inc();
-      return;
-    }
-    handler = it->second;
+  auto it = protocols_.find(pkt.proto);
+  ProtoHandler handler = it != protocols_.end() ? it->second : nullptr;
+  guard.Unlock();
+  stats_.packets_received.Inc();
+  if (!handler) {
+    stats_.unknown_proto.Inc();
+    return;
   }
   handler(std::move(pkt));
 }

@@ -1,12 +1,15 @@
 // The IP layer.
 //
-// Each node runs an IpStack: interfaces onto Ethernet segments (via ARP), a
+// Each node runs an IpStack: interfaces onto Ethernet devices (via ARP), a
 // routing table, transport-protocol demux, and RFC-791 fragmentation and
 // reassembly.  Gateways (ipgw= in ndb) forward between interfaces.  TCP, UDP and IL (§2.3/§3) register as protocol handlers.
+//
+// IP is a user of the Ethernet driver (§2.2), as 4.4BSD's ip_output is of
+// its interface's if_output: it hears its packet types through the driver,
+// and the driver frames and sends what IP hands it.
 #ifndef SRC_INET_IP_H_
 #define SRC_INET_IP_H_
 
-#include <atomic>
 #include <functional>
 #include <map>
 #include <memory>
@@ -16,11 +19,12 @@
 #include "src/base/thread_annotations.h"
 #include "src/inet/ipaddr.h"
 #include "src/obs/context.h"
-#include "src/sim/ether_segment.h"
 #include "src/task/qlock.h"
-#include "src/task/timers.h"
 
 namespace plan9 {
+
+class EtherProto;
+struct EtherFrame;
 
 // IP protocol numbers.
 inline constexpr uint8_t kIpProtoTcp = 6;
@@ -77,21 +81,18 @@ class IpStack {
 
   // `obs` is the node's context, which the transports above share.
   explicit IpStack(obs::Context& obs = obs::Context::Root());
-  ~IpStack();
+  // Unhooks from every interface's driver, which must outlive the stack.
+  ~IpStack() MAY_BLOCK;
 
   obs::Context& obs() const { return obs_; }
 
   // --- interfaces ----------------------------------------------------------
 
-  // Ethernet interface: sends/receives IP + ARP frames on `segment`.
+  // Ethernet interface: hooks the stack into `ether` for the IP and ARP
+  // frames sent to its station, and sends what the stack transmits.  A
+  // crashed node's stack falls silent when its driver is unplugged.
   // Returns the interface index.
-  int AddEtherInterface(EtherSegment* segment, MacAddr mac, Ipv4Addr addr, Ipv4Addr mask);
-
-  // Crash semantics (node lifecycle): detach every interface from its medium
-  // so the stack goes silent on the wire — no packet is sent or received
-  // afterwards — without destroying any state user fds still reference.
-  // Idempotent; the destructor skips already-unplugged interfaces.
-  void Unplug() MAY_BLOCK;
+  int AddEtherInterface(EtherProto* ether, Ipv4Addr addr, Ipv4Addr mask);
 
   // --- routing -------------------------------------------------------------
 
@@ -127,16 +128,15 @@ class IpStack {
   struct Reassembly;
 
   void EtherInput(size_t ifc_index, const EtherFrame& frame);
-  void IpInput(size_t ifc_index, const Bytes& raw);
-  void Deliver(IpPacket&& pkt);
+  void IpInput(const Bytes& raw);
   Status Output(Ipv4Addr src, Ipv4Addr dst, uint8_t proto, uint8_t ttl, const Bytes& payload);
-  Status SendOnInterface(Interface& ifc, Ipv4Addr next_hop, const Bytes& ip_packet);
+  Status SendOnInterface(Interface& ifc, Ipv4Addr next_hop, Bytes ip_packet)
+      REQUIRES(lock_);
   void ArpInput(size_t ifc_index, const EtherFrame& frame);
   Result<const Route*> Lookup(Ipv4Addr dst) REQUIRES(lock_);
-  void SweepReassembly();
 
-  // Ordered before the protocol locks' media sends and before timer; the
-  // demux path drops it before invoking protocol handlers.
+  // Held across the driver's media send (sim.ether, then timer); the demux
+  // path drops it before invoking protocol handlers.
   QLock lock_{"ip.stack"};
   std::vector<std::unique_ptr<Interface>> interfaces_ GUARDED_BY(lock_);
   std::vector<Route> routes_ GUARDED_BY(lock_);
@@ -147,10 +147,6 @@ class IpStack {
   bool forwarding_ GUARDED_BY(lock_) = false;
   obs::Context& obs_;
   IpMetrics stats_{obs_.metrics()};  // atomic counters; no lock needed
-  TimerId sweep_timer_ GUARDED_BY(lock_) = kNoTimer;
-  // Set false in the destructor so in-flight sweep callbacks become no-ops;
-  // the pointer itself is immutable after construction.
-  std::shared_ptr<std::atomic<bool>> alive_;
 };
 
 }  // namespace plan9

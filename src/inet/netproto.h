@@ -16,6 +16,7 @@
 #include <atomic>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "src/base/result.h"
 #include "src/base/strings.h"
@@ -152,6 +153,26 @@ class NetProto {
 
   // Number of conversation slots ever created (directory size).
   virtual size_t ConvCount() = 0;
+
+  // The files of each conversation directory.  A protocol may add its own
+  // (a stats file) or replace them (the ether driver's Figure 1 set).
+  virtual std::vector<std::string> ConvFileNames() {
+    return {"ctl", "data", "listen", "local", "remote", "status"};
+  }
+
+  // Contents of an info file (local/remote/status/stats/type...).
+  virtual Result<std::string> InfoText(NetConv* conv, const std::string& file) {
+    if (file == "local") {
+      return conv->Local();
+    }
+    if (file == "remote") {
+      return conv->Remote();
+    }
+    if (file == "status") {
+      return conv->StatusText();
+    }
+    return Error(kErrNotExist);
+  }
 
  private:
   obs::Context& obs_;

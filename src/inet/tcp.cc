@@ -612,7 +612,7 @@ Result<std::string> TcpProto::InfoText(NetConv* conv, const std::string& file) {
     out += StrFormat("rtt: %lld us\n", static_cast<long long>(c->Srtt().count()));
     return out;
   }
-  return ProtoFiles::InfoText(conv, file);
+  return NetProto::InfoText(conv, file);
 }
 
 void TcpProto::Input(IpConvTable<TcpConv>& tcp, IpPacket&& pkt) {

@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "src/base/thread_annotations.h"
-#include "src/dev/devproto.h"
 #include "src/inet/ip.h"
 #include "src/inet/ipconv.h"
 #include "src/obs/metrics.h"
@@ -139,13 +138,13 @@ class TcpConv final : public IpConv<TcpConv> {
   TcpConvMetrics metrics_;  // atomic counters; no lock needed
 };
 
-class TcpProto : public IpConvTable<TcpConv>, public ProtoFiles {
+class TcpProto : public IpConvTable<TcpConv> {
  public:
   explicit TcpProto(IpStack* ip);
 
   std::string name() override { return "tcp"; }
 
-  // ProtoFiles: the standard six plus a stats file with per-conversation
+  // The standard six files plus a stats file with per-conversation
   // retransmit and duplicate-segment counters.
   std::vector<std::string> ConvFileNames() override {
     return {"ctl", "data", "listen", "local", "remote", "status", "stats"};

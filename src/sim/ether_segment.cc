@@ -71,9 +71,8 @@ void EtherSegment::SetPromiscuous(StationId id, bool on) {
   }
 }
 
-Status EtherSegment::Send(const EtherFrame& frame) {
+Status EtherSegment::Send(EtherFrame frame) {
   auto shared = shared_;
-  EtherFrame delivered = frame;
   MediumCore::Delivery d;
   {
     QLockGuard guard(shared->lock);
@@ -84,12 +83,12 @@ Status EtherSegment::Send(const EtherFrame& frame) {
     // destination would just look like loss, which the burst model already
     // covers.
     P9_ASSIGN_OR_RETURN(d, shared->medium.Transmit(kEtherHeaderSize + frame.payload.size(),
-                                                   &delivered.payload));
+                                                   &frame.payload));
   }
   if (d.dropped) {
     return Status::Ok();
   }
-  MediumCore::Schedule(d, [shared, frame = std::move(delivered)]() {
+  MediumCore::Schedule(d, [shared, frame = std::move(frame)]() {
     std::vector<RecvFn> receivers;
     {
       QLockGuard guard(shared->lock);

@@ -55,8 +55,9 @@ class EtherSegment {
   void Detach(StationId id);
   void SetPromiscuous(StationId id, bool on);
 
-  // Queue a frame for transmission on the cable.
-  Status Send(const EtherFrame& frame);
+  // Queue a frame for transmission on the cable; the frame travels on by
+  // move.
+  Status Send(EtherFrame frame);
 
   const MediaStats& stats();
   const FaultStats& fault_stats();

@@ -42,9 +42,9 @@ void Node::Crash() {
   P9_TRACE(root.recorder(), obs::TraceKind::kChaos, sysname_, "crash",
            static_cast<uint64_t>(generation_));
 
-  // 1. Unplug the media first: the node falls silent on the wire before any
-  //    software teardown runs, so nothing below can emit a polite goodbye.
-  k_->ip.Unplug();
+  // 1. Unplug the devices first: the node falls silent on the wire before
+  //    any software teardown runs, so nothing below can emit a polite
+  //    goodbye.  IP sends through the ether drivers and falls silent too.
   for (auto& e : k_->ethers) {
     e->Unplug();
   }
@@ -116,21 +116,19 @@ void Node::AddIpProtoDirs() {
     return;
   }
   k_->ip_protos_added = true;
-  k_->netdir.Add(k_->tcp.get(), k_->tcp.get());
+  k_->netdir.Add(k_->tcp.get());
   k_->netdir.Add(k_->udp.get());
-  k_->netdir.Add(k_->il.get(), k_->il.get());
+  k_->netdir.Add(k_->il.get());
 }
 
 void Node::DoAddEther(EtherSegment* segment, MacAddr mac, Ipv4Addr addr,
                       Ipv4Addr mask) {
   AddIpProtoDirs();
-  k_->ip.AddEtherInterface(segment, mac, addr, mask);
-  auto ether = std::make_unique<EtherProto>(
-      segment, mac,
-      k_->ethers.empty() ? "ether0" : "ether" + std::to_string(k_->ethers.size()),
-      k_->obs);
-  k_->netdir.Add(ether.get(), ether.get());
-  k_->ethers.push_back(std::move(ether));
+  std::string name = "ether" + std::to_string(k_->ethers.size());
+  auto& ether = k_->ethers.emplace_back(
+      std::make_unique<EtherProto>(segment, mac, std::move(name), k_->obs));
+  k_->ip.AddEtherInterface(ether.get(), addr, mask);
+  k_->netdir.Add(ether.get());
 }
 
 void Node::AddEther(EtherSegment* segment, MacAddr mac, Ipv4Addr addr,
@@ -159,7 +157,7 @@ void Node::AddDatakit(DatakitSwitch* dk, const std::string& dk_name) {
 int Node::DoAddCyclone(Wire* wire, Wire::End end) {
   bool first = k_->cyclone.ConvCount() == 0 && k_->cyclone_link_count == 0;
   if (first) {
-    k_->netdir.Add(&k_->cyclone, &k_->cyclone);
+    k_->netdir.Add(&k_->cyclone);
   }
   k_->cyclone_link_count++;
   return k_->cyclone.AddLink(wire, end);

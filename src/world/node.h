@@ -21,8 +21,9 @@
 // Lifecycle.  All kernel state lives in an inner Kernel record so the
 // machine can die and reboot:
 //
-//   * Crash() is abrupt: the media are unplugged first (the node goes
-//     silent on the wire), then every conversation is abandoned without a
+//   * Crash() is abrupt: the devices are unplugged first (the node goes
+//     silent on the wire; IP transmits through the ether drivers, so it
+//     falls silent with them), then every conversation is abandoned without a
 //     FIN, close cell or Rhangup; services' kprocs unblock because their
 //     fds are dead and are joined.  Surviving nodes learn of the crash
 //     only through the wire — IL's deadman, 9P's RPC deadline, a failed
@@ -159,18 +160,19 @@ class Node {
   // Everything that dies in a crash and is rebuilt by a restart.
   // Declaration order is destruction-critical: services stop first (their
   // kprocs use the stack), protocol devices before the IP stack they ride,
-  // and the observability context after everything that counts into it.
+  // the IP stack before the ether drivers it is hooked into, and the
+  // observability context after everything that counts into it.
   struct Kernel {
     Kernel(const std::string& sysname, int generation);
 
     obs::Context obs;
     RamFs rootfs;
+    std::vector<std::unique_ptr<EtherProto>> ethers;
     IpStack ip;
     std::unique_ptr<TcpProto> tcp;
     std::unique_ptr<UdpProto> udp;
     std::unique_ptr<IlProto> il;
     std::unique_ptr<DkProto> dk;
-    std::vector<std::unique_ptr<EtherProto>> ethers;
     CycloneProto cyclone;
     int cyclone_link_count = 0;
     bool ip_protos_added = false;

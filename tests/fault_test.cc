@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "src/base/strings.h"
+#include "src/dev/ether.h"
 #include "src/dial/dial.h"
 #include "src/ndb/ndb.h"
 #include "src/ninep/client.h"
@@ -263,6 +264,20 @@ TEST(EtherFaults, DuplicationAndPartitionCounters) {
   }
   EXPECT_EQ(trace.Settle(), 20u);
   EXPECT_EQ(seg.fault_stats().drops_partition.value(), 5u);
+}
+
+// An unplugged device is a dead NIC: whoever transmits through it, a data
+// write or the kernel's IP, is refused and nothing reaches the cable.
+TEST(EtherFaults, UnpluggedDeviceRefusesTransmit) {
+  EtherSegment seg(LinkParams::Ether10());
+  EtherProto ether(&seg, MacAddr{8, 0, 0x69, 0, 0, 1});
+  MacAddr peer{8, 0, 0x69, 0, 0, 2};
+  ASSERT_TRUE(ether.Transmit(peer, 0x0800, Bytes(64, 0x5a)).ok());
+  uint64_t sent = seg.stats().frames_sent.value();
+  ASSERT_EQ(sent, 1u);
+  ether.Unplug();
+  EXPECT_FALSE(ether.Transmit(peer, 0x0800, Bytes(64, 0x5a)).ok());
+  EXPECT_EQ(seg.stats().frames_sent.value(), sent);
 }
 
 // ---------------------------------------------------------------------------

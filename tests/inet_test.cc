@@ -6,6 +6,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/dev/ether.h"
 #include "src/inet/il.h"
 #include "src/inet/ip.h"
 #include "src/inet/tcp.h"
@@ -21,14 +22,16 @@ namespace {
 struct TwoHosts {
   explicit TwoHosts(LinkParams params = LinkParams{.latency = std::chrono::microseconds(50)})
       : segment(params),
+        alice_ether(&segment, MacAddr{8, 0, 0x69, 2, 0x22, 0xf0}),
+        bob_ether(&segment, MacAddr{8, 0, 0x69, 2, 0x22, 0xf1}),
         alice_ip(Ipv4Addr::FromOctets(135, 104, 9, 31)),
         bob_ip(Ipv4Addr::FromOctets(135, 104, 9, 6)) {
-    alice.AddEtherInterface(&segment, MacAddr{8, 0, 0x69, 2, 0x22, 0xf0}, alice_ip,
-                            Ipv4Addr{0xffffff00});
-    bob.AddEtherInterface(&segment, MacAddr{8, 0, 0x69, 2, 0x22, 0xf1}, bob_ip,
-                          Ipv4Addr{0xffffff00});
+    alice.AddEtherInterface(&alice_ether, alice_ip, Ipv4Addr{0xffffff00});
+    bob.AddEtherInterface(&bob_ether, bob_ip, Ipv4Addr{0xffffff00});
   }
   EtherSegment segment;
+  // The drivers outlive the stacks hooked into them.
+  EtherProto alice_ether, bob_ether;
   IpStack alice, bob;
   Ipv4Addr alice_ip, bob_ip;
 };

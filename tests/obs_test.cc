@@ -3,6 +3,8 @@
 // contexts behind it: each machine's /net describes that machine.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <initializer_list>
 #include <map>
 #include <set>
 #include <sstream>
@@ -509,6 +511,91 @@ TEST_F(PerNodeObsTest, BystanderStatsShowNoTraffic) {
   EXPECT_GT(helix["net.il.msgs-sent"], 0u);
   EXPECT_GT(helix["net.dial.attempts"], 0u);
   EXPECT_GT(Stats(musca_.get())["net.il.msgs-rcvd"], 0u);
+}
+
+// An ether0 conversation opened with the given ctl messages; its files stay
+// open with the proc.
+struct EtherTap {
+  EtherTap(Proc* proc, std::initializer_list<const char*> ctl) : proc(proc) {
+    int cfd = proc->Open("/net/ether0/clone", kORdWr).value_or(-1);
+    auto num = proc->ReadString(cfd, 16);
+    EXPECT_TRUE(num.ok());
+    dir = "/net/ether0/" + num.value_or("") + "/";
+    for (const char* msg : ctl) {
+      EXPECT_TRUE(proc->WriteString(cfd, msg).ok()) << msg;
+    }
+    data = proc->Open(dir + "data", kORead).value_or(-1);
+    EXPECT_GE(data, 0);
+  }
+
+  // The frames queued so far, read without blocking: the status file says
+  // how many arrived.
+  std::vector<EtherFrame> Frames() {
+    auto status = proc->ReadFile(dir + "status");
+    EXPECT_TRUE(status.ok());
+    auto fields = Tokenize(status.value_or(""));
+    auto in = std::find(fields.begin(), fields.end(), "in");
+    uint64_t n = in != fields.end() && in + 1 != fields.end()
+                     ? ParseU64(*(in + 1)).value_or(0)
+                     : 0;
+    std::vector<EtherFrame> frames;
+    for (uint64_t i = 0; i < n; i++) {
+      Bytes raw(2048);
+      auto got = proc->Read(data, raw.data(), raw.size());
+      EXPECT_TRUE(got.ok());
+      raw.resize(got.value_or(0));
+      auto frame = EtherFrame::Unpack(raw);
+      EXPECT_TRUE(frame.ok());
+      if (frame.ok()) {
+        frames.push_back(std::move(*frame));
+      }
+    }
+    return frames;
+  }
+
+  Proc* proc;
+  std::string dir;
+  int data = -1;
+};
+
+constexpr MacAddr kHelixMac{8, 0, 0x69, 2, 0x22, 1};
+constexpr MacAddr kMuscaMac{8, 0, 0x69, 2, 0x22, 2};
+
+// A snooping gateway: tern forwards and its ether0 listens promiscuously,
+// yet helix and musca's traffic goes to the snooper only.  IP hears the
+// frames addressed to its own station; were it handed the foreign ones, it
+// would forward musca's traffic to musca a second time.
+TEST_F(PerNodeObsTest, SnoopingGatewayKeepsForeignFramesOutOfIp) {
+  tern_->EnableForwarding();
+  auto snoop = tern_->NewProc();
+  EtherTap tap(snoop.get(), {"promiscuous", "connect -1"});
+  EchoHelixThroughMusca();
+  bool saw_ip = false;
+  for (const EtherFrame& f : tap.Frames()) {
+    saw_ip |= f.type == kEtherTypeIp && ((f.src == kHelixMac && f.dst == kMuscaMac) ||
+                                         (f.src == kMuscaMac && f.dst == kHelixMac));
+  }
+  EXPECT_TRUE(saw_ip) << "the snooper read no helix<->musca IP frame";
+  auto tern = Stats(tern_.get());
+  EXPECT_EQ(tern["net.ip.packets-rcvd"], 0u);
+  EXPECT_EQ(tern["net.ip.forwarded"], 0u);
+}
+
+// IP and a `connect 2048` conversation share one station's frames: the
+// conversation reads helix's IP packets to musca, and musca's IP still
+// answers them.
+TEST_F(PerNodeObsTest, Connect2048ConversationSharesIpFrames) {
+  auto proc = musca_->NewProc();
+  EtherTap tap(proc.get(), {"connect 2048"});
+  EchoHelixThroughMusca();
+  auto frames = tap.Frames();
+  ASSERT_FALSE(frames.empty());
+  for (const EtherFrame& f : frames) {
+    EXPECT_EQ(f.type, kEtherTypeIp);
+    EXPECT_EQ(f.src, kHelixMac);
+    EXPECT_EQ(f.dst, kMuscaMac);
+  }
+  EXPECT_GT(Stats(musca_.get())["net.ip.packets-rcvd"], 0u);
 }
 
 TEST_F(PerNodeObsTest, RestartStartsWithEmptyStatsAndTrace) {

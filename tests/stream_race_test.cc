@@ -15,6 +15,7 @@
 #include <string>
 #include <thread>
 
+#include "src/dev/ether.h"
 #include "src/inet/il.h"
 #include "src/inet/ip.h"
 #include "src/sim/ether_segment.h"
@@ -122,11 +123,11 @@ TEST(StreamRace, IlDialCloseChurn) {
   EtherSegment segment(LinkParams{.latency = std::chrono::microseconds(50)});
   Ipv4Addr alice_ip = Ipv4Addr::FromOctets(135, 104, 9, 31);
   Ipv4Addr bob_ip = Ipv4Addr::FromOctets(135, 104, 9, 6);
+  EtherProto alice_ether(&segment, MacAddr{8, 0, 0x69, 2, 0x22, 0xf0});
+  EtherProto bob_ether(&segment, MacAddr{8, 0, 0x69, 2, 0x22, 0xf1});
   IpStack alice, bob;
-  alice.AddEtherInterface(&segment, MacAddr{8, 0, 0x69, 2, 0x22, 0xf0}, alice_ip,
-                          Ipv4Addr{0xffffff00});
-  bob.AddEtherInterface(&segment, MacAddr{8, 0, 0x69, 2, 0x22, 0xf1}, bob_ip,
-                        Ipv4Addr{0xffffff00});
+  alice.AddEtherInterface(&alice_ether, alice_ip, Ipv4Addr{0xffffff00});
+  bob.AddEtherInterface(&bob_ether, bob_ip, Ipv4Addr{0xffffff00});
   IlProto ail(&alice), bil(&bob);
 
   std::atomic<int> cycles_done{0};

@@ -54,7 +54,8 @@ DECLARED_ORDER = [
     ("udp.conv", "timer"),
     ("dk.conv", "timer"),
     ("cyclone.conv", "timer"),
-    # The IP stack emits onto simulated media and arms timers.
+    # The IP stack emits onto simulated media through the ether driver,
+    # whose medium schedules each frame's delivery on the timer wheel.
     ("ip.stack", "sim.wire"),
     ("ip.stack", "sim.ether"),
     ("ip.stack", "timer"),

@@ -61,7 +61,7 @@ class Program:
     # method qname -> bare return type (for a()->b() chains).
     return_types: Dict[str, str] = field(default_factory=dict)
     # class -> direct bases, each with its template arguments' bare type
-    # names: ("IlProto") -> [("ConvTable", ["IlConv"]), ("ProtoFiles", [])].
+    # names: ("IlProto") -> [("IpConvTable", ["IlConv"])].
     bases: Dict[str, List[Tuple[str, List[str]]]] = field(default_factory=dict)
     # class template -> its type parameter names: "ConvTable" -> ["C"].
     template_params: Dict[str, List[str]] = field(default_factory=dict)
