@@ -192,7 +192,7 @@ void DkConv::Close() {
   DkCircuit::End end = Wire::kA;
   {
     // Take the circuit and call: the last reference to a circuit waits out
-    // the timer kproc, which must not happen under a lock.
+    // the timer wheel's executor (Drain), which must not happen under a lock.
     QLockGuard guard(lock_);
     circuit.swap(circuit_);
     call.swap(call_);

@@ -25,9 +25,10 @@ std::unique_ptr<StreamModule> ConvCore::NewModule() {
 void ConvCore::Reset() {
   QLockGuard guard(lock_);
   if (stream_ != nullptr) {
-    // Protocol input runs on the timer kproc, which may still be inside the
-    // old stream finishing the delivery its reader woke on: free the stream
-    // there, once that callback has returned.
+    // Protocol input runs on the timer wheel's executor (its kproc, or a
+    // thread closing a delivery scope), which may still be inside the old
+    // stream finishing the delivery its reader woke on: free the stream on
+    // the executor, once that callback has returned.
     TimerWheel::Default().Schedule(TimerWheel::Clock::duration::zero(),
                                    [old = std::shared_ptr<Stream>(std::move(stream_))] {});
   }

@@ -2,6 +2,7 @@
 
 #include "src/base/logging.h"
 #include "src/base/strings.h"
+#include "src/task/timers.h"
 
 namespace plan9 {
 
@@ -109,7 +110,11 @@ Result<Fcall> NinepClient::FlushAndReap(uint16_t oldtag, std::shared_ptr<Pending
   Fcall tf = TflushMsg(oldtag);
   tf.tag = flush_tag;
   auto packed = tf.Pack();
-  Status sent = packed.ok() ? transport_->WriteMsg(std::move(*packed)) : packed.error();
+  Status sent;
+  {
+    TimerWheel::RunHere deliver(TimerWheel::Default());  // as in Rpc
+    sent = packed.ok() ? transport_->WriteMsg(std::move(*packed)) : packed.error();
+  }
   std::function<void(const std::string&)> hook;
   std::string hook_why;
   Result<Fcall> out = Error(std::string(kErrTimedOut));
@@ -189,7 +194,13 @@ Result<Fcall> NinepClient::Rpc(Fcall tx) {
     pending_.erase(tx.tag);
     return packed.error();
   }
-  Status sent = transport_->WriteMsg(std::move(*packed));
+  Status sent;
+  {
+    // This thread is about to wait for the answer: it delivers the request's
+    // zero-delay frames itself instead of waking the timer kproc to.
+    TimerWheel::RunHere deliver(TimerWheel::Default());
+    sent = transport_->WriteMsg(std::move(*packed));
+  }
   if (!sent.ok()) {
     QLockGuard guard(lock_);
     pending_.erase(tx.tag);

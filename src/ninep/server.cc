@@ -2,6 +2,7 @@
 
 #include "src/base/logging.h"
 #include "src/base/strings.h"
+#include "src/task/timers.h"
 
 namespace plan9 {
 
@@ -110,6 +111,9 @@ void NinepServer::Reply(const Fcall& reply) {
     P9_LOG(kWarn) << "9p server pack: " << packed.error().message();
     return;
   }
+  // The worker delivers its reply's zero-delay frames itself once the write
+  // lock is dropped: opened first, the scope closes last.
+  TimerWheel::RunHere deliver(TimerWheel::Default());
   QLockGuard guard(write_lock_);
   (void)transport_->WriteMsg(std::move(*packed));
 }

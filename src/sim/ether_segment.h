@@ -50,7 +50,9 @@ class EtherSegment {
   explicit EtherSegment(LinkParams params = LinkParams::Ether10());
   ~EtherSegment();
 
-  // Attach a station; callbacks run on the timer kproc and must not block.
+  // Attach a station.  Callbacks run one at a time, with no lock held, on
+  // the timer wheel's executor (its kproc, or a thread closing a delivery
+  // scope) and must not block.
   StationId Attach(MacAddr mac, RecvFn fn);
   void Detach(StationId id);
   void SetPromiscuous(StationId id, bool on);

@@ -3,7 +3,9 @@
 // Models the paper's point-to-point media (Cyclone fiber between file and
 // CPU servers, serial lines, ISDN): each direction serializes frames at the
 // configured bandwidth, delays them by the propagation latency, and may drop
-// them.  Delivery callbacks run on the shared timer kproc and must not block.
+// them.  Delivery callbacks run one at a time, with no lock held, on the
+// timer wheel's executor (its kproc, or a thread closing a delivery scope)
+// and must not block.
 #ifndef SRC_SIM_WIRE_H_
 #define SRC_SIM_WIRE_H_
 

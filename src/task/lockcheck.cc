@@ -121,6 +121,22 @@ void OnBlock(const void* lock, const char* file, int line) {
   }
 }
 
+void OnDeliver() {
+  if (t_held.empty()) {
+    return;
+  }
+  const Held& h = t_held.back();
+  Graph& g = G();
+  std::lock_guard<std::mutex> glock(g.mu);
+  std::fprintf(stderr,
+               "plan9net lockcheck: delivery scope closed under qlock\n"
+               "  holding qlock %p (class \"%s\") acquired at %s\n"
+               "  (a closing delivery scope runs timer callbacks, which take "
+               "conversation locks; close it with no qlock held; see DESIGN.md)\n",
+               h.lock, Name(g, h.cls), h.site.c_str());
+  Die();
+}
+
 void UnregisterInstanceClass(ClassId cls) {
   Graph& g = G();
   std::lock_guard<std::mutex> lock(g.mu);

@@ -60,6 +60,12 @@ void SetClassSleepable(ClassId cls);
 // statically via MAY_BLOCK.
 void OnBlock(const void* lock, const char* file, int line);
 
+// Called as a thread closes a delivery scope (TimerWheel::RunHere), before
+// it may run timer callbacks.  Aborts if the thread holds any lock: the
+// callbacks take conversation locks, and run with none held on the kproc,
+// so a scope must close with none held too.
+void OnDeliver();
+
 // Called by QLock before blocking on the underlying mutex.  Aborts (after
 // printing both acquisition sites) on self-deadlock or order inversion.
 void OnAcquire(const void* lock, ClassId cls, const char* file, int line);

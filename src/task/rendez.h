@@ -93,7 +93,8 @@ class Rendez {
   // Wake one sleeper, as Plan 9's wakeup does.  Only for hand-offs that any
   // single sleeper can take: every sleeper waits on the same condition, and
   // one of them acting on it is all the change calls for (a worker taking
-  // the 9P reader role, the timer kproc seeing a new earliest deadline).
+  // the 9P reader role, the timer kproc seeing a deadline before its next
+  // look at the queue).
   void WakeOne() { cv_.notify_one(); }
 
   // Wake all sleepers to re-evaluate their condition: for shutdown, and for

@@ -1,8 +1,17 @@
 #include "src/task/timers.h"
 
-#include <vector>
+#include <algorithm>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 
 namespace plan9 {
+namespace {
+
+// The innermost delivery scope open on this thread.
+thread_local TimerWheel::RunHere* t_scope = nullptr;
+
+}  // namespace
 
 TimerWheel::TimerWheel() : thread_([this] { Loop(); }) {}
 
@@ -16,19 +25,25 @@ TimerWheel::~TimerWheel() {
 }
 
 TimerId TimerWheel::Schedule(Clock::duration delay, std::function<void()> fn) {
+  RunHere* scope = t_scope;
+  bool deferred = delay <= Clock::duration::zero() && scope != nullptr &&
+                  &scope->wheel_ == this;
+  if (deferred) {
+    scope->deferred_ = true;
+  }
   TimerId id;
-  bool earliest;
+  bool wake;
   {
     QLockGuard guard(lock_);
     id = next_id_++;
     Clock::time_point when = Clock::now() + delay;
-    auto it = queue_.emplace(when, std::make_pair(id, std::move(fn)));
+    queue_.emplace(when, std::make_pair(id, std::move(fn)));
     index_.emplace(id, when);
-    // The kproc sleeps until the head's deadline, or runs callbacks and then
-    // re-reads the queue: only a new head it is sleeping past needs a wake.
-    earliest = it == queue_.begin() && !executing_;
+    // Only a deadline before the sleeping kproc's next look needs a wake: an
+    // executor re-reads the queue before it lets go of the role.
+    wake = !deferred && executor_ == std::thread::id() && WakeForLocked(when);
   }
-  if (earliest) {
+  if (wake) {
     wake_.WakeOne();
   }
   return id;
@@ -58,40 +73,117 @@ size_t TimerWheel::Pending() {
 
 void TimerWheel::Drain() {
   QLockGuard guard(lock_);
-  drained_.Sleep(lock_, [&]() REQUIRES(lock_) { return !executing_; });
+  if (executor_ == std::this_thread::get_id()) {
+    std::fprintf(stderr,
+                 "plan9net: TimerWheel::Drain must not be called from a timer "
+                 "callback: the thread running it would wait for itself "
+                 "(src/task/timers.h)\n");
+    std::fflush(stderr);
+    std::abort();
+  }
+  drained_.Sleep(lock_, [&]() REQUIRES(lock_) { return executor_ == std::thread::id(); });
+}
+
+bool TimerWheel::WakeForLocked(Clock::time_point when) {
+  if (when >= sleep_until_) {
+    return false;
+  }
+  // Once woken, the kproc re-reads the queue: the rest of a burst of frames
+  // needs no wake of its own.
+  sleep_until_ = Clock::time_point::min();
+  return true;
+}
+
+TimerWheel::Due TimerWheel::TakeDueLocked(Clock::time_point now, size_t max) {
+  Due due;
+  while (due.size() < max && !queue_.empty() && queue_.begin()->first <= now) {
+    auto it = queue_.begin();
+    index_.erase(it->second.first);
+    due.push_back(std::move(it->second.second));
+    queue_.erase(it);
+  }
+  return due;
 }
 
 void TimerWheel::Loop() {
   QLockGuard guard(lock_);
   while (!stop_) {
-    if (queue_.empty()) {
-      wake_.Sleep(lock_);
-      continue;
-    }
-    auto next = queue_.begin()->first;
-    if (Clock::now() < next) {
-      wake_.SleepUntil(lock_, next);
-      continue;
-    }
-    // Collect everything due, then run without the lock so callbacks can
-    // schedule or cancel timers (and take conversation locks).
-    std::vector<std::function<void()>> due;
     auto now = Clock::now();
-    while (!queue_.empty() && queue_.begin()->first <= now) {
-      auto it = queue_.begin();
-      index_.erase(it->second.first);
-      due.push_back(std::move(it->second.second));
-      queue_.erase(it);
+    bool due = !queue_.empty() && queue_.begin()->first <= now;
+    if (due && executor_ == std::thread::id()) {
+      guard.Unlock();
+      RunDue(SIZE_MAX);
+      guard.Lock();
+      continue;
     }
-    executing_ = true;
-    guard.Unlock();
-    for (auto& fn : due) {
-      fn();
+    // Sleep to the head's deadline, but for no more than a tick: Schedule
+    // wakes the kproc only for a deadline before this one, so a far head
+    // does not make every nearer re-arm a wake-up.  While a scope's thread
+    // runs callbacks, it wakes the kproc as it lets go if anything is due.
+    sleep_until_ = now + kTick;
+    if (!due && !queue_.empty()) {
+      sleep_until_ = std::min(sleep_until_, queue_.begin()->first);
     }
-    guard.Lock();
-    executing_ = false;
-    drained_.Wakeup();
+    wake_.SleepUntil(lock_, sleep_until_);
+    sleep_until_ = Clock::time_point::min();
   }
+}
+
+void TimerWheel::RunDue(size_t max) {
+  bool wake;
+  {
+    QLockGuard guard(lock_);
+    if (executor_ != std::thread::id()) {
+      return;  // the executor re-reads the queue before it lets go
+    }
+    executor_ = std::this_thread::get_id();
+    // Collect what is due, then run it without the lock so callbacks can
+    // schedule or cancel timers (and take conversation locks).  What they
+    // make due meanwhile (the acknowledgement a frame draws) is the next
+    // batch.
+    for (size_t left = max; left > 0;) {
+      Due batch = TakeDueLocked(Clock::now(), left);
+      if (batch.empty()) {
+        break;
+      }
+      left -= batch.size();
+      guard.Unlock();
+      for (auto& fn : batch) {
+        fn();
+      }
+      batch.clear();  // what the closures hold dies off the lock
+      guard.Lock();
+    }
+    executor_ = std::thread::id();
+    drained_.Wakeup();
+    // No entry is stranded: what is left and earlier than the sleeping
+    // kproc's next look wakes it.
+    wake = !queue_.empty() && WakeForLocked(queue_.begin()->first);
+  }
+  if (wake) {
+    wake_.WakeOne();
+  }
+}
+
+TimerWheel::RunHere::RunHere(TimerWheel& wheel) : wheel_(wheel), outer_(t_scope) {
+  t_scope = this;
+}
+
+TimerWheel::RunHere::~RunHere() {
+  if (outer_ != nullptr && &outer_->wheel_ == &wheel_) {
+    outer_->deferred_ |= deferred_;  // the outermost scope on the wheel delivers
+    t_scope = outer_;
+    return;
+  }
+#if defined(PLAN9NET_LOCKCHECK)
+  lockcheck::OnDeliver();
+#endif
+  // Still the thread's scope while it runs, so what the callbacks defer
+  // waits for its next batch instead of waking the kproc.
+  if (deferred_) {
+    wheel_.RunDue(kScopeRuns);
+  }
+  t_scope = outer_;
 }
 
 TimerWheel& TimerWheel::Default() {

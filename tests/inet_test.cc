@@ -20,7 +20,8 @@ namespace {
 
 // A little two-host internet: alice and bob on one Ethernet segment.
 struct TwoHosts {
-  explicit TwoHosts(LinkParams params = LinkParams{.latency = std::chrono::microseconds(50)})
+  explicit TwoHosts(LinkParams params = LinkParams{.latency = std::chrono::microseconds(50),
+                                                   .faults = {}})
       : segment(params),
         alice_ether(&segment, MacAddr{8, 0, 0x69, 2, 0x22, 0xf0}),
         bob_ether(&segment, MacAddr{8, 0, 0x69, 2, 0x22, 0xf1}),
@@ -127,7 +128,7 @@ TEST(Udp, BindFixesTheLocalPort) {
 TEST(Udp, LossyNetworkDropsDatagrams) {
   TwoHosts net{LinkParams{.latency = std::chrono::microseconds(10),
                           .seed = 42,
-                          .faults = {.loss_good = 0.5}}};
+                          .faults = {.loss_good = 0.5, .partitions = {}}}};
   UdpProto audp(&net.alice), budp(&net.bob);
   auto server = budp.Clone();
   ASSERT_TRUE((*server)->Ctl("announce 9").ok());
@@ -183,7 +184,7 @@ class IlTest : public ::testing::Test {
 };
 
 TEST_F(IlTest, ConnectTransferClose) {
-  Build(LinkParams{.latency = std::chrono::microseconds(50)});
+  Build(LinkParams{.latency = std::chrono::microseconds(50), .faults = {}});
   Dial();
   ASSERT_TRUE(client_conv_->Write(reinterpret_cast<const uint8_t*>("hello il"), 8).ok());
   EXPECT_EQ(ReadSome(accepted_), "hello il");
@@ -195,7 +196,7 @@ TEST_F(IlTest, ConnectTransferClose) {
 }
 
 TEST_F(IlTest, PreservesMessageBoundaries) {
-  Build(LinkParams{.latency = std::chrono::microseconds(20)});
+  Build(LinkParams{.latency = std::chrono::microseconds(20), .faults = {}});
   Dial();
   for (int i = 0; i < 10; i++) {
     std::string msg = "message-" + std::to_string(i);
@@ -212,7 +213,7 @@ TEST_F(IlTest, ReliableUnderLoss) {
   // 15% loss each way: IL must deliver everything, in order.
   Build(LinkParams{.latency = std::chrono::microseconds(20),
                    .seed = 7,
-                   .faults = {.loss_good = 0.15}});
+                   .faults = {.loss_good = 0.15, .partitions = {}}});
   Dial();
   constexpr int kMessages = 60;
   std::thread sender([&] {
@@ -233,7 +234,7 @@ TEST_F(IlTest, ReliableUnderLoss) {
 }
 
 TEST_F(IlTest, LargeMessagesFragmentAndReassemble) {
-  Build(LinkParams{.latency = std::chrono::microseconds(20)});
+  Build(LinkParams{.latency = std::chrono::microseconds(20), .faults = {}});
   Dial();
   Bytes big(16 * 1024);
   for (size_t i = 0; i < big.size(); i++) {
@@ -254,7 +255,7 @@ TEST_F(IlTest, LargeMessagesFragmentAndReassemble) {
 }
 
 TEST_F(IlTest, ConnectToUnannouncedPortIsRefused) {
-  Build(LinkParams{.latency = std::chrono::microseconds(20)});
+  Build(LinkParams{.latency = std::chrono::microseconds(20), .faults = {}});
   auto conv = ail_->Clone().take();
   ASSERT_TRUE(conv->Ctl("connect 135.104.9.6!999").ok());
   auto status = conv->WaitReady();
@@ -263,7 +264,7 @@ TEST_F(IlTest, ConnectToUnannouncedPortIsRefused) {
 }
 
 TEST_F(IlTest, AdaptiveRttConverges) {
-  Build(LinkParams{.latency = std::chrono::microseconds(500)});
+  Build(LinkParams{.latency = std::chrono::microseconds(500), .faults = {}});
   Dial();
   for (int i = 0; i < 20; i++) {
     ASSERT_TRUE(client_conv_->Write(reinterpret_cast<const uint8_t*>("x"), 1).ok());
@@ -304,7 +305,7 @@ class TcpTest : public ::testing::Test {
 };
 
 TEST_F(TcpTest, ConnectTransfer) {
-  Build(LinkParams{.latency = std::chrono::microseconds(50)});
+  Build(LinkParams{.latency = std::chrono::microseconds(50), .faults = {}});
   Dial();
   ASSERT_TRUE(client_conv_->Write(reinterpret_cast<const uint8_t*>("GET /"), 5).ok());
   std::string got;
@@ -317,7 +318,7 @@ TEST_F(TcpTest, ConnectTransfer) {
 TEST_F(TcpTest, DoesNotPreserveDelimiters) {
   // "TCP ... does not preserve delimiters": two writes may arrive as one
   // read.  We only assert the byte stream is intact and ordered.
-  Build(LinkParams{.latency = std::chrono::microseconds(20)});
+  Build(LinkParams{.latency = std::chrono::microseconds(20), .faults = {}});
   Dial();
   ASSERT_TRUE(client_conv_->Write(reinterpret_cast<const uint8_t*>("abc"), 3).ok());
   ASSERT_TRUE(client_conv_->Write(reinterpret_cast<const uint8_t*>("def"), 3).ok());
@@ -331,7 +332,7 @@ TEST_F(TcpTest, DoesNotPreserveDelimiters) {
 TEST_F(TcpTest, BulkTransferUnderLoss) {
   Build(LinkParams{.latency = std::chrono::microseconds(20),
                    .seed = 3,
-                   .faults = {.loss_good = 0.08}});
+                   .faults = {.loss_good = 0.08, .partitions = {}}});
   Dial();
   constexpr size_t kTotal = 200 * 1024;
   std::thread sender([&] {
@@ -365,7 +366,7 @@ TEST_F(TcpTest, BulkTransferUnderLoss) {
 }
 
 TEST_F(TcpTest, ConnectRefusedByRst) {
-  Build(LinkParams{.latency = std::chrono::microseconds(20)});
+  Build(LinkParams{.latency = std::chrono::microseconds(20), .faults = {}});
   auto conv = atcp_->Clone().take();
   ASSERT_TRUE(conv->Ctl("connect 135.104.9.6!81").ok());
   auto status = conv->WaitReady();
@@ -374,7 +375,7 @@ TEST_F(TcpTest, ConnectRefusedByRst) {
 }
 
 TEST_F(TcpTest, GracefulCloseGivesEof) {
-  Build(LinkParams{.latency = std::chrono::microseconds(20)});
+  Build(LinkParams{.latency = std::chrono::microseconds(20), .faults = {}});
   Dial();
   ASSERT_TRUE(client_conv_->Write(reinterpret_cast<const uint8_t*>("bye"), 3).ok());
   std::string got;
@@ -386,7 +387,7 @@ TEST_F(TcpTest, GracefulCloseGivesEof) {
 }
 
 TEST_F(TcpTest, StatusFileShape) {
-  Build(LinkParams{.latency = std::chrono::microseconds(20)});
+  Build(LinkParams{.latency = std::chrono::microseconds(20), .faults = {}});
   Dial();
   auto status = static_cast<TcpConv*>(client_conv_)->StatusText();
   EXPECT_NE(status.find("Established"), std::string::npos);
@@ -410,7 +411,8 @@ void TearDownWithTrafficInFlight(uint64_t seed) {
   constexpr auto kStall = std::chrono::milliseconds(80);  // past IL's and TCP's RTO floor
   size_t baseline = TimerWheel::Default().Pending();
   {
-    TwoHosts net{LinkParams{.latency = std::chrono::microseconds(1000), .seed = seed}};
+    TwoHosts net{
+        LinkParams{.latency = std::chrono::microseconds(1000), .seed = seed, .faults = {}}};
     Proto client_proto(&net.alice), server_proto(&net.bob);
     NetConv* listener = server_proto.Clone().take();
     ASSERT_TRUE(listener->Ctl("announce 9009").ok());

@@ -120,7 +120,7 @@ TEST(StreamRace, ConcurrentReadWritePushPopHangup) {
 // each cycling fresh conversations on its own port while the other's
 // traffic shares the wire, the IP stacks, and the protocol lock.
 TEST(StreamRace, IlDialCloseChurn) {
-  EtherSegment segment(LinkParams{.latency = std::chrono::microseconds(50)});
+  EtherSegment segment(LinkParams{.latency = std::chrono::microseconds(50), .faults = {}});
   Ipv4Addr alice_ip = Ipv4Addr::FromOctets(135, 104, 9, 31);
   Ipv4Addr bob_ip = Ipv4Addr::FromOctets(135, 104, 9, 6);
   EtherProto alice_ether(&segment, MacAddr{8, 0, 0x69, 2, 0x22, 0xf0});

@@ -17,6 +17,7 @@
 #include "src/svc/service.h"
 #include "src/task/qlock.h"
 #include "src/task/rendez.h"
+#include "src/task/timers.h"
 #include "src/world/boot.h"
 #include "src/world/node.h"
 
@@ -335,6 +336,100 @@ TEST(ServiceTest, SpawnReapsFinishedKprocs) {
   // Kept finished kprocs would add about 2000 lines.
   EXPECT_LT(MapLines() - before, 64);
   svc.Stop();
+}
+
+// Where 9P frames are delivered.  helix imports musca's /lib over IL, and a
+// promiscuous station on the segment notes the thread delivering each frame.
+class NinepDeliveryTest : public ::testing::Test {
+ protected:
+  void Boot(LinkParams params) {
+    db_ = std::make_shared<Ndb>();
+    ASSERT_TRUE(db_->Load(kNdb).ok());
+    ether_ = std::make_unique<EtherSegment>(params);
+    helix_ = std::make_unique<Node>("helix");
+    musca_ = std::make_unique<Node>("musca");
+    helix_->AddEther(ether_.get(), MacAddr{8, 0, 0x69, 2, 0x22, 1},
+                     Ipv4Addr::FromOctets(135, 104, 9, 31), Ipv4Addr{0xffffff00});
+    musca_->AddEther(ether_.get(), MacAddr{8, 0, 0x69, 2, 0x22, 2},
+                     Ipv4Addr::FromOctets(135, 104, 9, 6), Ipv4Addr{0xffffff00});
+    ASSERT_TRUE(BootNetwork(helix_.get(), db_, kNdb).ok());
+    ASSERT_TRUE(BootNetwork(musca_.get(), db_, kNdb).ok());
+    ASSERT_TRUE(musca_->rootfs()->WriteFile("lib/motd", "maxims of musca").ok());
+    auto svc = StartExportfs(std::shared_ptr<Proc>(musca_->NewProc().release()),
+                             "il!*!exportfs");
+    ASSERT_TRUE(svc.ok());
+    exportfs_ = std::move(*svc);
+    station_ = ether_->Attach(MacAddr{8, 0, 0x69, 2, 0x22, 9}, [this](const EtherFrame&) {
+      QLockGuard guard(lock_);
+      delivered_on_.push_back(std::this_thread::get_id());
+    });
+    ether_->SetPromiscuous(station_, true);
+    proc_ = helix_->NewProcPrivate();
+    ASSERT_TRUE(
+        Import(proc_.get(), "il!135.104.9.6!17007", "/lib", "/n/musca", kMRepl).ok());
+    auto fd = proc_->Open("/n/musca/motd", kORead);
+    ASSERT_TRUE(fd.ok());
+    fd_ = *fd;
+  }
+
+  // One Tread: reads the file from the start.
+  void ReadOnce() {
+    char buf[64];
+    ASSERT_TRUE(proc_->Seek(fd_, 0, kSeekSet).ok());
+    auto n = proc_->Read(fd_, buf, sizeof(buf));
+    ASSERT_TRUE(n.ok());
+    EXPECT_EQ(std::string(buf, *n), "maxims of musca");
+  }
+
+  // Frames delivered on `thread` since the last call.
+  size_t TakeDeliveredOn(std::thread::id thread) {
+    QLockGuard guard(lock_);
+    size_t n = std::count(delivered_on_.begin(), delivered_on_.end(), thread);
+    delivered_on_.clear();
+    return n;
+  }
+
+  void TearDown() override {
+    if (ether_ != nullptr) {
+      ether_->Detach(station_);
+      TimerWheel::Default().Drain();  // no delivery is still inside the station
+    }
+  }
+
+  QLock lock_;
+  std::vector<std::thread::id> delivered_on_ GUARDED_BY(lock_);
+  std::shared_ptr<Ndb> db_;
+  std::unique_ptr<EtherSegment> ether_;
+  std::unique_ptr<Node> helix_, musca_;
+  std::unique_ptr<Service> exportfs_;
+  std::unique_ptr<Proc> proc_;
+  EtherSegment::StationId station_ = 0;
+  int fd_ = -1;
+};
+
+TEST_F(NinepDeliveryTest, ZeroDelayFramesRideTheThreadWaitingForTheReply) {
+  LinkParams perfect = LinkParams::Perfect();
+  perfect.mtu = 1514;
+  Boot(perfect);
+  (void)TakeDeliveredOn(std::this_thread::get_id());
+  for (int i = 0; i < 20; i++) {
+    ReadOnce();
+  }
+  // The caller delivers its own Treads (and the acknowledgements they draw)
+  // instead of waking the timer kproc to.
+  EXPECT_GT(TakeDeliveredOn(std::this_thread::get_id()), 0u);
+}
+
+TEST_F(NinepDeliveryTest, DelayedFramesAreNeverRunEarly) {
+  Boot(LinkParams::Ether10());
+  auto fastest = TimerWheel::Clock::duration::max();
+  for (int i = 0; i < 20; i++) {
+    auto start = TimerWheel::Clock::now();
+    ReadOnce();
+    fastest = std::min(fastest, TimerWheel::Clock::now() - start);
+  }
+  // Each RPC crosses the 200 us latency twice, request and reply.
+  EXPECT_GE(fastest, 2 * LinkParams::Ether10().latency);
 }
 
 }  // namespace
