@@ -301,9 +301,9 @@ void TcpConv::EmitLocked(uint16_t flags, uint32_t seq, size_t payload_off,
   Put16(h + 14, 0xffff);  // our receive window: effectively unbounded buffer
   Put16(h + 16, 0);
   Put16(h + 18, 0);
-  for (size_t i = 0; i < payload_len; i++) {
-    pkt[kTcpHeaderSize + i] = send_buf_[payload_off + i];
-  }
+  // One segmented copy: std::copy walks the deque a chunk at a time.
+  auto from = send_buf_.begin() + static_cast<std::ptrdiff_t>(payload_off);
+  std::copy(from, from + static_cast<std::ptrdiff_t>(payload_len), h + kTcpHeaderSize);
   Put16(h + 16, InetChecksum(pkt.data(), pkt.size()));
   metrics_.segs_sent.Inc();
   (void)ip_->Send(kIpProtoTcp, laddr_, raddr_, pkt);

@@ -2,66 +2,15 @@
 
 #include "src/base/logging.h"
 #include "src/base/strings.h"
+#include "src/stream/queue.h"
 #include "src/task/timers.h"
 
 namespace plan9 {
 
 NinepClient::NinepClient(std::unique_ptr<MsgTransport> transport, obs::Context& obs)
-    : transport_(std::move(transport)),
-      obs_(obs),
-      reader_("9p.client.reader", [this] { ReaderLoop(); }) {}
+    : transport_(std::move(transport)), obs_(obs) {}
 
-NinepClient::~NinepClient() {
-  transport_->Close();
-  reader_.Join();
-}
-
-void NinepClient::ReaderLoop() {
-  for (;;) {
-    auto raw = transport_->ReadMsg();
-    if (!raw.ok() || raw->empty()) {
-      std::function<void(const std::string&)> hook;
-      std::string why = raw.ok() ? std::string(kErrHungup) : raw.error().message();
-      {
-        QLockGuard guard(lock_);
-        if (FailAllLocked(why)) {
-          hook = on_dead_;
-        }
-      }
-      if (hook) {
-        hook(why);
-      }
-      return;
-    }
-    auto reply = Fcall::Unpack(*raw);
-    if (!reply.ok()) {
-      P9_LOG(kWarn) << "9p client: " << reply.error().message();
-      continue;
-    }
-    std::shared_ptr<Pending> waiter;
-    std::shared_ptr<Pending> chained;
-    {
-      QLockGuard guard(lock_);
-      auto it = pending_.find(reply->tag);
-      if (it != pending_.end()) {
-        waiter = it->second;
-        pending_.erase(it);
-        waiter->have_reply = true;
-        waiter->reply = reply.take();
-        chained = waiter->also_wake;
-      }
-    }
-    if (waiter != nullptr) {
-      waiter->done.Wakeup();
-      if (chained != nullptr) {
-        chained->done.Wakeup();
-      }
-    } else {
-      // Replies for flushed tags whose Rflush already won land here.
-      P9_LOG(kDebug) << "9p client: reply for unknown tag";
-    }
-  }
-}
+NinepClient::~NinepClient() { transport_->Close(); }
 
 uint16_t NinepClient::AllocTagLocked() {
   uint16_t tag;
@@ -74,9 +23,9 @@ uint16_t NinepClient::AllocTagLocked() {
   return tag;
 }
 
-bool NinepClient::FailAllLocked(const std::string& why) {
+std::function<void()> NinepClient::FailAllLocked(const std::string& why) {
   if (dead_) {
-    return false;
+    return nullptr;
   }
   dead_ = true;
   death_reason_ = why;
@@ -84,83 +33,196 @@ bool NinepClient::FailAllLocked(const std::string& why) {
   for (auto& [tag, waiter] : pending_) {
     waiter->have_reply = true;
     waiter->reply = RerrorMsg(tag, why);
-    waiter->done.Wakeup();
+    WakeLocked(*waiter);
   }
   pending_.clear();
+  if (!on_dead_) {
+    return nullptr;
+  }
+  return [hook = on_dead_, why] { hook(why); };
+}
+
+void NinepClient::Fail(const std::string& why) {
+  std::function<void()> dead_hook;
+  {
+    QLockGuard guard(lock_);
+    dead_hook = FailAllLocked(why);
+  }
+  if (dead_hook) {
+    dead_hook();
+  }
+}
+
+bool NinepClient::WakeLocked(Pending& p) {
+  if (!p.asleep) {
+    return false;
+  }
+  p.asleep = false;
+  p.done.Wakeup();  // one sleeper per Pending
   return true;
 }
 
+void NinepClient::HandOffLocked() {
+  for (auto& [tag, waiter] : pending_) {
+    if (WakeLocked(*waiter)) {
+      return;
+    }
+  }
+}
+
+void NinepClient::DeliverLocked(Fcall reply) {
+  auto it = pending_.find(reply.tag);
+  if (it == pending_.end()) {
+    // A reply for a tag whose Rflush already won, or one FailAll dropped.
+    P9_LOG(kDebug) << "9p client: reply for unknown tag";
+    return;
+  }
+  std::shared_ptr<Pending> waiter = std::move(it->second);
+  pending_.erase(it);
+  if (waiter->oldtag != kNoTag) {
+    // A flush is answered: the server will never answer its old tag, so the
+    // tag is reaped, unless its reply already came and freed it for reuse.
+    auto old = pending_.find(waiter->oldtag);
+    if (old != pending_.end() && old->second->flusher == waiter) {
+      pending_.erase(old);
+    }
+  }
+  waiter->have_reply = true;
+  waiter->reply = std::move(reply);
+  WakeLocked(*waiter);
+  if (waiter->flusher != nullptr) {
+    WakeLocked(*waiter->flusher);
+  }
+}
+
+bool NinepClient::Await(Pending& mine, const Pending* also, Clock::time_point deadline) {
+  std::function<void()> dead_hook;
+  bool answered = false;
+  {
+    QLockGuard guard(lock_);
+    auto done = [&]() REQUIRES(lock_) {
+      return mine.have_reply || (also != nullptr && also->have_reply);
+    };
+    for (;;) {
+      if (done()) {
+        answered = true;
+        break;
+      }
+      if (Clock::now() >= deadline) {
+        break;
+      }
+      if (reading_) {
+        // Another caller reads: sleep until it files this reply or passes
+        // the role on.
+        mine.asleep = true;
+        if (deadline == Clock::time_point::max()) {
+          mine.done.Sleep(lock_);
+        } else {
+          mine.done.SleepUntil(lock_, deadline);
+        }
+        mine.asleep = false;
+        continue;
+      }
+      // Take the reader role.  The read and the unpacking run with the lock
+      // dropped; a read the alarm cuts short loops back to the deadline check.
+      reading_ = true;
+      guard.Unlock();
+      Result<Bytes> raw = Error(std::string(kErrInterrupted));
+      {
+        ReadAlarm alarm(deadline);
+        raw = transport_->ReadMsg();
+      }
+      Result<Fcall> reply = Error(std::string(kErrHungup));
+      if (raw.ok() && !raw->empty()) {
+        reply = Fcall::Unpack(*raw);
+      }
+      guard.Lock();
+      reading_ = false;
+      if (raw.ok() && !raw->empty()) {
+        if (reply.ok()) {
+          DeliverLocked(reply.take());
+        } else {
+          P9_LOG(kWarn) << "9p client: " << reply.error().message();
+        }
+      } else if (raw.ok() || !raw.error().Is(kErrInterrupted)) {
+        dead_hook = FailAllLocked(raw.ok() ? std::string(kErrHungup) : raw.error().message());
+      }
+    }
+    // Leaving with the role free: pass it to a sleeping waiter (mntgate).
+    if (!reading_) {
+      HandOffLocked();
+    }
+  }
+  if (dead_hook) {
+    dead_hook();
+  }
+  return answered;
+}
+
 Result<Fcall> NinepClient::FlushAndReap(uint16_t oldtag, std::shared_ptr<Pending> waiter,
-                                        std::chrono::milliseconds deadline) {
-  // Half of the flush dance runs without the lock (transport writes block);
-  // the waiter stays registered in pending_ throughout so a late reply is
-  // matched to it, never to a recycled tag.
+                                        std::chrono::milliseconds timeout,
+                                        bool interrupted) {
+  // Both tags stay registered in pending_ until the old reply or the Rflush
+  // arrives, so a late reply is matched to its waiter, never to a recycled
+  // tag; whoever reads the Rflush reaps the old tag (DeliverLocked).
   auto flushw = std::make_shared<Pending>();
-  uint16_t flush_tag;
+  flushw->oldtag = oldtag;
+  Fcall tf = TflushMsg(oldtag);
   {
     QLockGuard guard(lock_);
     if (waiter->have_reply) {
       return waiter->reply;  // lost the race: the reply just landed
     }
-    stats_.timeouts.Inc();
-    flush_tag = AllocTagLocked();
-    pending_[flush_tag] = flushw;
-    waiter->also_wake = flushw;
+    if (!interrupted) {
+      stats_.timeouts.Inc();
+    }
+    tf.tag = AllocTagLocked();
+    pending_[tf.tag] = flushw;
+    waiter->flusher = flushw;
   }
-  Fcall tf = TflushMsg(oldtag);
-  tf.tag = flush_tag;
   auto packed = tf.Pack();
   Status sent;
   {
     TimerWheel::RunHere deliver(TimerWheel::Default());  // as in Rpc
     sent = packed.ok() ? transport_->WriteMsg(std::move(*packed)) : packed.error();
   }
-  std::function<void(const std::string&)> hook;
-  std::string hook_why;
+  if (!sent.ok()) {
+    Fail(StrFormat("9p flush failed: %s", sent.error().message().c_str()));
+    return Error(std::string(kErrTimedOut));
+  }
+  stats_.flushes_sent.Inc();
+  if (interrupted) {
+    return Error(std::string(kErrInterrupted));
+  }
+  // Wait for whichever the server sends first: the old reply (it beat the
+  // flush) or the Rflush (the RPC is officially dead).
+  const auto flush_deadline = Clock::now() + timeout;
+  (void)Await(*flushw, waiter.get(), std::min(flush_deadline, ReadAlarm::Deadline()));
+  std::function<void()> dead_hook;
   Result<Fcall> out = Error(std::string(kErrTimedOut));
   {
     QLockGuard guard(lock_);
-    if (!sent.ok()) {
-      if (FailAllLocked(StrFormat("9p flush failed: %s", sent.error().message().c_str()))) {
-        hook = on_dead_;
-        hook_why = death_reason_;
-      }
-    } else {
-      stats_.flushes_sent.Inc();
-      // Wait for whichever the server sends first: the old reply (it beat
-      // the flush) or the Rflush (the RPC is officially dead).
-      (void)flushw->done.SleepFor(lock_, deadline, [&]() REQUIRES(lock_) {
-        return flushw->have_reply || waiter->have_reply;
-      });
-    }
-    waiter->also_wake = nullptr;
     if (waiter->have_reply) {
       // The original reply won (or FailAll stamped an error into it).  The
-      // orphan Rflush, if still owed, is consumed by ReaderLoop against the
-      // still-registered flush tag.
+      // orphan Rflush, if still owed, is consumed by a later reader against
+      // the still-registered flush tag.
       if (!dead_) {
         stats_.late_replies.Inc();
       }
       out = waiter->reply;
     } else if (flushw->have_reply) {
-      // Rflush confirmed: the server will never answer oldtag.  Reap it so
-      // the tag can be reused.
+      // Rflush confirmed, and its reader reaped the old tag.
       stats_.flushed.Inc();
-      pending_.erase(oldtag);
-      out = Error(std::string(kErrTimedOut));
+    } else if (Clock::now() < flush_deadline) {
+      // The thread's alarm rang first; both tags stay registered.
+      out = Error(std::string(kErrInterrupted));
     } else {
       // Neither the RPC nor its flush was answered: the connection is gone.
-      pending_.erase(oldtag);
-      pending_.erase(flush_tag);
-      if (FailAllLocked("9p rpc timed out (flush unanswered)")) {
-        hook = on_dead_;
-        hook_why = death_reason_;
-      }
-      out = Error(std::string(kErrTimedOut));
+      dead_hook = FailAllLocked("9p rpc timed out (flush unanswered)");
     }
   }
-  if (hook) {
-    hook(hook_why);
+  if (dead_hook) {
+    dead_hook();
   }
   return out;
 }
@@ -175,9 +237,9 @@ Result<Fcall> NinepClient::Rpc(Fcall tx) {
   if (span.active()) {
     tx.trace = span.context();
   }
-  auto started = std::chrono::steady_clock::now();
+  auto started = Clock::now();
   auto waiter = std::make_shared<Pending>();
-  std::chrono::milliseconds deadline{0};
+  std::chrono::milliseconds timeout{0};
   {
     QLockGuard guard(lock_);
     if (dead_) {
@@ -186,7 +248,7 @@ Result<Fcall> NinepClient::Rpc(Fcall tx) {
     stats_.rpcs.Inc();
     tx.tag = AllocTagLocked();
     pending_[tx.tag] = waiter;
-    deadline = rpc_timeout_;
+    timeout = rpc_timeout_;
   }
   auto packed = tx.Pack();
   if (!packed.ok()) {
@@ -202,32 +264,25 @@ Result<Fcall> NinepClient::Rpc(Fcall tx) {
     sent = transport_->WriteMsg(std::move(*packed));
   }
   if (!sent.ok()) {
-    QLockGuard guard(lock_);
-    pending_.erase(tx.tag);
+    // With no reader to see the hangup, the failed write is the news that
+    // the connection is gone.
+    Fail(sent.error().message());
     return sent.error();
   }
-  bool timed_out = false;
-  {
-    QLockGuard guard(lock_);
-    if (deadline.count() <= 0) {
-      waiter->done.Sleep(lock_, [&]() REQUIRES(lock_) { return waiter->have_reply; });
-    } else {
-      timed_out = !waiter->done.SleepFor(
-          lock_, deadline, [&]() REQUIRES(lock_) { return waiter->have_reply; });
-      timed_out = timed_out && !waiter->have_reply;
-    }
-  }
+  // The RPC's own deadline, and the thread's alarm when this RPC runs inside
+  // another client's read (a 9P transport over a mounted data file).
+  const auto own = timeout.count() > 0 ? Clock::now() + timeout : Clock::time_point::max();
   Result<Fcall> reply = Error(std::string(kErrTimedOut));
-  if (timed_out) {
-    reply = FlushAndReap(tx.tag, waiter, deadline);
+  if (Await(*waiter, nullptr, std::min(own, ReadAlarm::Deadline()))) {
+    reply = std::move(waiter->reply);
+  } else {
+    reply = FlushAndReap(tx.tag, waiter, timeout, /*interrupted=*/Clock::now() < own);
     if (!reply.ok()) {
       return reply.error();
     }
-  } else {
-    reply = waiter->reply;
   }
   auto elapsed = std::chrono::duration_cast<std::chrono::microseconds>(
-      std::chrono::steady_clock::now() - started);
+      Clock::now() - started);
   obs_.stats().rpc_latency.Record(static_cast<uint64_t>(elapsed.count()));
   P9_TRACE(obs_.recorder(), obs::TraceKind::kNinep, "9p.client",
            StrFormat("%s tag %u -> %s", FcallTypeName(tx.type), tx.tag,

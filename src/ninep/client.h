@@ -2,8 +2,12 @@
 //
 // "The mount driver manages buffers, packs and unpacks parameters from
 // messages, and demultiplexes among processes using the file server."
-// Multiple processes issue RPCs concurrently; a reader kproc matches replies
-// to callers by tag.
+// Multiple processes issue RPCs concurrently, and the mount driver keeps no
+// process of its own: as in Plan 9's devmnt (mountio, mountmux, mntgate), a
+// caller waiting for its reply reads the transport itself whenever no other
+// caller holds the reader role, hands each reply for another tag to its
+// owner, and passes the role to one sleeping waiter once its own reply has
+// landed.
 #ifndef SRC_NINEP_CLIENT_H_
 #define SRC_NINEP_CLIENT_H_
 
@@ -19,7 +23,6 @@
 #include "src/ninep/fcall.h"
 #include "src/ninep/transport.h"
 #include "src/obs/context.h"
-#include "src/task/kproc.h"
 #include "src/task/qlock.h"
 #include "src/task/rendez.h"
 
@@ -67,8 +70,10 @@ class NinepClient {
   void SetRpcTimeout(std::chrono::milliseconds timeout);
 
   // Invoked (without locks held, at most once) when the connection is
-  // declared dead — transport error or unanswered flush.  The mount layer
-  // hangs a redial policy here.
+  // declared dead — transport error or unanswered flush — on the caller
+  // that saw the failure.  With no reader of its own, an idle client
+  // notices a dead transport at its next RPC.  The mount layer hangs a
+  // redial policy here.
   void OnDead(std::function<void(const std::string& why)> hook);
 
   const NinepClientStats& stats() const { return stats_; }
@@ -98,23 +103,48 @@ class NinepClient {
   bool ok();
 
  private:
+  using Clock = std::chrono::steady_clock;
+
+  // One outstanding tag, an RPC's or a flush's, and the caller waiting on it.
   struct Pending {
     Rendez done;
     bool have_reply = false;
     Fcall reply;
-    // A flush waiter chained to this tag: when the original reply lands,
-    // the flusher sleeping on its own Rendez must be woken too.
-    std::shared_ptr<Pending> also_wake;
+    // Set while a caller sleeps on `done`, cleared by whoever wakes it, so a
+    // role hand-off goes to a waiter that is really asleep (Plan 9's wakeup
+    // reports whether it woke anyone).
+    bool asleep = false;
+    // An RPC being flushed: the flush whose sleeper its reply wakes too.
+    std::shared_ptr<Pending> flusher;
+    // A flush: the tag it flushes, which its Rflush reaps.
+    uint16_t oldtag = kNoTag;
   };
 
-  void ReaderLoop();
   uint16_t AllocTagLocked() REQUIRES(lock_);
-  // Returns true on the live->dead transition (callers fire the hook then).
-  bool FailAllLocked(const std::string& why) REQUIRES(lock_);
-  // Deadline expired on `waiter` (tag `oldtag`): send Tflush and resolve.
-  // Returns the reply to surface, or a timeout error.
+  // Declares the connection dead, failing every waiter.  Returns the OnDead
+  // call to make with no lock held on the live->dead transition, else null.
+  std::function<void()> FailAllLocked(const std::string& why) REQUIRES(lock_);
+  // FailAllLocked under the lock, then the OnDead call off it.
+  void Fail(const std::string& why);
+  // Wakes the caller sleeping on `p`, if one is; returns whether it did.
+  bool WakeLocked(Pending& p) REQUIRES(lock_);
+  // The reader role is free: wake one sleeping waiter to take it.
+  void HandOffLocked() REQUIRES(lock_);
+  // Files a reply with its tag's owner (mountmux).
+  void DeliverLocked(Fcall reply) REQUIRES(lock_);
+  // Waits until `mine` (or `also`) has its reply, or `deadline` passes
+  // (false).  Reads the transport under an alarm at `deadline` whenever no
+  // other caller holds the reader role, else sleeps on `mine` (mountio).
+  // Takes lock_ itself: the read runs with it dropped.
+  bool Await(Pending& mine, const Pending* also, Clock::time_point deadline) MAY_BLOCK;
+  // `waiter`'s wait for tag `oldtag` ended without a reply: its deadline
+  // passed, or the thread's ReadAlarm rang first (`interrupted`).  Sends
+  // Tflush(oldtag); after a deadline, waits up to `timeout` more for the old
+  // reply or the Rflush and returns the reply to surface or a timeout;
+  // after an alarm, returns kErrInterrupted at once.
   Result<Fcall> FlushAndReap(uint16_t oldtag, std::shared_ptr<Pending> waiter,
-                             std::chrono::milliseconds deadline) MAY_BLOCK;
+                             std::chrono::milliseconds timeout,
+                             bool interrupted) MAY_BLOCK;
 
   std::unique_ptr<MsgTransport> transport_;
   obs::Context& obs_;
@@ -126,8 +156,9 @@ class NinepClient {
   std::string death_reason_ GUARDED_BY(lock_);
   std::chrono::milliseconds rpc_timeout_ GUARDED_BY(lock_){0};
   std::function<void(const std::string&)> on_dead_ GUARDED_BY(lock_);
+  // A caller holds the reader role: it alone reads the transport.
+  bool reading_ GUARDED_BY(lock_) = false;
   NinepClientStats stats_{obs_.metrics()};  // atomic counters; no lock needed
-  Kproc reader_;
 };
 
 }  // namespace plan9

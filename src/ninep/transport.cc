@@ -4,47 +4,52 @@
 
 namespace plan9 {
 
-Result<bool> FramedMsgTransport::ReadFull(uint8_t* buf, size_t n) {
-  size_t got = 0;
-  while (got < n) {
-    auto r = read_(buf + got, n - got);
+Result<bool> FramedMsgTransport::ReadFull(uint8_t* buf, size_t n, size_t* got) {
+  while (*got < n) {
+    auto r = read_(buf + *got, n - *got);
     if (!r.ok()) {
-      return r.error();
+      return r.error();  // *got keeps what came before the failure
     }
     if (*r == 0) {
-      if (got == 0) {
+      if (*got == 0) {
         return false;  // clean EOF between messages
       }
       return Error("eof inside 9p message");
     }
-    got += *r;
+    *got += *r;
   }
   return true;
 }
 
 Result<Bytes> FramedMsgTransport::ReadMsg() {
-  uint8_t hdr[4];
-  auto ok = ReadFull(hdr, sizeof hdr);
-  if (!ok.ok()) {
-    return ok.error();
+  // A read interrupted by its alarm leaves the frame read so far in hdr_ and
+  // body_; the next call goes on from there, so no byte is lost.
+  if (hdr_got_ < sizeof hdr_) {
+    auto ok = ReadFull(hdr_, sizeof hdr_, &hdr_got_);
+    if (!ok.ok()) {
+      return ok.error();
+    }
+    if (!*ok) {
+      return Bytes{};  // EOF
+    }
+    uint32_t len = static_cast<uint32_t>(hdr_[0]) | static_cast<uint32_t>(hdr_[1]) << 8 |
+                   static_cast<uint32_t>(hdr_[2]) << 16 | static_cast<uint32_t>(hdr_[3]) << 24;
+    if (len == 0 || len > kMaxMsg) {
+      hdr_got_ = 0;
+      return Error("bad 9p frame length");
+    }
+    body_ = Bytes(len);
+    body_got_ = 0;
   }
-  if (!*ok) {
-    return Bytes{};  // EOF
-  }
-  uint32_t len = static_cast<uint32_t>(hdr[0]) | static_cast<uint32_t>(hdr[1]) << 8 |
-                 static_cast<uint32_t>(hdr[2]) << 16 | static_cast<uint32_t>(hdr[3]) << 24;
-  if (len == 0 || len > kMaxMsg) {
-    return Error("bad 9p frame length");
-  }
-  Bytes msg(len);
-  auto body = ReadFull(msg.data(), len);
+  auto body = ReadFull(body_.data(), body_.size(), &body_got_);
   if (!body.ok()) {
     return body.error();
   }
   if (!*body) {
     return Error("eof inside 9p message");
   }
-  return msg;
+  hdr_got_ = 0;
+  return std::move(body_);
 }
 
 Status FramedMsgTransport::WriteMsg(Bytes msg) {
@@ -74,6 +79,9 @@ PipeTransport::Make() {
 Result<Bytes> PipeTransport::ReadMsg() {
   BlockPtr b = rx_->Get();
   if (b == nullptr) {
+    if (!rx_->closed()) {
+      return Error(kErrInterrupted);  // the reader's alarm rang
+    }
     return Bytes{};  // EOF
   }
   // Unread blocks surrender their buffer whole; a partially-read cursor

@@ -30,7 +30,9 @@ class MsgTransport {
  public:
   virtual ~MsgTransport() = default;
 
-  // Blocking read of one whole 9P message.  Empty bytes = EOF/hangup.
+  // Blocking read of one whole 9P message.  Empty bytes = EOF/hangup.  A
+  // read the thread's ReadAlarm (src/stream/queue.h) cuts short fails with
+  // kErrInterrupted and loses nothing: the message is read by a later call.
   virtual Result<Bytes> ReadMsg() P9_HOT_PATH MAY_BLOCK = 0;
   // Blocking: every transport can flow-control (queue limits, protocol
   // windows).  Callers may hold only sleepable locks (9p.server.write).
@@ -39,7 +41,8 @@ class MsgTransport {
 };
 
 // Over a byte-oriented channel: reader/writer callbacks (e.g. the data file
-// of a TCP conversation).  Adds/strips the length prefix.
+// of a TCP conversation).  Adds/strips the length prefix.  One thread reads
+// at a time (the 9P client's reader role).
 class FramedMsgTransport : public MsgTransport {
  public:
   // read: fill up to n bytes, return count (0 = EOF).  write: all-or-error.
@@ -59,12 +62,18 @@ class FramedMsgTransport : public MsgTransport {
   }
 
  private:
-  // Read exactly n bytes; false at EOF before any byte.
-  Result<bool> ReadFull(uint8_t* buf, size_t n);
+  // Read until *got reaches n, counting bytes in *got as they come; false
+  // at EOF before any byte.
+  Result<bool> ReadFull(uint8_t* buf, size_t n, size_t* got);
 
   ReadFn read_;
   WriteFn write_;
   CloseFn close_;
+  // The frame being read: its length prefix, then its body.
+  uint8_t hdr_[4] = {};
+  size_t hdr_got_ = 0;  // prefix bytes read; the body is in progress at 4
+  Bytes body_;
+  size_t body_got_ = 0;
 };
 
 // An in-process full-duplex message pipe; Make() returns the two ends.

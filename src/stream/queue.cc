@@ -1,10 +1,14 @@
 #include "src/stream/queue.h"
 
+#include <algorithm>
+
 #include "src/obs/metrics.h"
 
 namespace plan9 {
 
 namespace {
+
+thread_local ReadAlarm::Clock::time_point t_alarm = ReadAlarm::Clock::time_point::max();
 
 // Total bytes queued across every stream queue in the process, with a
 // high-water mark (stream.q.depth / stream.q.depth-hiwat in /net/stats).
@@ -15,6 +19,14 @@ obs::Gauge& DepthGauge() {
 }
 
 }  // namespace
+
+ReadAlarm::ReadAlarm(Clock::time_point deadline) : outer_(t_alarm) {
+  t_alarm = std::min(outer_, deadline);
+}
+
+ReadAlarm::~ReadAlarm() { t_alarm = outer_; }
+
+ReadAlarm::Clock::time_point ReadAlarm::Deadline() { return t_alarm; }
 
 Queue::~Queue() {
   if (bytes_ > 0) {
@@ -67,9 +79,15 @@ BlockPtr Queue::Get() {
   BlockPtr b;
   {
     QLockGuard guard(lock_);
-    can_read_.Sleep(lock_, [&]() REQUIRES(lock_) { return closed_ || !blocks_.empty(); });
+    auto ready = [&]() REQUIRES(lock_) { return closed_ || !blocks_.empty(); };
+    const auto alarm = t_alarm;
+    if (alarm == ReadAlarm::Clock::time_point::max()) {
+      can_read_.Sleep(lock_, ready);
+    } else {
+      (void)can_read_.SleepFor(lock_, alarm - ReadAlarm::Clock::now(), ready);
+    }
     if (blocks_.empty()) {
-      return nullptr;  // closed and drained
+      return nullptr;  // closed and drained, or the alarm rang
     }
     b = std::move(blocks_.front());
     blocks_.pop_front();

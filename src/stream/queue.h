@@ -3,10 +3,11 @@
 // "An instance of a processing module is represented by a pair of queues,
 // one for each direction."  Queues point at put procedures and buffer blocks
 // travelling along the stream.  Writers block when a queue exceeds its limit
-// (flow control); readers sleep until data or close.
+// (flow control); readers sleep until data, close, or the reader's alarm.
 #ifndef SRC_STREAM_QUEUE_H_
 #define SRC_STREAM_QUEUE_H_
 
+#include <chrono>
 #include <deque>
 
 #include "src/base/block_annotations.h"
@@ -17,6 +18,27 @@
 #include "src/task/rendez.h"
 
 namespace plan9 {
+
+// An alarm on blocked reads, Plan 9's way to make a read give up: while one
+// is set on a thread, that thread's Queue::Get returns empty-handed once the
+// deadline passes, and the readers above report kErrInterrupted, never EOF.
+// A 9P caller reads its reply under its RPC deadline this way.  Nested
+// alarms keep the earlier deadline.
+class ReadAlarm {
+ public:
+  using Clock = std::chrono::steady_clock;
+
+  explicit ReadAlarm(Clock::time_point deadline);
+  ~ReadAlarm();
+  ReadAlarm(const ReadAlarm&) = delete;
+  ReadAlarm& operator=(const ReadAlarm&) = delete;
+
+  // The calling thread's deadline; Clock::time_point::max() when none is set.
+  static Clock::time_point Deadline();
+
+ private:
+  Clock::time_point outer_;
+};
 
 class Queue {
  public:
@@ -35,7 +57,8 @@ class Queue {
   void PutBack(BlockPtr b) P9_CONSUMES(b) P9_HOT_PATH;
 
   // Dequeue; blocks until a block is available.  Returns nullptr once the
-  // queue is closed and drained.
+  // queue is closed and drained, or when the thread's ReadAlarm rings first
+  // (the queue is then still open: closed() tells the two apart).
   BlockPtr Get() P9_HOT_PATH MAY_BLOCK;
 
   // Non-blocking dequeue; nullptr if empty.

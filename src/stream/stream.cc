@@ -163,6 +163,9 @@ Result<size_t> Stream::Read(uint8_t* buf, size_t n) {
   while (got < n) {
     BlockPtr b = got == 0 ? head_queue_.Get() : head_queue_.GetNoWait();
     if (b == nullptr) {
+      if (got == 0 && !head_queue_.closed()) {
+        return Error(kErrInterrupted);  // the reader's alarm rang
+      }
       break;  // EOF (hangup) or no more queued data
     }
     if (b->type == BlockType::kControl) {
@@ -194,7 +197,14 @@ Result<Bytes> Stream::ReadMessage() {
   for (;;) {
     BlockPtr b = head_queue_.Get();
     if (b == nullptr) {
-      break;  // EOF
+      if (head_queue_.closed()) {
+        break;  // EOF
+      }
+      // The reader's alarm rang: what was gathered waits for the next read.
+      if (!out.empty()) {
+        head_queue_.PutBack(AllocDataBlock(std::move(out)));
+      }
+      return Error(kErrInterrupted);
     }
     if (b->type == BlockType::kControl) {
       DropBlock(std::move(b));

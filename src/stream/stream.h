@@ -124,12 +124,13 @@ class Stream {
 
   // Read up to n bytes.  "The read terminates when the read count is reached
   // or when the end of a delimited block is encountered."  Returns 0 at EOF
-  // (hangup).  A per-stream read lock serializes readers.
+  // (hangup), and kErrInterrupted when the thread's ReadAlarm rings before
+  // any data.  A per-stream read lock serializes readers.
   Result<size_t> Read(uint8_t* buf, size_t n) P9_HOT_PATH MAY_BLOCK;
 
   // Read exactly one delimited message (drains blocks up to and including
-  // the next delimiter).  nullptr-sized (empty optional semantics): returns
-  // empty Bytes at EOF.
+  // the next delimiter).  Returns empty Bytes at EOF, and kErrInterrupted
+  // when the ReadAlarm rings first; a message read in part stays queued.
   Result<Bytes> ReadMessage() P9_HOT_PATH MAY_BLOCK;
 
   // Non-blocking check for readable data.

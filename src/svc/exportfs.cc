@@ -233,8 +233,8 @@ Result<std::shared_ptr<NinepClient>> DialExport(Proc* proc, const std::string& d
   return client;
 }
 
-// Shared between the OnDead hook (fires on the client's reader kproc) and
-// the remounter kproc.
+// Shared between the OnDead hook (fires on whichever caller of the client
+// saw the failure) and the remounter kproc.
 struct RemountState {
   QLock lock{"import.remount"};
   Rendez kick;
@@ -248,8 +248,9 @@ struct RemountState {
 // Tear the current session out of the world: unmount, forget the session
 // record, and destroy the client — which closes the transport, so the
 // remote exportfs sees a hangup and can join its handler.  Never called
-// with state->lock held (the destructor joins the reader, and the reader's
-// dying OnDead hook takes state->lock).
+// with state->lock held: the unmount clunks the root over a live client,
+// and an RPC that sees the connection fail fires the OnDead hook on this
+// thread, which takes state->lock.
 void Dismantle(Proc* proc, const std::string& local_mount,
                const std::shared_ptr<RemountState>& state) MAY_BLOCK {
   std::shared_ptr<NinepClient> corpse;

@@ -8,10 +8,12 @@
 // two-second partition) with zero hangs and zero corrupted payloads.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <functional>
+#include <future>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -27,6 +29,7 @@
 #include "src/sim/faults.h"
 #include "src/sim/wire.h"
 #include "src/svc/exportfs.h"
+#include "src/task/kproc.h"
 #include "src/world/boot.h"
 #include "src/world/node.h"
 
@@ -35,6 +38,7 @@ namespace {
 
 using std::chrono::milliseconds;
 using std::chrono::microseconds;
+using std::chrono::seconds;
 
 // ---------------------------------------------------------------------------
 // FaultInjector unit tests
@@ -312,10 +316,11 @@ class ScriptedServer {
     });
   }
 
-  static void Reply(MsgTransport* t, FcallType type, uint16_t tag) {
+  static void Reply(MsgTransport* t, FcallType type, uint16_t tag, Bytes data = {}) {
     Fcall r;
     r.type = type;
     r.tag = tag;
+    r.data = std::move(data);
     auto packed = r.Pack();
     ASSERT_TRUE(packed.ok());
     (void)t->WriteMsg(*packed);
@@ -428,6 +433,161 @@ TEST(NinepTimeout, UnansweredFlushDeclaresConnectionDead) {
   EXPECT_EQ(s.timeouts.value(), 1u);
   EXPECT_EQ(s.flushes_sent.value(), 1u);
   EXPECT_EQ(s.failures.value(), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// The mount driver with no reader kproc: callers read their own replies
+// ---------------------------------------------------------------------------
+
+TEST(MountDriver, StartsNoKproc) {
+  auto pipe = PipeTransport::Make();
+  int live = Kproc::LiveCount();
+  NinepClient client(std::move(pipe.first));
+  EXPECT_EQ(Kproc::LiveCount(), live);
+}
+
+// Four callers share one client; the server holds their Treads until it has
+// all four, then answers them in the given order.  Each Rread names its fid.
+void ExpectEachCallerGetsItsOwnReply(bool reverse) {
+  constexpr size_t kCallers = 4;
+  auto pipe = PipeTransport::Make();
+  ScriptedServer server(std::move(pipe.second));
+  server.Run([held = std::vector<Fcall>(), reverse](MsgTransport* t,
+                                                    const Fcall& m) mutable {
+    held.push_back(m);
+    if (held.size() < kCallers) {
+      return;
+    }
+    if (reverse) {
+      std::reverse(held.begin(), held.end());
+    }
+    for (const Fcall& req : held) {
+      ScriptedServer::Reply(t, FcallType::kRread, req.tag,
+                            ToBytes(StrFormat("fid %u", req.fid)));
+    }
+    held.clear();
+  });
+
+  NinepClient client(std::move(pipe.first));
+  // Bounds every wait: a lost role hand-off strands a caller until its
+  // deadline, so it shows as a timeout instead of a hang.
+  client.SetRpcTimeout(milliseconds(2000));
+  std::vector<std::string> got(kCallers);
+  std::vector<std::thread> callers;
+  for (size_t i = 0; i < kCallers; i++) {
+    callers.emplace_back([&, i] {
+      auto r = client.Read(static_cast<uint32_t>(i + 1), 0, 64);
+      got[i] = r.ok() ? ToString(*r) : "error: " + r.error().message();
+    });
+  }
+  for (auto& c : callers) {
+    c.join();
+  }
+  for (size_t i = 0; i < kCallers; i++) {
+    EXPECT_EQ(got[i], StrFormat("fid %zu", i + 1));
+  }
+  EXPECT_EQ(client.stats().timeouts.value(), 0u);
+  EXPECT_TRUE(client.ok());
+}
+
+TEST(MountDriver, RepliesInReverseOrderReachTheirCallers) {
+  ExpectEachCallerGetsItsOwnReply(/*reverse=*/true);
+}
+
+TEST(MountDriver, RepliesInArrivalOrderReachTheirCallers) {
+  ExpectEachCallerGetsItsOwnReply(/*reverse=*/false);
+}
+
+TEST(MountDriver, ReaderTimesOutWhileAnotherCallerWaits) {
+  auto pipe = PipeTransport::Make();
+  ScriptedServer server(std::move(pipe.second));
+  std::promise<void> nop_arrived;
+  // Script: swallow the Tnop; hold the Tread until the Tnop's Tflush comes,
+  // then answer the Tread and confirm the flush.
+  server.Run([&nop_arrived, held = Fcall()](MsgTransport* t, const Fcall& m) mutable {
+    if (m.type == FcallType::kTnop) {
+      nop_arrived.set_value();
+      return;
+    }
+    if (m.type == FcallType::kTread) {
+      held = m;
+      return;
+    }
+    if (m.type == FcallType::kTflush) {
+      ScriptedServer::Reply(t, FcallType::kRread, held.tag, ToBytes("held read"));
+      ScriptedServer::Reply(t, FcallType::kRflush, m.tag);
+    }
+  });
+
+  NinepClient client(std::move(pipe.first));
+  constexpr auto kTimeout = milliseconds(400);
+  client.SetRpcTimeout(kTimeout);
+  // The first caller is alone, so it takes the reader role and reads until
+  // its deadline passes on the silent server.
+  std::thread first([&] {
+    auto r = client.Rpc(TnopMsg());
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.error().message(), kErrTimedOut);
+  });
+  ASSERT_EQ(nop_arrived.get_future().wait_for(seconds(10)), std::future_status::ready);
+  // The second caller comes half a deadline later and sleeps: its request
+  // is answered only once the reader has timed out and sent its Tflush.
+  std::this_thread::sleep_for(kTimeout / 2);
+  auto second = client.Read(1, 0, 64);
+  first.join();
+  ASSERT_TRUE(second.ok()) << second.error().message();
+  EXPECT_EQ(ToString(*second), "held read");
+  const auto& s = client.stats();
+  EXPECT_EQ(s.timeouts.value(), 1u);
+  EXPECT_EQ(s.flushed.value(), 1u);
+  EXPECT_EQ(s.late_replies.value(), 0u);
+  EXPECT_EQ(s.failures.value(), 0u);
+  EXPECT_TRUE(client.ok());
+}
+
+// A transport whose reads are another client's Treads, as when a 9P
+// connection runs over a data file in a mounted tree (a dial through an
+// imported /net).  Writes vanish.
+class MountedFileTransport : public MsgTransport {
+ public:
+  explicit MountedFileTransport(NinepClient* under) : under_(under) {}
+  Result<Bytes> ReadMsg() override { return under_->Read(/*fid=*/1, 0, kMaxData); }
+  Status WriteMsg(Bytes) override { return Status::Ok(); }
+  void Close() override {}
+
+ private:
+  NinepClient* under_;
+};
+
+TEST(MountDriver, NestedReadEndsAtTheOuterAlarm) {
+  // The inner client talks to a server that never answers, and has no
+  // deadline of its own; the outer client reads through it.
+  auto [silent_end, inner_end] = PipeTransport::Make();
+  NinepClient inner(std::move(inner_end));
+  NinepClient outer(std::make_unique<MountedFileTransport>(&inner));
+  constexpr auto kTimeout = milliseconds(150);
+  outer.SetRpcTimeout(kTimeout);
+
+  auto start = std::chrono::steady_clock::now();
+  auto call = std::async(std::launch::async, [&] { return outer.Rpc(TnopMsg()); });
+  if (call.wait_for(seconds(5)) != std::future_status::ready) {
+    ADD_FAILURE() << "the nested read did not end at the outer alarm";
+    silent_end->Close();  // the inner client sees EOF, and both unwind
+  }
+  auto r = call.get();
+  auto elapsed = std::chrono::steady_clock::now() - start;
+  // The outer RPC waits out its deadline, then its flush's: each wait ends
+  // at its alarm inside the inner Rpc.
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.error().message(), kErrTimedOut);
+  EXPECT_GE(elapsed, 2 * kTimeout);
+  EXPECT_LT(elapsed, 2 * kTimeout + milliseconds(500));
+  // Each interrupted inner Tread was flushed, and the inner connection
+  // lives: the alarm was not its deadline.
+  EXPECT_TRUE(inner.ok());
+  EXPECT_EQ(inner.stats().flushes_sent.value(), 2u);
+  EXPECT_EQ(inner.stats().timeouts.value(), 0u);
+  EXPECT_EQ(inner.stats().failures.value(), 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/base/rand.h"
 #include "src/dev/ether.h"
 #include "src/inet/il.h"
 #include "src/inet/ip.h"
@@ -335,28 +336,28 @@ TEST_F(TcpTest, BulkTransferUnderLoss) {
                    .faults = {.loss_good = 0.08, .partitions = {}}});
   Dial();
   constexpr size_t kTotal = 200 * 1024;
+  // A seeded aperiodic pattern: a segment copied from the wrong offset of
+  // the send buffer cannot match by chance, as it could under i mod 256.
+  Bytes pattern(kTotal);
+  Rng rng(27);
+  for (auto& b : pattern) {
+    b = static_cast<uint8_t>(rng.Next());
+  }
   std::thread sender([&] {
-    Bytes chunk(8192);
-    size_t sent = 0;
-    uint8_t v = 0;
-    while (sent < kTotal) {
-      for (auto& b : chunk) {
-        b = v++;
-      }
-      ASSERT_TRUE(client_conv_->Write(chunk.data(), chunk.size()).ok());
-      sent += chunk.size();
+    constexpr size_t kChunk = 8192;
+    for (size_t sent = 0; sent < kTotal; sent += kChunk) {
+      ASSERT_TRUE(client_conv_->Write(pattern.data() + sent, kChunk).ok());
     }
   });
   size_t got = 0;
-  uint8_t expect = 0;
   Bytes buf(16384);
   while (got < kTotal) {
     auto n = accepted_->Read(buf.data(), buf.size());
     ASSERT_TRUE(n.ok());
     ASSERT_GT(*n, 0u) << "premature EOF at " << got;
+    ASSERT_LE(got + *n, kTotal);
     for (size_t i = 0; i < *n; i++) {
-      ASSERT_EQ(buf[i], expect) << "byte " << got + i << " corrupt";
-      expect++;
+      ASSERT_EQ(buf[i], pattern[got + i]) << "byte " << got + i << " corrupt";
     }
     got += *n;
   }

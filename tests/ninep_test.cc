@@ -455,6 +455,27 @@ TEST_F(LeaderFollowerTest, ShutdownJoinsEveryWorkerOnceTheLatchOpens) {
   ExpectStopWaitsForLatch([&] { server_->Shutdown(); });
 }
 
+// The read half of a byte stream over a raw block queue, as a data file
+// reads: 0 at EOF, kErrInterrupted when the reader's alarm rings first.
+FramedMsgTransport::ReadFn QueueReader(std::shared_ptr<Queue> q) {
+  return [q](uint8_t* buf, size_t n) -> Result<size_t> {
+    auto b = q->Get();
+    if (b == nullptr) {
+      if (!q->closed()) {
+        return Error(kErrInterrupted);
+      }
+      return size_t{0};
+    }
+    size_t take = std::min(n, b->size());
+    memcpy(buf, b->payload(), take);
+    b->rp += take;
+    if (b->size() > 0) {
+      q->PutBack(std::move(b));
+    }
+    return take;
+  };
+}
+
 TEST(FramedTransport, RoundTripsOverByteStream) {
   // Simulate a TCP-ish byte channel with a raw byte queue.
   auto q = std::make_shared<Queue>();
@@ -470,20 +491,8 @@ TEST(FramedTransport, RoundTripsOverByteStream) {
       },
       nullptr);
   FramedMsgTransport rx(
-      [q](uint8_t* buf, size_t n) -> Result<size_t> {
-        auto b = q->Get();
-        if (b == nullptr) {
-          return size_t{0};
-        }
-        size_t take = std::min(n, b->size());
-        memcpy(buf, b->payload(), take);
-        b->rp += take;
-        if (b->size() > 0) {
-          q->PutBack(std::move(b));
-        }
-        return take;
-      },
-      [](const uint8_t*, size_t) -> Status { return Error("read only"); }, nullptr);
+      QueueReader(q), [](const uint8_t*, size_t) -> Status { return Error("read only"); },
+      nullptr);
 
   auto msg = TwriteMsg(7, 0, ToBytes("framed message body"));
   msg.tag = 5;
@@ -500,6 +509,73 @@ TEST(FramedTransport, RoundTripsOverByteStream) {
   auto eof = rx.ReadMsg();
   ASSERT_TRUE(eof.ok());
   EXPECT_TRUE(eof->empty());
+}
+
+// --- reads cut short by the reader's alarm ---------------------------------
+
+constexpr auto kAlarm = std::chrono::milliseconds(30);
+
+ReadAlarm::Clock::time_point AlarmIn(std::chrono::milliseconds d) {
+  return ReadAlarm::Clock::now() + d;
+}
+
+TEST(PipeTransportAlarm, ReadIsInterruptedThenReadsLaterData) {
+  auto [a, b] = PipeTransport::Make();
+  {
+    ReadAlarm alarm(AlarmIn(kAlarm));
+    auto r = b->ReadMsg();
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.error().message(), kErrInterrupted);
+  }
+  ASSERT_TRUE(a->WriteMsg(ToBytes("late")).ok());
+  auto r = b->ReadMsg();
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(ToString(*r), "late");
+  // A hangup still reads as EOF, even under an alarm that has rung.
+  a->Close();
+  ReadAlarm rung(AlarmIn(std::chrono::milliseconds(0)));
+  auto eof = b->ReadMsg();
+  ASSERT_TRUE(eof.ok());
+  EXPECT_TRUE(eof->empty());
+}
+
+TEST(FramedTransport, InterruptedReadsKeepThePartialFrame) {
+  auto q = std::make_shared<Queue>();
+  FramedMsgTransport rx(
+      QueueReader(q), [](const uint8_t*, size_t) -> Status { return Error("read only"); },
+      nullptr);
+  Bytes frame;
+  FramedMsgTransport tx(
+      [](uint8_t*, size_t) -> Result<size_t> { return Error("write only"); },
+      [&frame](const uint8_t* data, size_t n) -> Status {
+        frame.assign(data, data + n);
+        return Status::Ok();
+      },
+      nullptr);
+  auto msg = TwriteMsg(7, 0, ToBytes("a frame cut in three"));
+  msg.tag = 5;
+  auto packed = msg.Pack();
+  ASSERT_TRUE(packed.ok());
+  ASSERT_TRUE(tx.WriteMsg(*packed).ok());
+
+  // Half of the length prefix, then half of the body, each followed by a
+  // read the alarm cuts short; then the rest.
+  const size_t cuts[] = {2, 4 + packed->size() / 2, frame.size()};
+  size_t from = 0;
+  for (size_t cut : cuts) {
+    (void)q->PutNoBlock(MakeDataBlock(Bytes(frame.begin() + from, frame.begin() + cut)));
+    from = cut;
+    if (cut == frame.size()) {
+      break;
+    }
+    ReadAlarm alarm(AlarmIn(kAlarm));
+    auto r = rx.ReadMsg();
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.error().message(), kErrInterrupted);
+  }
+  auto whole = rx.ReadMsg();
+  ASSERT_TRUE(whole.ok()) << whole.error().message();
+  EXPECT_EQ(*whole, *packed);
 }
 
 }  // namespace

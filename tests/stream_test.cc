@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 
 #include "src/stream/block.h"
@@ -209,6 +210,75 @@ TEST(Stream, DeliverUpFromDeviceSide) {
   auto msg = s->ReadMessage();
   ASSERT_TRUE(msg.ok());
   EXPECT_EQ(ToString(*msg), "from-the-wire");
+}
+
+// --- the alarm on blocked reads ------------------------------------------
+
+using AlarmClock = ReadAlarm::Clock;
+constexpr auto kAlarm = std::chrono::milliseconds(30);
+
+TEST(ReadAlarm, NestedAlarmsKeepTheEarlierDeadline) {
+  const auto now = AlarmClock::now();
+  EXPECT_EQ(ReadAlarm::Deadline(), AlarmClock::time_point::max());
+  {
+    ReadAlarm outer(now + std::chrono::seconds(10));
+    {
+      ReadAlarm inner(now + std::chrono::hours(1));
+      EXPECT_EQ(ReadAlarm::Deadline(), now + std::chrono::seconds(10));
+      ReadAlarm innermost(now + std::chrono::milliseconds(5));
+      EXPECT_EQ(ReadAlarm::Deadline(), now + std::chrono::milliseconds(5));
+    }
+    EXPECT_EQ(ReadAlarm::Deadline(), now + std::chrono::seconds(10));
+  }
+  EXPECT_EQ(ReadAlarm::Deadline(), AlarmClock::time_point::max());
+}
+
+TEST(ReadAlarm, AlarmOnAnotherThreadLeavesThisOneBlocking) {
+  ReadAlarm alarm(AlarmClock::now());
+  AlarmClock::time_point seen{};
+  std::thread other([&] { seen = ReadAlarm::Deadline(); });
+  other.join();
+  EXPECT_EQ(seen, AlarmClock::time_point::max());
+}
+
+TEST(Stream, ReadUnderAlarmIsInterruptedThenReadsLaterData) {
+  auto s = MakeLoopback();
+  uint8_t buf[8];
+  const auto start = AlarmClock::now();
+  {
+    ReadAlarm alarm(start + kAlarm);
+    auto n = s->Read(buf, sizeof buf);
+    ASSERT_FALSE(n.ok());
+    EXPECT_EQ(n.error().message(), kErrInterrupted);
+    EXPECT_GE(AlarmClock::now() - start, kAlarm);
+  }
+  // The interrupted read took nothing: data arriving later reads whole.
+  ASSERT_TRUE(s->Write("late").ok());
+  auto n = s->Read(buf, sizeof buf);
+  ASSERT_TRUE(n.ok());
+  EXPECT_EQ(std::string(buf, buf + *n), "late");
+
+  // A hangup still reads as EOF, even under an alarm that has rung.
+  ASSERT_TRUE(s->WriteControl("hangup").ok());
+  ReadAlarm rung(AlarmClock::now());
+  n = s->Read(buf, sizeof buf);
+  ASSERT_TRUE(n.ok());
+  EXPECT_EQ(*n, 0u);
+}
+
+TEST(Stream, ReadMessageUnderAlarmKeepsAPartialMessage) {
+  auto s = MakeLoopback();
+  s->DeliverUp(MakeDataBlock("first half, "));
+  {
+    ReadAlarm alarm(AlarmClock::now() + kAlarm);
+    auto msg = s->ReadMessage();
+    ASSERT_FALSE(msg.ok());
+    EXPECT_EQ(msg.error().message(), kErrInterrupted);
+  }
+  s->DeliverUp(MakeDataBlock("second half", /*delim=*/true));
+  auto msg = s->ReadMessage();
+  ASSERT_TRUE(msg.ok());
+  EXPECT_EQ(ToString(*msg), "first half, second half");
 }
 
 }  // namespace
