@@ -5,10 +5,16 @@
 // else.  Benchmarks: marshal/unmarshal per message type, full RPC round
 // trips through the client/server engines over an in-process transport, and
 // 8K reads through the mount driver (the kernel's remote-file fast path).
+// The *Shared benchmarks send from four callers at once over one
+// connection, as processes sharing a mount do, with requests that never
+// block and with requests that park: the server passes its reader role to
+// another worker only when a request is about to park.
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_obs.h"
 
+#include <algorithm>
+#include <chrono>
 #include <memory>
 
 #include "src/ninep/client.h"
@@ -17,6 +23,8 @@
 #include "src/ninep/server.h"
 #include "src/ninep/transport.h"
 #include "src/ns/mnt.h"
+#include "src/task/qlock.h"
+#include "src/task/rendez.h"
 
 namespace plan9 {
 namespace {
@@ -114,6 +122,88 @@ void BM_RpcRead8K(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * 8192);
 }
 BENCHMARK(BM_RpcRead8K);
+
+// Four callers, one connection, requests that never block.  Process CPU
+// time counts the server's workers as well as the callers.
+void BM_RpcStatShared(benchmark::State& state) {
+  auto* f = Fixture();
+  for (auto _ : state) {
+    auto r = f->client->Stat(f->file);
+    benchmark::DoNotOptimize(r);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_RpcStatShared)->Threads(4)->UseRealTime()->MeasureProcessCPUTime();
+
+void BM_RpcRead8KShared(benchmark::State& state) {
+  auto* f = Fixture();
+  for (auto _ : state) {
+    auto data = f->client->Read(f->file, 0, 8192);
+    benchmark::DoNotOptimize(data);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_RpcRead8KShared)->Threads(4)->UseRealTime()->MeasureProcessCPUTime();
+
+// A file whose reads park for 100 us, as a read of a network connection
+// waits for data to arrive.
+class ParkFile : public Vnode {
+ public:
+  Qid qid() override { return Qid{9, 0}; }
+  Result<Dir> Stat() override {
+    Dir d;
+    d.name = "park";
+    d.qid = qid();
+    return d;
+  }
+  Result<std::shared_ptr<Vnode>> Walk(const std::string&) override {
+    return Error(kErrNotDir);
+  }
+  Result<Bytes> Read(uint64_t, uint32_t count) override {
+    QLockGuard guard(lock_);
+    (void)never_.SleepFor(lock_, std::chrono::microseconds(100), [] { return false; });
+    return Bytes(std::min<uint32_t>(count, 64), 0x55);
+  }
+
+ private:
+  QLock lock_;
+  Rendez never_;
+};
+
+class ParkFs : public Vfs {
+ public:
+  Result<std::shared_ptr<Vnode>> Attach(const std::string&, const std::string&) override {
+    return std::shared_ptr<Vnode>(file_);
+  }
+
+ private:
+  std::shared_ptr<ParkFile> file_ = std::make_shared<ParkFile>();
+};
+
+// Four callers, one connection, every request parks.
+void BM_RpcParkedReadShared(benchmark::State& state) {
+  struct Park {
+    Park() {
+      auto [a, b] = PipeTransport::Make();
+      server = std::make_unique<NinepServer>(&fs, std::move(a));
+      client = std::make_unique<NinepClient>(std::move(b));
+      file = client->AllocFid();
+      (void)client->Attach(file, "bench", "");
+      (void)client->Open(file, kORead);
+    }
+    ParkFs fs;
+    std::unique_ptr<NinepServer> server;
+    std::unique_ptr<NinepClient> client;
+    uint32_t file = 0;
+  };
+  static Park* f = new Park();
+  for (auto _ : state) {
+    auto data = f->client->Read(f->file, 0, 64);
+    benchmark::DoNotOptimize(data);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_RpcParkedReadShared)->Threads(4)->UseRealTime()->MeasureProcessCPUTime();
 
 void BM_MountDriverRead8K(benchmark::State& state) {
   // Through MntVnode — the procedural-to-RPC conversion path (§2.1).

@@ -27,7 +27,8 @@ class QueryVfs::File : public Vnode {
     if (next_ >= lines_.size()) {
       return Bytes{};
     }
-    return ToBytes(lines_[next_++]);
+    // One answer line per read, cut to the count asked for.
+    return ToBytes(lines_[next_++].substr(0, count));
   }
 
   Result<uint32_t> Write(uint64_t offset, const Bytes& data) override {

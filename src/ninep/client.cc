@@ -374,6 +374,11 @@ Result<Bytes> NinepClient::Read(uint32_t fid, uint64_t offset, uint32_t count) {
     count = kMaxData;
   }
   P9_ASSIGN_OR_RETURN(Fcall r, Rpc(TreadMsg(fid, offset, count)));
+  // The server is outside the program: an Rread longer than its Tread asked
+  // for would overrun the reader's buffer.
+  if (r.data.size() > count) {
+    return Error(StrFormat("9p read reply too long: %zu bytes for %u", r.data.size(), count));
+  }
   return r.data;
 }
 

@@ -51,20 +51,42 @@ void NinepServer::Wait() {
 }
 
 void NinepServer::Worker() {
-  while (auto req = Lead()) {
-    Dispatch(std::move(*req));
+  for (;;) {
+    {
+      QLockGuard guard(lock_);
+      role_.Sleep(lock_, [&]() REQUIRES(lock_) { return stopping_ || !reading_; });
+      if (stopping_) {
+        return;
+      }
+      reading_ = true;
+    }
+    // Holding the reader role: run each request read, then read the next,
+    // until one is about to block and its hook hands the role on.
+    for (;;) {
+      auto req = ReadRequest();
+      if (!req) {
+        return;
+      }
+      BlockHook hook([](void* server) { static_cast<NinepServer*>(server)->HandOff(); },
+                     this);
+      Dispatch(std::move(*req));
+      if (hook.fired()) {
+        break;
+      }
+    }
   }
 }
 
-std::optional<Fcall> NinepServer::Lead() {
+void NinepServer::HandOff() {
   {
     QLockGuard guard(lock_);
-    role_.Sleep(lock_, [&]() REQUIRES(lock_) { return stopping_ || !reading_; });
-    if (stopping_) {
-      return std::nullopt;
-    }
-    reading_ = true;
+    reading_ = false;
   }
+  // Any idle worker can read next; waking one keeps the others asleep.
+  role_.WakeOne();
+}
+
+std::optional<Fcall> NinepServer::ReadRequest() {
   for (;;) {
     auto raw = transport_->ReadMsg();
     if (!raw.ok() || raw->empty()) {
@@ -78,15 +100,13 @@ std::optional<Fcall> NinepServer::Lead() {
     if (!req->IsT()) {
       continue;  // stray reply; ignore
     }
-    {
-      QLockGuard guard(lock_);
-      // Recorded before the next request is read, so a Tflush naming this
-      // tag always finds it.
-      outstanding_.insert(req->tag);
-      reading_ = false;
+    QLockGuard guard(lock_);
+    if (stopping_) {
+      break;  // after Shutdown, requests still queued are not run
     }
-    // Any idle worker can read next; waking one keeps the others asleep.
-    role_.WakeOne();
+    // Recorded before the next request is read, so a Tflush naming this
+    // tag always finds it.
+    outstanding_.insert(req->tag);
     return req.take();
   }
   {

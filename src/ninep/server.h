@@ -4,9 +4,14 @@
 // NinepServer speaks 9P over one MsgTransport on behalf of a Vfs.  It is
 // multithreaded — "Exportfs must be multithreaded since the system calls
 // open, read and write may block" (§6.1) — as a leader/follower pool: the
-// one worker holding the reader role reads a request, hands the role to one
-// idle worker, then runs the request itself.  Up to kWorkers requests may
-// block at once; replies are serialized onto the transport.
+// one worker holding the reader role reads a request, runs it, and reads the
+// next.  Only when a request is about to block (a Rendez sleep that waits,
+// or a contended QLock) does a BlockHook (src/task/qlock.h) hand the role to
+// one idle worker, as Plan 9's exportfs runs walk and stat in the process
+// that read them.  So a long request that never blocks delays the read of
+// the next until it finishes, and one that blocks passes the role on when it
+// parks, not when it is read.  Up to kWorkers requests may block at once;
+// replies are serialized onto the transport.
 #ifndef SRC_NINEP_SERVER_H_
 #define SRC_NINEP_SERVER_H_
 
@@ -92,6 +97,8 @@ class NinepServer {
               obs::Context& obs = obs::Context::Root());
   ~NinepServer();
 
+  // Stops reading requests (any still queued on the transport are never
+  // run) and waits as Wait does.
   void Shutdown();
   // Block until every worker exits (EOF or Shutdown, then the requests
   // already running finish).
@@ -105,10 +112,17 @@ class NinepServer {
     uint8_t open_mode = 0;
   };
 
+  // Waits for the reader role, then reads and runs requests until one
+  // blocks (HandOff gives the role up) or the transport ends.
   void Worker();
-  // Waits for the reader role, reads the next request, records its tag and
-  // hands the role on.  nullopt once the transport is at EOF or shut down.
-  std::optional<Fcall> Lead() MAY_BLOCK;
+  // The block hook armed around Dispatch: gives up the reader role and wakes
+  // one idle worker to take it.  Runs under whatever lock the worker is
+  // about to sleep on, so lock_ must stay a leaf (DESIGN.md §7).
+  void HandOff();
+  // Run by the reader: reads the next request and records its tag.  nullopt
+  // once the transport is at EOF or Shutdown has begun (a request read after
+  // that is dropped), after waking every idle worker to exit.
+  std::optional<Fcall> ReadRequest() MAY_BLOCK;
   void Dispatch(Fcall req) MAY_BLOCK;
   // Blocks: holds write_lock_ (sleepable) across a flow-controlled WriteMsg.
   void Reply(const Fcall& reply) MAY_BLOCK;
@@ -123,13 +137,16 @@ class NinepServer {
   Vfs* vfs_;
   std::unique_ptr<MsgTransport> transport_;
   obs::Context& obs_;
-  // Serializes replies onto the transport; never held with lock_ (Reply
-  // drops lock_ before packing and writing).  Sleepable: held across
-  // WriteMsg, which can block on transport flow control — by design, so
-  // concurrent repliers queue behind the stalled frame write.
+  // Serializes replies onto the transport; lock_ is never held while taking
+  // it (Reply drops lock_ before packing and writing), though HandOff takes
+  // lock_ under it.  Sleepable: held across WriteMsg, which can block on
+  // transport flow control — by design, so concurrent repliers queue behind
+  // the stalled frame write.
   QLock write_lock_{"9p.server.write", kSleepableClass};
 
-  QLock lock_{"9p.server"};  // fid table + reader role
+  // Fid table + reader role.  A leaf: nothing is taken under it, and no
+  // dispatching worker holds it across a park.
+  QLock lock_{"9p.server"};
   std::map<uint32_t, FidState> fids_ GUARDED_BY(lock_);
   // A worker holds the reader role; idle workers sleep on role_ for it.
   bool reading_ GUARDED_BY(lock_) = false;

@@ -209,7 +209,9 @@ Result<size_t> Proc::Read(int fd, void* buf, size_t n) {
     if (!data.ok()) {
       return data.error();
     }
-    got = data->size();
+    // A vnode may answer with more than was asked for; the caller's buffer
+    // holds n bytes.
+    got = std::min(n, data->size());
     if (got != 0) {  // empty Bytes may have a null data(); memcpy forbids it
       std::memcpy(buf, data->data(), got);
     }

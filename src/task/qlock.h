@@ -37,6 +37,46 @@ namespace plan9 {
 struct SleepableClass {};
 inline constexpr SleepableClass kSleepableClass{};
 
+// A one-shot hook on its thread's first park.  While a BlockHook is in scope,
+// the first time its thread is about to wait — a Rendez sleep whose
+// predicate does not already hold, or QLock::Lock finding the lock held —
+// runs fn(arg) once, on that thread, before it parks.  A 9P server worker
+// arms one around each request it runs, so it passes the reader role on only
+// when the request blocks (src/ninep/server.h).  The hook runs under
+// whatever lock its thread sleeps on, and before lockcheck records a
+// contended lock as held: it may take only a leaf lock that no hooked thread
+// holds across a park (DESIGN.md §7).  One per thread; it does not nest.
+class BlockHook {
+ public:
+  using Fn = void (*)(void* arg);
+  BlockHook(Fn fn, void* arg) : fn_(fn), arg_(arg) { armed_ = this; }
+  ~BlockHook() { armed_ = nullptr; }
+  BlockHook(const BlockHook&) = delete;
+  BlockHook& operator=(const BlockHook&) = delete;
+
+  bool fired() const { return fired_; }
+
+  // Whether the calling thread has a hook armed.  Threads without one lock
+  // and sleep exactly as they would with no hooks in the program.
+  static bool Armed() { return armed_ != nullptr; }
+
+  // Runs and disarms the calling thread's hook, if one is armed.
+  static void Fire() {
+    BlockHook* hook = armed_;
+    if (hook != nullptr) {
+      armed_ = nullptr;
+      hook->fired_ = true;
+      hook->fn_(hook->arg_);
+    }
+  }
+
+ private:
+  static inline thread_local BlockHook* armed_ = nullptr;
+  Fn fn_;
+  void* arg_;
+  bool fired_ = false;
+};
+
 class CAPABILITY("qlock") QLock {
  public:
 #if defined(PLAN9NET_LOCKCHECK)
@@ -52,10 +92,19 @@ class CAPABILITY("qlock") QLock {
     }
   }
 
+  // A lock another thread holds fires the thread's BlockHook before
+  // lockcheck records this lock as held, so the hook's own lock is not
+  // taken under this one.
   void Lock(P9_LOCK_SITE) ACQUIRE() {
+    const bool taken = BlockHook::Armed() && mutex_.try_lock();
+    if (!taken) {
+      BlockHook::Fire();
+    }
     lockcheck::OnAcquire(this, class_, p9_site.file_name(),
                          static_cast<int>(p9_site.line()));
-    mutex_.lock();
+    if (!taken) {
+      mutex_.lock();
+    }
   }
   void Unlock() RELEASE() {
     lockcheck::OnRelease(this);
@@ -80,7 +129,15 @@ class CAPABILITY("qlock") QLock {
   explicit QLock(const char* /*lock_class*/) {}
   QLock(const char* /*lock_class*/, SleepableClass) {}
 
-  void Lock() ACQUIRE() { mutex_.lock(); }
+  void Lock() ACQUIRE() {
+    if (BlockHook::Armed()) {
+      if (mutex_.try_lock()) {
+        return;
+      }
+      BlockHook::Fire();
+    }
+    mutex_.lock();
+  }
   void Unlock() RELEASE() { mutex_.unlock(); }
   bool TryLock() TRY_ACQUIRE(true) { return mutex_.try_lock(); }
 

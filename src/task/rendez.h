@@ -34,18 +34,24 @@ class Rendez {
   // parking, that the thread holds no lock other than `l` itself unless
   // that lock's class is marked sleepable (lockcheck::OnBlock) — so the
   // check fires deterministically even when the predicate is already true.
+  // A sleep that is about to wait fires the thread's BlockHook (qlock.h)
+  // first, under `l`; one whose predicate already holds fires nothing.
 #if defined(PLAN9NET_LOCKCHECK)
   // Block until pred() is true.  `l` must be the held QLock protecting the
   // state pred reads.
   template <typename Pred>
   void Sleep(QLock& l, Pred pred, P9_LOCK_SITE) REQUIRES(l) MAY_BLOCK {
     lockcheck::OnBlock(&l, p9_site.file_name(), static_cast<int>(p9_site.line()));
-    cv_.wait(l, pred);
+    while (!pred()) {
+      BlockHook::Fire();
+      cv_.wait(l);
+    }
   }
 
   // Block until woken (spurious wakeups possible; callers re-check state).
   void Sleep(QLock& l, P9_LOCK_SITE) REQUIRES(l) MAY_BLOCK {
     lockcheck::OnBlock(&l, p9_site.file_name(), static_cast<int>(p9_site.line()));
+    BlockHook::Fire();
     cv_.wait(l);
   }
 
@@ -54,6 +60,9 @@ class Rendez {
   bool SleepFor(QLock& l, std::chrono::nanoseconds timeout, Pred pred,
                 P9_LOCK_SITE) REQUIRES(l) MAY_BLOCK {
     lockcheck::OnBlock(&l, p9_site.file_name(), static_cast<int>(p9_site.line()));
+    if (BlockHook::Armed() && timeout > std::chrono::nanoseconds::zero() && !pred()) {
+      BlockHook::Fire();
+    }
     return cv_.wait_for(l, timeout, pred);
   }
 
@@ -62,6 +71,7 @@ class Rendez {
   void SleepUntil(QLock& l, std::chrono::time_point<Clock, Duration> deadline,
                   P9_LOCK_SITE) REQUIRES(l) MAY_BLOCK {
     lockcheck::OnBlock(&l, p9_site.file_name(), static_cast<int>(p9_site.line()));
+    BlockHook::Fire();
     cv_.wait_until(l, deadline);
   }
 #else
@@ -69,16 +79,25 @@ class Rendez {
   // state pred reads.
   template <typename Pred>
   void Sleep(QLock& l, Pred pred) REQUIRES(l) MAY_BLOCK {
-    cv_.wait(l, pred);
+    while (!pred()) {
+      BlockHook::Fire();
+      cv_.wait(l);
+    }
   }
 
   // Block until woken (spurious wakeups possible; callers re-check state).
-  void Sleep(QLock& l) REQUIRES(l) MAY_BLOCK { cv_.wait(l); }
+  void Sleep(QLock& l) REQUIRES(l) MAY_BLOCK {
+    BlockHook::Fire();
+    cv_.wait(l);
+  }
 
   // As Sleep, with a timeout.  Returns false if it expired with pred false.
   template <typename Pred>
   bool SleepFor(QLock& l, std::chrono::nanoseconds timeout, Pred pred)
       REQUIRES(l) MAY_BLOCK {
+    if (BlockHook::Armed() && timeout > std::chrono::nanoseconds::zero() && !pred()) {
+      BlockHook::Fire();
+    }
     return cv_.wait_for(l, timeout, pred);
   }
 
@@ -86,6 +105,7 @@ class Rendez {
   template <typename Clock, typename Duration>
   void SleepUntil(QLock& l, std::chrono::time_point<Clock, Duration> deadline)
       REQUIRES(l) MAY_BLOCK {
+    BlockHook::Fire();
     cv_.wait_until(l, deadline);
   }
 #endif

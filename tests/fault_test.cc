@@ -366,6 +366,26 @@ TEST(NinepTimeout, FlushConfirmedSurfacesTimeoutAndConnectionSurvives) {
   EXPECT_EQ(s.failures.value(), 0u);
 }
 
+TEST(NinepTimeout, RreadLongerThanItsTreadIsABadReply) {
+  auto pipe = PipeTransport::Make();
+  ScriptedServer server(std::move(pipe.second));
+  // Script: answer every Tread with 64 bytes, whatever its count.
+  server.Run([](MsgTransport* t, const Fcall& m) {
+    ScriptedServer::Reply(t, static_cast<FcallType>(static_cast<uint8_t>(m.type) + 1),
+                          m.tag, m.type == FcallType::kTread ? Bytes(64, 'x') : Bytes{});
+  });
+
+  NinepClient client(std::move(pipe.first));
+  auto r = client.Read(/*fid=*/1, /*offset=*/0, /*count=*/4);
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.error().message().find("too long"), std::string::npos) << r.error().message();
+  // Only that reply is refused; the connection keeps working.
+  auto whole = client.Read(1, 0, 64);
+  ASSERT_TRUE(whole.ok()) << whole.error().message();
+  EXPECT_EQ(whole->size(), 64u);
+  EXPECT_TRUE(client.ok());
+}
+
 TEST(NinepTimeout, LateReplyBeatsFlushAndIsDelivered) {
   auto pipe = PipeTransport::Make();
   ScriptedServer server(std::move(pipe.second));

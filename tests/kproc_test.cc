@@ -76,6 +76,91 @@ TEST(Kproc, DefaultConstructedIsInert) {
   k.Join();  // no-op
 }
 
+// A BlockHook runs once, the first time its thread is about to park: a sleep
+// that waits or a lock another thread holds.
+void CountRun(void* runs) { ++*static_cast<int*>(runs); }
+
+TEST(BlockHook, FiresOnceOnASleepThatWaits) {
+  QLock lock;
+  Rendez never;
+  int runs = 0;
+  BlockHook hook(&CountRun, &runs);
+  QLockGuard guard(lock);
+  for (int i = 0; i < 2; i++) {
+    EXPECT_FALSE(never.SleepFor(lock, std::chrono::milliseconds(1), [] { return false; }));
+  }
+  EXPECT_TRUE(hook.fired());
+  EXPECT_EQ(runs, 1);
+}
+
+TEST(BlockHook, SleepWhosePredicateHoldsFiresNothing) {
+  QLock lock;
+  Rendez r;
+  int runs = 0;
+  BlockHook hook(&CountRun, &runs);
+  QLockGuard guard(lock);
+  r.Sleep(lock, [] { return true; });
+  EXPECT_TRUE(r.SleepFor(lock, std::chrono::seconds(10), [] { return true; }));
+  EXPECT_FALSE(hook.fired());
+  EXPECT_EQ(runs, 0);
+}
+
+TEST(BlockHook, UncontendedLockFiresNothing) {
+  QLock lock;
+  int runs = 0;
+  BlockHook hook(&CountRun, &runs);
+  for (int i = 0; i < 2; i++) {
+    QLockGuard guard(lock);
+  }
+  EXPECT_FALSE(hook.fired());
+  EXPECT_EQ(runs, 0);
+}
+
+// The holder keeps `held` until the hook has run on the thread waiting for
+// it, so the hook must run before that thread parks.
+struct Contention {
+  static void Run(void* self) {
+    auto* c = static_cast<Contention*>(self);
+    {
+      QLockGuard guard(c->lock);
+      c->runs++;
+    }
+    c->changed.Wakeup();
+  }
+
+  // Sleepable, as stream.read is: the holder sleeps below while holding it.
+  QLock held{"stream.read", kSleepableClass};
+  QLock lock;
+  Rendez changed;
+  bool holding GUARDED_BY(lock) = false;
+  int runs GUARDED_BY(lock) = 0;
+};
+
+TEST(BlockHook, FiresOnceOnAContendedLock) {
+  Contention c;
+  std::thread holder([&c] {
+    QLockGuard hold(c.held);
+    QLockGuard guard(c.lock);
+    c.holding = true;
+    c.changed.Wakeup();
+    c.changed.SleepFor(c.lock, std::chrono::seconds(10),
+                       [&c]() REQUIRES(c.lock) { return c.runs > 0; });
+  });
+  {
+    QLockGuard guard(c.lock);
+    ASSERT_TRUE(c.changed.SleepFor(c.lock, std::chrono::seconds(10),
+                                   [&c]() REQUIRES(c.lock) { return c.holding; }));
+  }
+  {
+    BlockHook hook(&Contention::Run, &c);
+    QLockGuard wait(c.held);  // fires, then waits for the holder to let go
+    EXPECT_TRUE(hook.fired());
+  }
+  holder.join();
+  QLockGuard guard(c.lock);
+  EXPECT_EQ(c.runs, 1);
+}
+
 // Schedule wakes the timer kproc only for a deadline before its next look,
 // and a delivery scope runs its thread's zero-delay entries itself.  These
 // cover both on a private wheel.

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <functional>
 #include <map>
+#include <set>
 #include <thread>
 
 #include "src/ninep/client.h"
@@ -296,7 +297,49 @@ class LatchFile : public Vnode {
   bool released_ GUARDED_BY(lock_) = false;
 };
 
-// Attaching with aname "slow" yields the latch file; anything else, a RamFs.
+// A latch file read as a stream's data file is: each read holds the file's
+// read lock while it waits, so a second reader waits on that lock, not on
+// the latch.
+class LockedLatchFile : public LatchFile {
+ public:
+  Result<Bytes> Read(uint64_t offset, uint32_t count) override {
+    QLockGuard guard(read_lock_);
+    return LatchFile::Read(offset, count);
+  }
+
+ private:
+  QLock read_lock_{"stream.read", kSleepableClass};
+};
+
+// A file whose reads run until the test lets them finish, without parking:
+// they poll, as a long computation keeps its thread, so no block hook fires.
+class SpinFile : public LatchFile {
+ public:
+  Result<Bytes> Read(uint64_t, uint32_t) override {
+    reads_++;
+    while (!finished_) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return ToBytes("spun");
+  }
+
+  // True once a read is running, within 10 s.
+  bool WaitRunning() {
+    for (int i = 0; i < 10000 && reads_ == 0; i++) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return reads_ > 0;
+  }
+  void Finish() { finished_ = true; }
+  int reads() const { return reads_; }
+
+ private:
+  std::atomic<int> reads_{0};
+  std::atomic<bool> finished_{false};
+};
+
+// Attaching with aname "slow" yields the latch file, "locked" the locked
+// latch file, "spin" the spin file; anything else, a RamFs.
 class LatchFs : public Vfs {
  public:
   Result<std::shared_ptr<Vnode>> Attach(const std::string& uname,
@@ -304,17 +347,27 @@ class LatchFs : public Vfs {
     if (aname == "slow") {
       return std::shared_ptr<Vnode>(slow);
     }
+    if (aname == "locked") {
+      return std::shared_ptr<Vnode>(locked);
+    }
+    if (aname == "spin") {
+      return std::shared_ptr<Vnode>(spin);
+    }
     return ram.Attach(uname, aname);
   }
 
   RamFs ram;
   std::shared_ptr<LatchFile> slow = std::make_shared<LatchFile>();
+  std::shared_ptr<LatchFile> locked = std::make_shared<LockedLatchFile>();
+  std::shared_ptr<SpinFile> spin = std::make_shared<SpinFile>();
 };
 
 struct Replies {
   QLock lock;
   Rendez arrived;
   std::map<uint16_t, Fcall> by_tag GUARDED_BY(lock);
+  std::map<uint16_t, std::thread::id> writer_by_tag GUARDED_BY(lock);
+  bool closed GUARDED_BY(lock) = false;
 
   // The reply to `tag`, or an Rerror if none arrives within 10 s.
   Fcall Wait(uint16_t tag) {
@@ -328,6 +381,17 @@ struct Replies {
   bool Has(uint16_t tag) {
     QLockGuard guard(lock);
     return by_tag.count(tag) != 0;
+  }
+  // The thread that wrote the reply to `tag`.
+  std::thread::id Writer(uint16_t tag) {
+    QLockGuard guard(lock);
+    return writer_by_tag[tag];
+  }
+  // True once the server has closed its transport, within 10 s.
+  bool WaitClosed() {
+    QLockGuard guard(lock);
+    return arrived.SleepFor(lock, std::chrono::seconds(10),
+                            [&]() REQUIRES(lock) { return closed; });
   }
 };
 
@@ -345,12 +409,20 @@ class RecordingTransport : public MsgTransport {
     }
     {
       QLockGuard guard(replies_->lock);
+      replies_->writer_by_tag[reply->tag] = std::this_thread::get_id();
       replies_->by_tag[reply->tag] = reply.take();
     }
     replies_->arrived.Wakeup();
     return Status::Ok();
   }
-  void Close() override { requests_->Close(); }
+  void Close() override {
+    {
+      QLockGuard guard(replies_->lock);
+      replies_->closed = true;
+    }
+    replies_->arrived.Wakeup();
+    requests_->Close();
+  }
 
  private:
   std::unique_ptr<MsgTransport> requests_;
@@ -371,6 +443,8 @@ class LeaderFollowerTest : public ::testing::Test {
   }
   void TearDown() override {
     fs_.slow->Release();
+    fs_.locked->Release();
+    fs_.spin->Finish();
     server_->Shutdown();
   }
 
@@ -442,6 +516,63 @@ TEST_F(LeaderFollowerTest, BlockedReadsLeaveAWorkerForOtherFids) {
   requests_->Close();
   server_->Wait();
   EXPECT_FALSE(replies_->Has(kFirstRead));
+}
+
+TEST_F(LeaderFollowerTest, RequestsThatNeverBlockAreAnsweredByOneWorker) {
+  ASSERT_EQ(Call(1, TattachMsg(1, "philw", "")).type, FcallType::kRattach);
+  ASSERT_EQ(Call(2, TclwalkMsg(1, 2, "fast")).type, FcallType::kRclwalk);
+  ASSERT_EQ(Call(3, TopenMsg(2, kORead)).type, FcallType::kRopen);
+  // No request parks, so the worker that reads each one runs it and reads
+  // the next: the reader role never moves.
+  std::set<std::thread::id> writers;
+  for (uint16_t tag = 10; tag < 60; tag++) {
+    if (tag % 2 == 0) {
+      ASSERT_EQ(Call(tag, TstatMsg(2)).type, FcallType::kRstat);
+    } else {
+      ASSERT_EQ(ToString(Call(tag, TreadMsg(2, 0, 64)).data), "quick");
+    }
+    writers.insert(replies_->Writer(tag));
+  }
+  EXPECT_EQ(writers.size(), 1u);
+}
+
+TEST_F(LeaderFollowerTest, AWorkerWaitingOnAContendedLockPassesTheRole) {
+  ASSERT_EQ(Call(1, TattachMsg(1, "philw", "locked")).type, FcallType::kRattach);
+  ASSERT_EQ(Call(2, TopenMsg(1, kORead)).type, FcallType::kRopen);
+  // The first read parks on the latch holding the read lock; the second
+  // waits on that lock.  Each worker's wait hands the reader role on.
+  Send(kFirstRead, TreadMsg(1, 0, 64));
+  ASSERT_TRUE(fs_.locked->WaitBlocked(1));
+  Send(kFirstRead + 1, TreadMsg(1, 0, 64));
+  EXPECT_EQ(Call(3, TattachMsg(2, "philw", "")).type, FcallType::kRattach);
+  EXPECT_EQ(Call(4, TclwalkMsg(2, 3, "fast")).type, FcallType::kRclwalk);
+  Fcall stat = Call(5, TstatMsg(3));
+  ASSERT_EQ(stat.type, FcallType::kRstat);
+  EXPECT_EQ(stat.stat.name, "fast");
+  fs_.locked->Release();
+  EXPECT_EQ(ToString(replies_->Wait(kFirstRead).data), "late");
+  EXPECT_EQ(ToString(replies_->Wait(kFirstRead + 1).data), "late");
+}
+
+TEST_F(LeaderFollowerTest, ShutdownRunsNoRequestStillQueued) {
+  BlockReads();
+  ASSERT_EQ(Call(3, TattachMsg(2, "philw", "spin")).type, FcallType::kRattach);
+  ASSERT_EQ(Call(4, TopenMsg(2, kORead)).type, FcallType::kRopen);
+  // The one free worker runs a read that never parks, so it keeps the reader
+  // role, and a second read waits unread behind it.
+  Send(5, TreadMsg(2, 0, 64));
+  ASSERT_TRUE(fs_.spin->WaitRunning());
+  Send(6, TreadMsg(2, 0, 64));
+  std::thread stopper([&] { server_->Shutdown(); });
+  // The server closes its transport after it has begun to stop.
+  EXPECT_TRUE(replies_->WaitClosed());
+  fs_.spin->Finish();
+  fs_.slow->Release();
+  stopper.join();
+  // The running requests finish; the queued read is never run.
+  EXPECT_EQ(ToString(replies_->Wait(5).data), "spun");
+  EXPECT_FALSE(replies_->Has(6));
+  EXPECT_EQ(fs_.spin->reads(), 1);
 }
 
 TEST_F(LeaderFollowerTest, EofJoinsEveryWorkerOnceTheLatchOpens) {

@@ -3,6 +3,7 @@
 // conventional /net name space.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <set>
 #include <thread>
 
@@ -110,6 +111,22 @@ TEST_F(WorldTest, CsQueryMatchesPaperTranscript) {
   ASSERT_GE(lines.size(), 2u);
   EXPECT_EQ(lines[0], "/net/il/clone 135.104.9.31!17008");
   EXPECT_EQ(lines[1], "/net/dk/clone nj/astro/helix!9fs");
+}
+
+TEST_F(WorldTest, ShortCsReadStaysInsideTheBuffer) {
+  auto proc = musca_->NewProc();
+  auto fd = proc->Open("/net/cs", kORdWr);
+  ASSERT_TRUE(fd.ok());
+  ASSERT_TRUE(proc->WriteString(*fd, "net!helix!9fs").ok());
+  ASSERT_TRUE(proc->Seek(*fd, 0, kSeekSet).ok());
+  // A 4-byte read of a 32-byte answer line returns 4 bytes and writes no
+  // further into the caller's buffer.
+  char buf[8];
+  std::memset(buf, '#', sizeof(buf));
+  auto n = proc->Read(*fd, buf, 4);
+  ASSERT_TRUE(n.ok());
+  EXPECT_EQ(*n, 4u);
+  EXPECT_EQ(std::string(buf, sizeof(buf)), "/net####");
 }
 
 TEST_F(WorldTest, CsMetaNameAuthWalk) {
